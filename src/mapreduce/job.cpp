@@ -185,8 +185,7 @@ std::optional<TaskIndex> JobState::claim_reduce() {
   return std::nullopt;
 }
 
-void JobState::unclaim(TaskKind kind, TaskIndex index,
-                       cluster::MachineId /*machine*/) {
+void JobState::unclaim(TaskKind kind, TaskIndex index) {
   auto& ks = state(kind);
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   EANT_CHECK(ks.status[index] == TaskStatus::kRunning,

@@ -77,9 +77,9 @@ class JobState {
   /// Picks any pending reduce; the task transitions to Running.
   std::optional<TaskIndex> claim_reduce();
 
-  /// Reverts a claimed-but-not-started task to Pending (used when a
-  /// speculative assignment is abandoned).
-  void unclaim(TaskKind kind, TaskIndex index, cluster::MachineId machine);
+  /// Reverts a Running task to Pending: its attempt died and the task
+  /// re-queues for another one.
+  void unclaim(TaskKind kind, TaskIndex index);
 
   // --- lifecycle transitions (JobTracker only) -------------------------------
 

@@ -10,6 +10,71 @@
 #include "common/error.h"
 
 namespace eant::mr {
+namespace {
+
+/// Effective per-reduce shuffle bandwidth, MB/s (many small fetches over the
+/// shared network, far below NIC line rate).  Without a fabric the shuffle
+/// takes this fixed scalar regardless of how many transfers share the wire;
+/// with one it only sizes the flows' rate caps, so link contention decides.
+constexpr double kShuffleMbps = 20.0;
+
+/// Bandwidth of a map's remote split read, MB/s (the Fig. 6 penalty): well
+/// below NIC line speed, since remote reads compete with shuffle traffic and
+/// the source disk.  Same dual role as kShuffleMbps.
+constexpr double kRemoteReadMbps = 10.0;
+
+/// Per-flow rate caps of reduce-output replication-pipeline writes (fabric
+/// only: the scalar model never charged for them) and of block
+/// re-replication, MB/s.
+constexpr double kReplicationWriteMbps = 40.0;
+constexpr double kRereplicationMbps = 40.0;
+
+/// Concurrent block re-replication streams (Hadoop's dfs.max-repl-streams).
+constexpr int kMaxReplicationStreams = 4;
+
+/// A task is a straggler once its elapsed time exceeds this multiple of the
+/// mean completed-task duration of its job and kind.
+constexpr double kStragglerBeta = 1.5;
+
+/// A quarantined node re-earns work once its health climbs back above this
+/// (hysteresis above JobTrackerConfig::quarantine_threshold).
+constexpr double kHealthRecoveryThreshold = 0.75;
+
+/// Cap of the exponential fetch-retry backoff.
+constexpr Seconds kFetchRetryBackoffMax = 160.0;
+
+/// A reduce task that accumulates this many failed fetches without ever
+/// completing a shuffle FAILS its attempt (burning budget) instead of being
+/// killed and relaunched for free — Hadoop's shuffle-retry suicide.  Without
+/// it a pathological fetch-failure regime livelocks: attempts are KILLED
+/// (free) and re-shuffled forever while map outputs thrash between
+/// declared-lost and re-executed.  The strike counter survives kills and
+/// relaunches of the same reduce and resets only when a shuffle lands or an
+/// attempt is charged, so four hopeless shuffles end the job loudly.
+constexpr int kReduceFetchAbortLimit = 12;
+
+/// Packs two ids into one audit-record key.
+constexpr std::uint64_t audit_key(std::uint64_t hi, std::uint64_t lo) {
+  return (hi << 32) ^ lo;
+}
+
+/// Flags, once per process, that network costs come from the scalar model.
+void note_legacy_network() {
+  // One note per process, not per Run: benches execute dozens of legacy
+  // runs and the point is just to flag which model produced the numbers.
+  // Atomic because the parallel sweep driver constructs Runs concurrently;
+  // exchange() lets exactly one thread print, and the plain load keeps the
+  // per-launch check off the shared cache line's write path.
+  static std::atomic<bool> printed{false};  // lint-ok: global-state
+  if (printed.load(std::memory_order_relaxed) || printed.exchange(true)) return;
+  std::fprintf(stderr,
+               "[eant] note: no network topology configured; network costs "
+               "use the legacy scalar bandwidths (shuffle %.1f MB/s, remote "
+               "read %.1f MB/s)\n",
+               kShuffleMbps, kRemoteReadMbps);
+}
+
+}  // namespace
 
 JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
                        hdfs::NameNode& namenode, Scheduler& scheduler,
@@ -25,8 +90,6 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
              "NameNode and Cluster must agree on machine count");
   EANT_CHECK(config_.reduce_slowstart >= 0.0 && config_.reduce_slowstart <= 1.0,
              "reduce_slowstart must be a fraction");
-  EANT_CHECK(config_.shuffle_mbps > 0.0 && config_.remote_read_mbps > 0.0,
-             "bandwidths must be positive");
   EANT_CHECK(config_.tracker_expiry_window >= 0.0,
              "tracker expiry window must be non-negative");
   EANT_CHECK(config_.max_attempts >= 1, "tasks need at least one attempt");
@@ -40,9 +103,8 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
   EANT_CHECK(config_.quarantine_threshold >= 0.0 &&
                  config_.quarantine_threshold < 1.0,
              "quarantine threshold must lie in [0, 1)");
-  EANT_CHECK(config_.health_recovery_threshold >=
-                 config_.quarantine_threshold,
-             "recovery threshold must not sit below the quarantine threshold");
+  EANT_CHECK(config_.quarantine_threshold <= kHealthRecoveryThreshold,
+             "quarantine threshold must not exceed the recovery threshold");
   EANT_CHECK(config_.health_min_samples >= 1,
              "health detection needs at least one sample");
   EANT_CHECK(config_.quarantine_decay_window >= 0.0,
@@ -52,13 +114,8 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
   EANT_CHECK(config_.fetch_failure_threshold >= 0,
              "fetch failure threshold must be non-negative");
   EANT_CHECK(config_.fetch_retry_backoff > 0.0 &&
-                 config_.fetch_retry_backoff_max >= config_.fetch_retry_backoff,
-             "fetch retry backoff must be positive and capped above the base");
-  EANT_CHECK(config_.reduce_fetch_abort_limit >= 0,
-             "reduce fetch abort limit must be non-negative");
-  EANT_CHECK(config_.max_replication_streams >= 1 &&
-                 config_.rereplication_mbps > 0.0,
-             "re-replication parameters must be positive");
+                 config_.fetch_retry_backoff <= kFetchRetryBackoffMax,
+             "fetch retry backoff must be positive and within its cap");
   EANT_CHECK(config_.checkpoint_interval >= 0.0 &&
                  config_.checkpoint_write_cost >= 0.0,
              "checkpoint parameters must be non-negative");
@@ -82,7 +139,7 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
   EANT_CHECK(adm.retry_base > 0.0 && adm.retry_cap >= adm.retry_base,
              "admission retry backoff must be positive and capped above base");
   EANT_CHECK(adm.retry_jitter >= 0.0, "admission retry jitter must be >= 0");
-  rerep_limit_ = config_.max_replication_streams;
+  rerep_limit_ = kMaxReplicationStreams;
   scheduler_.attach(*this);
 }
 
@@ -331,7 +388,7 @@ void JobTracker::apply_overload_state(OverloadState state) {
   } else if (state >= OverloadState::kSaturated) {
     rerep_limit_ = 1;
   } else {
-    rerep_limit_ = config_.max_replication_streams;
+    rerep_limit_ = kMaxReplicationStreams;
   }
   scheduler_.on_overload_state(state);
   // A raised throttle may unblock queued block copies immediately.
@@ -402,12 +459,11 @@ void JobTracker::reregister_tracker(TaskTracker& tracker) {
   // reaches through the lost / crash_pending paths (or already ran at
   // expiry detection).
   if (ts.lost || ts.crash_pending) return;
-  resolve_orphans(m, /*commit_allowed=*/true);
+  resolve_orphans(m);
   reconcile_running_attempts(tracker);
 }
 
-void JobTracker::resolve_orphans(cluster::MachineId machine,
-                                 bool commit_allowed) {
+void JobTracker::resolve_orphans(cluster::MachineId machine) {
   for (auto it = orphans_.begin(); it != orphans_.end();) {
     if (std::get<3>(it->first) != machine) {
       ++it;
@@ -418,38 +474,25 @@ void JobTracker::resolve_orphans(cluster::MachineId machine,
     const TaskSpec& spec = orphan.report.spec;
     const bool is_map = spec.kind == TaskKind::kMap;
     const bool covered = attempt_covered(orphan.report.start);
-    if (orphan.failed) {
-      // A buffered failure report: a covered attempt takes the normal
-      // failure path (attempt budget + blacklist credit); an attempt the
-      // replayed checkpoint never knew requeues for free — the restarted
-      // master cannot charge a failure it has no record of launching.
-      if (commit_allowed && covered) {
-        if (auditor_) {
-          auditor_->on_task_transition(spec.job, is_map, spec.index,
-                                       audit::TaskEvent::kFail, machine);
-        }
-        note_orphan_outcome(spec, machine, 1);
-        handle_task_failure(orphan.report);
-      } else {
-        if (auditor_) {
-          auditor_->on_task_transition(spec.job, is_map, spec.index,
-                                       audit::TaskEvent::kOrphanRequeue,
-                                       machine);
-        }
-        note_orphan_outcome(spec, machine, 2);
-        ++orphans_requeued_;
-        report_waste(orphan.report, WasteReason::kOrphaned);
-        requeue_orphaned_task(spec, machine);
+    // A buffered failure report: a covered attempt takes the normal failure
+    // path (attempt budget + blacklist credit); an attempt the replayed
+    // checkpoint never knew requeues for free — the restarted master cannot
+    // charge a failure it has no record of launching.
+    if (orphan.failed && covered) {
+      if (auditor_) {
+        auditor_->on_task_transition(spec.job, is_map, spec.index,
+                                     audit::TaskEvent::kFail, machine);
       }
+      note_orphan_outcome(spec, machine, 1);
+      handle_task_failure(orphan.report);
       continue;
     }
     // A buffered completion: commit iff the replayed checkpoint knew the
     // attempt (it launched inside coverage) and the task still wants the
     // result (no speculative twin won, job still live).
     const JobState& js = job(spec.job);
-    const bool wanted = !js.failed() && !js.complete() &&
-                        js.status(spec.kind, spec.index) == TaskStatus::kRunning;
-    if (commit_allowed && covered && wanted) {
+    if (!orphan.failed && covered && !js.failed() && !js.complete() &&
+        js.status(spec.kind, spec.index) == TaskStatus::kRunning) {
       if (auditor_) {
         auditor_->on_task_transition(spec.job, is_map, spec.index,
                                      audit::TaskEvent::kOrphanCommit, machine);
@@ -457,16 +500,9 @@ void JobTracker::resolve_orphans(cluster::MachineId machine,
       note_orphan_outcome(spec, machine, 0);
       ++orphans_committed_;
       handle_completion(orphan.report);
-    } else {
-      if (auditor_) {
-        auditor_->on_task_transition(spec.job, is_map, spec.index,
-                                     audit::TaskEvent::kOrphanRequeue, machine);
-      }
-      note_orphan_outcome(spec, machine, 2);
-      ++orphans_requeued_;
-      report_waste(orphan.report, WasteReason::kOrphaned);
-      requeue_orphaned_task(spec, machine);
+      continue;
     }
+    requeue_orphan(orphan.report, 2);
   }
 }
 
@@ -486,19 +522,31 @@ void JobTracker::reconcile_running_attempts(TaskTracker& tracker) {
     waste.finish = sim_.now();
     report_waste(waste, WasteReason::kOrphaned);
     note_orphan_outcome(a.spec, m, 2);
-    requeue_orphaned_task(a.spec, m);
+    requeue_task(a.spec.job, a.spec.kind, a.spec.index);
   }
 }
 
-void JobTracker::requeue_orphaned_task(const TaskSpec& spec,
-                                       cluster::MachineId machine) {
-  JobState& js = job_mutable(spec.job);
-  if (js.failed() || js.complete()) return;
-  if (js.status(spec.kind, spec.index) != TaskStatus::kRunning) return;
-  js.clear_speculative(spec.kind, spec.index);
-  if (!running_elsewhere(spec.job, spec.kind, spec.index)) {
-    js.unclaim(spec.kind, spec.index, machine);
+bool JobTracker::fence_report(const TaskReport& report, bool failed) {
+  if (accepts_reports(report.machine)) return false;
+  // Master down or stale tracker epoch: the report lands in the orphan
+  // buffer for deterministic resolution at the tracker's re-registration.
+  ++fenced_completions_;
+  orphans_[{report.spec.job, report.spec.kind, report.spec.index,
+            report.machine}] = Orphan{report, failed};
+  return true;
+}
+
+bool JobTracker::requeue_orphan(const TaskReport& report, int outcome) {
+  const TaskSpec& spec = report.spec;
+  if (auditor_) {
+    auditor_->on_task_transition(spec.job, spec.kind == TaskKind::kMap,
+                                 spec.index, audit::TaskEvent::kOrphanRequeue,
+                                 report.machine);
   }
+  note_orphan_outcome(spec, report.machine, outcome);
+  ++orphans_requeued_;
+  report_waste(report, WasteReason::kOrphaned);
+  return requeue_task(spec.job, spec.kind, spec.index);
 }
 
 void JobTracker::note_orphan_outcome(const TaskSpec& spec,
@@ -544,8 +592,7 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
     // The node is not dead — its running attempts continue (and may still
     // finish) — but the scheduler must stop feeding it.
     scheduler_.on_tracker_lost(m);
-  } else if (ts.quarantined &&
-             ts.health > config_.health_recovery_threshold) {
+  } else if (ts.quarantined && ts.health > kHealthRecoveryThreshold) {
     ts.quarantined = false;
     ts.health_samples = 0;
     maybe_rejoin(m);
@@ -568,7 +615,7 @@ void JobTracker::decay_quarantine() {
     // quarantine analogue of blacklist-counter halving) so the node is
     // eventually retried.  A still-limping node re-quarantines quickly.
     ts.health += 0.5 * (1.0 - ts.health);
-    if (ts.health > config_.health_recovery_threshold) {
+    if (ts.health > kHealthRecoveryThreshold) {
       ts.quarantined = false;
       ts.health_samples = 0;
       maybe_rejoin(m);
@@ -611,7 +658,7 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
       if (js.status(kind, i) != TaskStatus::kRunning) continue;
       if (js.is_speculative(kind, i)) continue;
       const Seconds elapsed = now - js.task_start_time(kind, i);
-      if (elapsed <= config_.speculative_straggler_beta * mean) continue;
+      if (elapsed <= kStragglerBeta * mean) continue;
       // Only worthwhile if a fresh attempt here is expected to beat the
       // original.
       const TaskSpec& spec = js.task(kind, i);
@@ -650,8 +697,9 @@ std::optional<JobId> JobTracker::timed_select_job(cluster::MachineId machine,
     return scheduler_.select_job(machine, kind);
   }
   // Wall-clock is fine here: the measurement is pure observation (it feeds
-  // bench/perf_smoke's scheduler-work attribution) and never influences any
-  // simulation decision, so determinism is untouched.
+  // bench/perf_smoke's scheduler-work attribution and perfbench's traced
+  // mode) and never influences any simulation decision, so determinism is
+  // untouched.
   const auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
   const auto choice = scheduler_.select_job(machine, kind);
   const auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
@@ -735,8 +783,12 @@ void JobTracker::launch(JobState& js, TaskKind kind, TaskIndex index,
       (kind == TaskKind::kReduce && spec.shuffle_seconds > 0.0)) {
     note_legacy_network();
   }
-  const Seconds duration =
-      compute_duration(js, spec, cluster_.machine(m), locality);
+  // Separate statements, because the operands of one product are
+  // unsequenced: the straggler draw must precede the duration draw, as on
+  // the fabric path.
+  Seconds duration = base_duration(spec, cluster_.machine(m), locality);
+  duration *= noise_.straggler_multiplier();
+  duration *= noise_.duration_multiplier();
   Seconds fail_after = 0.0;
   if (attempt_fault_hook_) {
     if (const auto frac = attempt_fault_hook_(spec, m)) {
@@ -762,11 +814,9 @@ void JobTracker::launch_with_fabric(JobState& js, TaskKind kind,
   // the legacy order (straggler, then duration) so both paths consume the
   // same RNG stream.
   double mult = 1.0;
-  if (config_.contention_slowdown) {
-    const double projected =
-        (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
-    if (projected > 1.0) mult = projected;
-  }
+  const double projected =
+      (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
+  if (projected > 1.0) mult = projected;
   mult *= noise_.straggler_multiplier();
   mult *= noise_.duration_multiplier();
 
@@ -798,9 +848,9 @@ void JobTracker::launch_with_fabric(JobState& js, TaskKind kind,
   Seconds transfer_fallback = 0.0;
 
   if (kind == TaskKind::kMap && locality != Locality::kNodeLocal) {
-    transfer_fallback = spec.input_mb / config_.remote_read_mbps;
+    transfer_fallback = spec.input_mb / kRemoteReadMbps;
     if (const auto src = pick_replica_source(spec.block, m)) {
-      plan.push_back({*src, spec.input_mb, config_.remote_read_mbps / mult,
+      plan.push_back({*src, spec.input_mb, kRemoteReadMbps / mult,
                       net::TransferClass::kRemoteRead});
       transfer_fallback = 0.0;
     }
@@ -895,27 +945,18 @@ void JobTracker::on_flow_complete(net::FlowId id, const TransferKey& key) {
     ++shuffle_corruptions_;
     if (auditor_) {
       auditor_->record(audit::Record::kCorruptionDetected,
-                       (static_cast<std::uint64_t>(of.key.job) << 32) ^
-                           static_cast<std::uint64_t>(of.src));
+                       audit_key(of.key.job, of.src));
     }
     handle_fetch_failure(of, of.mb);
     return;
   }
-  if (!it->second.flows.empty()) return;
-  if (it->second.pending_retries > 0) return;  // fetches still backing off
-  const PendingTransfer pt = it->second;
-  transfers_.erase(it);
-  begin_compute_for(key, pt);
+  begin_compute_if_drained(it);
 }
 
 void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
-  // A re-replication stream died (link fault or endpoint loss): the block
-  // goes back on the NameNode's queue and the pump retries after a beat.
-  if (const auto rit = rerep_flows_.find(id); rit != rerep_flows_.end()) {
-    const hdfs::BlockId block = rit->second;
-    rerep_flows_.erase(rit);
-    if (rerep_active_ > 0) --rerep_active_;
-    namenode_.requeue_rereplication(block);
+  // A re-replication stream died (link fault or endpoint loss): the pump
+  // retries its block after a beat.
+  if (release_rereplication(id)) {
     sim_.schedule_after(config_.fetch_retry_backoff,
                         [this] { pump_rereplication(); });
     return;
@@ -946,11 +987,7 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
       kill_fetching_attempt(of.key);
       return;
     }
-    if (tit->second.flows.empty() && tit->second.pending_retries == 0) {
-      const PendingTransfer pt = tit->second;
-      transfers_.erase(tit);
-      begin_compute_for(of.key, pt);
-    }
+    begin_compute_if_drained(tit);
     return;
   }
   handle_fetch_failure(of, remaining_mb);
@@ -962,8 +999,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   scheduler_.on_fetch_failed(of.key.job, of.src);
   if (auditor_) {
     auditor_->record(audit::Record::kFetchFailure,
-                     (static_cast<std::uint64_t>(of.key.job) << 32) ^
-                         static_cast<std::uint64_t>(of.src));
+                     audit_key(of.key.job, of.src));
   }
   FetchState& fs = fetch_state_[{of.key.job, of.src}];
   ++fs.failures;
@@ -975,8 +1011,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   // forever, and the run livelocks.
   int& strikes = reduce_fetch_strikes_[{of.key.job, of.key.index}];
   ++strikes;
-  if (config_.reduce_fetch_abort_limit > 0 &&
-      strikes >= config_.reduce_fetch_abort_limit) {
+  if (strikes >= kReduceFetchAbortLimit) {
     reduce_fetch_strikes_.erase({of.key.job, of.key.index});
     fail_fetching_attempt(of.key);
     return;
@@ -994,7 +1029,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   const int exponent = std::max(fs.failures - 1, 0);
   const Seconds backoff =
       std::min(config_.fetch_retry_backoff * std::pow(2.0, exponent),
-               config_.fetch_retry_backoff_max);
+               kFetchRetryBackoffMax);
   auto tit = transfers_.find(of.key);
   EANT_ASSERT(tit != transfers_.end(), "fetch failure without transfer state");
   ++tit->second.pending_retries;
@@ -1021,35 +1056,25 @@ void JobTracker::retry_fetch(const TransferKey& key, cluster::MachineId src,
   }
   // The source died while we backed off — its outputs were reclaimed through
   // the node-loss path, so this fetch just drains.
-  if (it->second.flows.empty() && it->second.pending_retries == 0) {
-    const PendingTransfer pt = it->second;
-    transfers_.erase(it);
-    begin_compute_for(key, pt);
-  }
+  begin_compute_if_drained(it);
 }
 
 void JobTracker::declare_map_outputs_lost(JobId job, cluster::MachineId source) {
   fetch_state_.erase({job, source});
   JobState& js = job_mutable(job);
   if (js.failed() || js.complete()) return;
-  TrackerState& ts = tracker_states_[source];
   // Every completed map output this job keeps on the source is obsolete:
   // revert the maps so they re-execute on reachable machines.
-  std::vector<std::pair<JobId, TaskIndex>> victims;
-  for (auto& [key, r] : ts.map_outputs) {
-    if (key.first != job) continue;
-    if (js.status(TaskKind::kMap, key.second) != TaskStatus::kDone) continue;
-    js.revert_done_map(key.second, r.duration(),
-                       namenode_.locations(r.spec.block), source);
-    if (auditor_) {
-      auditor_->on_task_transition(job, true, key.second,
-                                   audit::TaskEvent::kRevertDone, source);
+  auto& outputs = tracker_states_[source].map_outputs;
+  for (auto it = outputs.begin(); it != outputs.end();) {
+    if (it->first.first == job &&
+        revert_map_output(it->second, WasteReason::kFetchFailed)) {
+      ++fetch_reexecuted_maps_;
+      it = outputs.erase(it);
+    } else {
+      ++it;
     }
-    ++fetch_reexecuted_maps_;
-    report_waste(r, WasteReason::kFetchFailed);
-    victims.push_back(key);
   }
-  for (const auto& k : victims) ts.map_outputs.erase(k);
 
   // Reduces still fetching from the declared-lost source are pulling stale
   // data; kill those attempts (KILLED) so they re-shuffle once the maps land
@@ -1065,18 +1090,12 @@ void JobTracker::declare_map_outputs_lost(JobId job, cluster::MachineId source) 
 }
 
 void JobTracker::kill_fetching_attempt(const TransferKey& key) {
-  JobState& js = job_mutable(key.job);
   // cancel_task tears the attempt down without a completion report; its
   // abort callback drains any remaining fetch flows.
   trackers_[key.machine]->cancel_task(key.job, key.kind, key.index);
   abort_transfers(key);
   ++killed_attempts_;
-  if (js.failed() || js.complete()) return;
-  if (js.status(key.kind, key.index) != TaskStatus::kRunning) return;
-  js.clear_speculative(key.kind, key.index);
-  if (!running_elsewhere(key.job, key.kind, key.index)) {
-    js.unclaim(key.kind, key.index, key.machine);
-  }
+  requeue_task(key.job, key.kind, key.index);
 }
 
 void JobTracker::fail_fetching_attempt(const TransferKey& key) {
@@ -1092,8 +1111,13 @@ void JobTracker::fail_fetching_attempt(const TransferKey& key) {
   t.begin_compute(key.job, key.kind, key.index, duration, 0.5 * duration);
 }
 
-void JobTracker::begin_compute_for(const TransferKey& key,
-                                   const PendingTransfer& pt) {
+void JobTracker::begin_compute_if_drained(
+    std::map<TransferKey, PendingTransfer>::iterator it) {
+  if (!it->second.flows.empty()) return;
+  if (it->second.pending_retries > 0) return;  // fetches still backing off
+  const TransferKey key = it->first;
+  const PendingTransfer pt = it->second;
+  transfers_.erase(it);
   if (key.kind == TaskKind::kReduce) {
     // The shuffle landed: the task made real progress, so its fetch-failure
     // strikes no longer indicate a hopeless reduce.
@@ -1149,12 +1173,8 @@ void JobTracker::handle_network_casualties(cluster::MachineId dead) {
     if (!fabric_->active(f)) continue;
     // An in-flight re-replication stream touching the dead node restarts
     // from/to surviving endpoints via the NameNode's queue.
-    if (const auto rit = rerep_flows_.find(f); rit != rerep_flows_.end()) {
-      const hdfs::BlockId block = rit->second;
-      rerep_flows_.erase(rit);
-      if (rerep_active_ > 0) --rerep_active_;
+    if (release_rereplication(f)) {
       fabric_->abort_flow(f);
-      namenode_.requeue_rereplication(block);
       rerep_requeued = true;
       continue;
     }
@@ -1196,13 +1216,10 @@ void JobTracker::handle_network_casualties(cluster::MachineId dead) {
     if (remaining > 0.0 && source.has_value()) {
       ++retransferred_flows_;
       start_owned_flow(key, *source, dst, remaining, cap, cls);
-    } else if (tit->second.flows.empty() &&
-               tit->second.pending_retries == 0) {
-      // No surviving source (or nothing left to move): the fetch set just
-      // drained, so the attempt proceeds to compute with what it has.
-      const PendingTransfer pt = tit->second;
-      transfers_.erase(tit);
-      begin_compute_for(key, pt);
+    } else {
+      // No surviving source (or nothing left to move): once the fetch set
+      // drains, the attempt proceeds to compute with what it has.
+      begin_compute_if_drained(tit);
     }
   }
   if (rerep_requeued) pump_rereplication();
@@ -1236,7 +1253,7 @@ void JobTracker::apply_datanode_mark(cluster::MachineId machine, bool dead) {
 
 void JobTracker::pump_rereplication() {
   if (!namenode_up_) return;  // the work queue lives in the NameNode
-  // rerep_limit_ is the brownout throttle: max_replication_streams under
+  // rerep_limit_ is the brownout throttle: kMaxReplicationStreams under
   // Normal/Elevated, 1 under Saturated, 0 under Critical (background block
   // copies yield their bandwidth and slots to the backlog); restored by
   // apply_overload_state as the detector decays.
@@ -1254,14 +1271,12 @@ void JobTracker::pump_rereplication() {
     const cluster::MachineId target = work->target;
     const Megabytes mb = namenode_.block_size(block);
     if (auditor_) {
-      auditor_->record(audit::Record::kReplicaChange,
-                       (static_cast<std::uint64_t>(block) << 32) ^
-                           static_cast<std::uint64_t>(target));
+      auditor_->record(audit::Record::kReplicaChange, audit_key(block, target));
     }
     ++rerep_active_;
     if (fabric_ != nullptr) {
       const net::FlowId fid = fabric_->start_flow(
-          work->source, target, mb, config_.rereplication_mbps,
+          work->source, target, mb, kRereplicationMbps,
           net::TransferClass::kReplication,
           [this, block, target, mb](net::FlowId f) {
             finish_rereplication(f, block, target, mb);
@@ -1272,12 +1287,22 @@ void JobTracker::pump_rereplication() {
       rerep_flows_[fid] = block;
     } else {
       // Legacy scalar model: the copy just takes size / rate seconds.
-      sim_.schedule_after(mb / config_.rereplication_mbps,
+      sim_.schedule_after(mb / kRereplicationMbps,
                           [this, block, target, mb] {
                             finish_rereplication(0, block, target, mb);
                           });
     }
   }
+}
+
+bool JobTracker::release_rereplication(net::FlowId flow) {
+  const auto it = rerep_flows_.find(flow);
+  if (it == rerep_flows_.end()) return false;
+  const hdfs::BlockId block = it->second;
+  rerep_flows_.erase(it);
+  if (rerep_active_ > 0) --rerep_active_;
+  namenode_.requeue_rereplication(block);
+  return true;
 }
 
 void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
@@ -1299,9 +1324,7 @@ void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
         cit != corrupt_pending_repair_.end()) {
       ++corruptions_repaired_;
       if (auditor_) {
-        auditor_->record(audit::Record::kRepair,
-                         (static_cast<std::uint64_t>(block) << 32) ^
-                             static_cast<std::uint64_t>(target));
+        auditor_->record(audit::Record::kRepair, audit_key(block, target));
       }
       if (--cit->second <= 0) corrupt_pending_repair_.erase(cit);
     }
@@ -1375,8 +1398,7 @@ void JobTracker::confirm_corruption(hdfs::BlockId block,
   }
   if (auditor_) {
     auditor_->record(audit::Record::kCorruptionDetected,
-                     (static_cast<std::uint64_t>(block) << 32) ^
-                         static_cast<std::uint64_t>(node));
+                     audit_key(block, node));
   }
   const std::size_t lost_before = namenode_.lost_blocks().size();
   namenode_.confirm_corrupt(block, node);
@@ -1599,7 +1621,7 @@ void JobTracker::start_replication_flows(const JobState& js,
       std::min(namenode_.replication() - 1,
                static_cast<int>(cluster_.size()) - 1);
   if (copies >= 1) {
-    fabric_->start_flow(m, *second, out_mb, config_.replication_write_mbps,
+    fabric_->start_flow(m, *second, out_mb, kReplicationWriteMbps,
                         net::TransferClass::kReplication, nullptr);
   }
   if (copies >= 2) {
@@ -1615,27 +1637,9 @@ void JobTracker::start_replication_flows(const JobState& js,
       }
     }
     if (third) {
-      fabric_->start_flow(*second, *third, out_mb,
-                          config_.replication_write_mbps,
+      fabric_->start_flow(*second, *third, out_mb, kReplicationWriteMbps,
                           net::TransferClass::kReplication, nullptr);
     }
-  }
-}
-
-void JobTracker::note_legacy_network() {
-  if (legacy_network_noted_) return;
-  legacy_network_noted_ = true;
-  // One note per process, not per Run: benches execute dozens of legacy
-  // runs and the point is just to flag which model produced the numbers.
-  // Atomic because the parallel sweep driver constructs Runs concurrently;
-  // exchange() lets exactly one thread print.
-  static std::atomic<bool> printed{false};  // lint-ok: global-state
-  if (!printed.exchange(true)) {
-    std::fprintf(stderr,
-                 "[eant] note: no network topology configured; network costs "
-                 "use the legacy scalar bandwidths (shuffle %.1f MB/s, "
-                 "remote read %.1f MB/s)\n",
-                 config_.shuffle_mbps, config_.remote_read_mbps);
   }
 }
 
@@ -1648,26 +1652,16 @@ Seconds JobTracker::base_duration(const TaskSpec& spec,
   Seconds base =
       machine.type().task_runtime(spec.cpu_ref_seconds, spec.io_mb);  // lint-ok: machine-speed
   if (spec.kind == TaskKind::kMap && locality != Locality::kNodeLocal) {
-    base += spec.input_mb / config_.remote_read_mbps;
+    base += spec.input_mb / kRemoteReadMbps;
   }
   base += spec.shuffle_seconds;
-  if (config_.contention_slowdown) {
-    const double projected =
-        (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
-    if (projected > 1.0) base *= projected;
-  }
+  // CPU oversubscription: beyond the core count, new tasks run
+  // proportionally slower.
+  const double projected =
+      (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
+  if (projected > 1.0) base *= projected;
   EANT_ASSERT(base > 0.0, "task duration must be positive");
   return base;
-}
-
-Seconds JobTracker::compute_duration(const JobState& /*js*/,
-                                     const TaskSpec& spec,
-                                     const cluster::Machine& machine,
-                                     Locality locality) {
-  Seconds d = base_duration(spec, machine, locality);
-  d *= noise_.straggler_multiplier();
-  d *= noise_.duration_multiplier();
-  return d;
 }
 
 double JobTracker::shuffle_skew_penalty(const JobState& js) const {
@@ -1699,8 +1693,7 @@ void JobTracker::maybe_build_reduces(JobState& js) {
   const int n = js.spec().num_reduces;
   const Megabytes per_reduce = total_output / n;
   const double penalty = shuffle_skew_penalty(js);
-  const Seconds shuffle_time =
-      per_reduce * penalty / config_.shuffle_mbps;
+  const Seconds shuffle_time = per_reduce * penalty / kShuffleMbps;
 
   std::vector<TaskSpec> reduces;
   reduces.reserve(static_cast<std::size_t>(n));
@@ -1773,46 +1766,32 @@ std::size_t JobTracker::preempt_attempt(JobId job, TaskKind kind,
   if (js.status(kind, index) != TaskStatus::kRunning) return 0;
 
   std::size_t preempted = 0;
-  cluster::MachineId last_machine = 0;
   for (auto& t : trackers_) {
-    if (!t->is_running(job, kind, index)) continue;
-    const cluster::MachineId m = t->machine_id();
     const auto report = t->preempt_task(job, kind, index);
     if (!report) continue;
     // An attempt still in its transfer phase held fabric flows; its abort
     // callback already fired, this drains the transfer bookkeeping.
-    abort_transfers(TransferKey{job, kind, index, m});
+    abort_transfers(TransferKey{job, kind, index, t->machine_id()});
     ++preempted;
     ++killed_attempts_;
     ++preempted_attempts_;
-    last_machine = m;
     report_waste(*report, WasteReason::kPreempted);
     if (auditor_) {
-      auditor_->record(audit::Record::kPreempt,
-                       (static_cast<std::uint64_t>(job) << 32) ^
-                           (static_cast<std::uint64_t>(index) << 1) ^
-                           (kind == TaskKind::kReduce ? 1u : 0u));
+      auditor_->record(
+          audit::Record::kPreempt,
+          audit_key(job, (static_cast<std::uint64_t>(index) << 1) ^
+                             (kind == TaskKind::kReduce ? 1u : 0u)));
     }
   }
-  if (preempted == 0) return 0;
   // Every live attempt (original + any speculative twin) is now dead: the
   // task re-queues cleanly for a later slot, exactly like a node-loss requeue
   // (KILLED, not FAILED — no attempt budget charged).
-  js.clear_speculative(kind, index);
-  js.unclaim(kind, index, last_machine);
+  if (preempted > 0) requeue_task(job, kind, index);
   return preempted;
 }
 
 void JobTracker::handle_completion(TaskReport report) {
-  if (!accepts_reports(report.machine)) {
-    // Master down or stale tracker epoch: the report lands in the orphan
-    // buffer for deterministic resolution at the tracker's re-registration.
-    ++fenced_completions_;
-    const auto key = std::make_tuple(report.spec.job, report.spec.kind,
-                                     report.spec.index, report.machine);
-    orphans_[key] = Orphan{std::move(report), /*failed=*/false};
-    return;
-  }
+  if (fence_report(report, /*failed=*/false)) return;
   JobState& js = job_mutable(report.spec.job);
   if (js.failed()) return;  // late completion of an already-failed job
   // A speculative twin may already have completed this task; the losing
@@ -1830,8 +1809,7 @@ void JobTracker::handle_completion(TaskReport report) {
     ++task_output_corruptions_;
     if (auditor_) {
       auditor_->record(audit::Record::kCorruptionDetected,
-                       (static_cast<std::uint64_t>(report.spec.job) << 32) ^
-                           static_cast<std::uint64_t>(report.spec.index));
+                       audit_key(report.spec.job, report.spec.index));
       auditor_->on_task_transition(report.spec.job, /*is_map=*/true,
                                    report.spec.index,
                                    audit::TaskEvent::kRevertDone,
@@ -1867,17 +1845,7 @@ void JobTracker::handle_completion(TaskReport report) {
   if (admission_) admission_->note_task_duration(report.duration());
   if (report_listener_) report_listener_(report);
 
-  if (js.complete()) {
-    js.set_finish_time(sim_.now());
-    ++jobs_completed_;
-    active_.erase(std::remove(active_.begin(), active_.end(), js.id()),
-                  active_.end());
-    drop_job_bookkeeping(js.id());
-    scheduler_.on_job_finished(js.id());
-    if (admission_) admission_->note_job_finished(js.id(), js.spec(), sim_.now());
-    if (auditor_) auditor_->record(audit::Record::kJobFinish, js.id());
-    if (job_finished_listener_) job_finished_listener_(js);
-  }
+  if (js.complete()) retire_job(js);
 }
 
 void JobTracker::report_waste(const TaskReport& report, WasteReason reason) {
@@ -1909,13 +1877,7 @@ void JobTracker::record_crash_casualties(cluster::MachineId machine,
 }
 
 void JobTracker::handle_task_failure(TaskReport report) {
-  if (!accepts_reports(report.machine)) {
-    ++fenced_completions_;
-    const auto key = std::make_tuple(report.spec.job, report.spec.kind,
-                                     report.spec.index, report.machine);
-    orphans_[key] = Orphan{std::move(report), /*failed=*/true};
-    return;
-  }
+  if (fence_report(report, /*failed=*/true)) return;
   charge_attempt_failure(std::move(report), WasteReason::kAttemptFailed);
 }
 
@@ -1953,16 +1915,13 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
   // failure is then moot.
   if (js.status(kind, index) != TaskStatus::kRunning) return;
 
-  const int attempts = js.record_attempt_failure(kind, index);
-  if (attempts >= config_.max_attempts) {
+  if (js.record_attempt_failure(kind, index) >= config_.max_attempts) {
     fail_job(js);
     return;
   }
-  js.clear_speculative(kind, index);
-  if (!running_elsewhere(report.spec.job, kind, index)) {
-    js.unclaim(kind, index, m);  // re-queue for the next attempt
-  }
-  // else: the speculative twin is still running and carries the task alone.
+  // Re-queue for the next attempt, unless a speculative twin still runs and
+  // carries the task alone.
+  requeue_task(report.spec.job, kind, index);
 }
 
 void JobTracker::check_tracker_expiry() {
@@ -2002,53 +1961,27 @@ void JobTracker::reclaim_lost_work(cluster::MachineId machine,
     const Orphan orphan = std::move(it->second);
     it = orphans_.erase(it);
     const TaskSpec& spec = orphan.report.spec;
-    if (auditor_) {
-      auditor_->on_task_transition(spec.job, spec.kind == TaskKind::kMap,
-                                   spec.index, audit::TaskEvent::kOrphanRequeue,
-                                   machine);
+    if (requeue_orphan(orphan.report, 3)) {
+      rec.outstanding.insert({spec.job, spec.kind, spec.index});
     }
-    note_orphan_outcome(spec, machine, 3);
-    ++orphans_requeued_;
-    report_waste(orphan.report, WasteReason::kOrphaned);
-    JobState& ojs = job_mutable(spec.job);
-    if (ojs.failed() || ojs.complete()) continue;
-    if (ojs.status(spec.kind, spec.index) != TaskStatus::kRunning) continue;
-    ojs.clear_speculative(spec.kind, spec.index);
-    if (running_elsewhere(spec.job, spec.kind, spec.index)) continue;
-    ojs.unclaim(spec.kind, spec.index, machine);
-    rec.outstanding.insert({spec.job, spec.kind, spec.index});
   }
 
   // Attempts that were running when the node died: back to Pending, unless a
   // speculative twin elsewhere already carries (or carried) the task.
-  for (auto& r : ts.lost_attempts) {
-    JobState& js = job_mutable(r.spec.job);
-    if (js.failed() || js.complete()) continue;
-    const TaskKind kind = r.spec.kind;
-    const TaskIndex index = r.spec.index;
-    if (js.status(kind, index) != TaskStatus::kRunning) continue;
-    js.clear_speculative(kind, index);
-    if (running_elsewhere(r.spec.job, kind, index)) continue;
-    js.unclaim(kind, index, machine);
-    rec.outstanding.insert({r.spec.job, kind, index});
+  for (const TaskReport& r : ts.lost_attempts) {
+    if (requeue_task(r.spec.job, r.spec.kind, r.spec.index)) {
+      rec.outstanding.insert({r.spec.job, r.spec.kind, r.spec.index});
+    }
   }
   ts.lost_attempts.clear();
 
   // Completed map outputs lived on the node's local disk: in-flight jobs
   // must re-run those maps (reduce outputs are HDFS-replicated and safe).
-  for (auto& [key, r] : ts.map_outputs) {
-    JobState& js = job_mutable(key.first);
-    if (js.failed() || js.complete()) continue;
-    if (js.status(TaskKind::kMap, key.second) != TaskStatus::kDone) continue;
-    js.revert_done_map(key.second, r.duration(),
-                       namenode_.locations(r.spec.block), machine);
-    if (auditor_) {
-      auditor_->on_task_transition(key.first, true, key.second,
-                                   audit::TaskEvent::kRevertDone, machine);
+  for (const auto& [key, r] : ts.map_outputs) {
+    if (revert_map_output(r, WasteReason::kLostMapOutput)) {
+      ++lost_map_outputs_;
+      rec.outstanding.insert({key.first, TaskKind::kMap, key.second});
     }
-    ++lost_map_outputs_;
-    report_waste(r, WasteReason::kLostMapOutput);
-    rec.outstanding.insert({key.first, TaskKind::kMap, key.second});
   }
   ts.map_outputs.clear();
 
@@ -2067,7 +2000,38 @@ void JobTracker::note_recovered(JobId job, TaskKind kind, TaskIndex index) {
   }
 }
 
-void JobTracker::drop_job_bookkeeping(JobId job) {
+bool JobTracker::requeue_task(JobId job, TaskKind kind, TaskIndex index) {
+  JobState& js = job_mutable(job);
+  if (js.failed() || js.complete()) return false;
+  if (js.status(kind, index) != TaskStatus::kRunning) return false;
+  js.clear_speculative(kind, index);
+  if (running_elsewhere(job, kind, index)) return false;
+  js.unclaim(kind, index);
+  return true;
+}
+
+bool JobTracker::revert_map_output(const TaskReport& report,
+                                   WasteReason reason) {
+  const TaskSpec& spec = report.spec;
+  JobState& js = job_mutable(spec.job);
+  if (js.failed() || js.complete()) return false;
+  if (js.status(TaskKind::kMap, spec.index) != TaskStatus::kDone) return false;
+  js.revert_done_map(spec.index, report.duration(),
+                     namenode_.locations(spec.block), report.machine);
+  if (auditor_) {
+    auditor_->on_task_transition(spec.job, true, spec.index,
+                                 audit::TaskEvent::kRevertDone, report.machine);
+  }
+  report_waste(report, reason);
+  return true;
+}
+
+void JobTracker::retire_job(JobState& js) {
+  const JobId job = js.id();
+  js.set_finish_time(sim_.now());
+  ++(js.failed() ? jobs_failed_ : jobs_completed_);
+  active_.erase(std::remove(active_.begin(), active_.end(), job),
+                active_.end());
   std::erase_if(fetch_state_,
                 [job](const auto& kv) { return kv.first.first == job; });
   std::erase_if(reduce_fetch_strikes_,
@@ -2087,14 +2051,14 @@ void JobTracker::drop_job_bookkeeping(JobId job) {
       ++it;
     }
   }
+  scheduler_.on_job_finished(job);
+  if (admission_) admission_->note_job_finished(job, js.spec(), sim_.now());
+  if (auditor_) auditor_->record(audit::Record::kJobFinish, job);
+  if (job_finished_listener_) job_finished_listener_(js);
 }
 
 void JobTracker::fail_job(JobState& js) {
   js.set_failed();
-  js.set_finish_time(sim_.now());
-  ++jobs_failed_;
-  active_.erase(std::remove(active_.begin(), active_.end(), js.id()),
-                active_.end());
   // Kill the job's surviving attempts everywhere; their partial work is
   // wasted along with everything the job already completed.
   for (auto& t : trackers_) {
@@ -2103,11 +2067,7 @@ void JobTracker::fail_job(JobState& js) {
       report_waste(r, WasteReason::kJobFailed);
     }
   }
-  drop_job_bookkeeping(js.id());
-  scheduler_.on_job_finished(js.id());
-  if (admission_) admission_->note_job_finished(js.id(), js.spec(), sim_.now());
-  if (auditor_) auditor_->record(audit::Record::kJobFinish, js.id());
-  if (job_finished_listener_) job_finished_listener_(js);
+  retire_job(js);
 }
 
 bool JobTracker::tracker_available(cluster::MachineId id) const {

@@ -46,37 +46,10 @@ struct JobTrackerConfig {
   /// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
   Seconds heartbeat_interval = 3.0;
 
-  /// Effective per-reduce shuffle bandwidth (many small fetches over the
-  /// shared network, far below NIC line rate).
-  ///
-  /// LEGACY FALLBACK: when no network fabric is attached (RunConfig without
-  /// a topology), shuffle time is this fixed scalar regardless of how many
-  /// transfers share the wire.  With a fabric attached it instead becomes
-  /// the per-flow application-level rate cap, so link contention — not this
-  /// constant — determines the actual shuffle time.
-  double shuffle_mbps = 20.0;
-
-  /// Bandwidth of a map task's remote split read when scheduled non-locally
-  /// (the Fig. 6 penalty).  Effective rate, well below NIC line speed:
-  /// remote reads compete with shuffle traffic and the source disk.
-  ///
-  /// LEGACY FALLBACK: same dual role as shuffle_mbps — fixed scalar cost
-  /// without a fabric, per-flow rate cap with one.
-  double remote_read_mbps = 10.0;
-
-  /// Per-flow rate cap of HDFS replication-pipeline writes of reduce
-  /// output.  Only used when a fabric is attached (the legacy scalar model
-  /// never charged for replication traffic).
-  double replication_write_mbps = 40.0;
-
   /// Fraction of a job's maps that must finish before its reduces become
   /// schedulable.  1.0 = reduces wait for all maps (shuffle is folded into
   /// the reduce runtime).
   double reduce_slowstart = 1.0;
-
-  /// Model CPU oversubscription: when aggregate demand exceeds the core
-  /// count, new tasks run proportionally slower.
-  bool contention_slowdown = true;
 
   /// Weight of the map-placement-skew penalty on shuffle time (the effect
   /// Tarazu's communication-aware balancing mitigates); 0 disables.
@@ -86,10 +59,6 @@ struct JobTrackerConfig {
   /// 1.2.1 setup): when a machine has a free slot and no pending work, a
   /// straggling attempt may be duplicated there; the first to finish wins.
   bool speculative_execution = true;
-
-  /// A task is a straggler once its elapsed time exceeds this multiple of
-  /// the mean completed-task duration of its job and kind.
-  double speculative_straggler_beta = 1.5;
 
   /// Hardened speculation: rank straggler candidates by estimated remaining
   /// time derived from their observed progress rate (LATE's heuristic)
@@ -144,14 +113,11 @@ struct JobTrackerConfig {
 
   /// A node whose health EWMA drops below this is quarantined: it keeps
   /// heartbeating (it is NOT dead) but receives no new work until its health
-  /// recovers — the gray-failure analogue of blacklisting.  0 disables
+  /// climbs back above 0.75, a hysteresis this entry threshold must not
+  /// exceed — the gray-failure analogue of blacklisting.  0 disables
   /// fail-slow detection entirely.  Safe to leave on: a healthy machine's
   /// progress rate is exactly 1.0, so the score never moves fault-free.
   double quarantine_threshold = 0.55;
-
-  /// A quarantined node re-earns work once its health climbs back above
-  /// this (hysteresis above the entry threshold).
-  double health_recovery_threshold = 0.75;
 
   /// Heartbeats carrying progress samples required before the health score
   /// is trusted enough to quarantine (guards against one noisy window).
@@ -171,29 +137,9 @@ struct JobTrackerConfig {
   int fetch_failure_threshold = 3;
 
   /// Base delay before a failed fetch is retried; doubles per consecutive
-  /// failure from the same source (exponential backoff), capped at
-  /// fetch_retry_backoff_max.
+  /// failure from the same source (exponential backoff), capped at 160 s,
+  /// which the base must not exceed.
   Seconds fetch_retry_backoff = 10.0;
-  Seconds fetch_retry_backoff_max = 160.0;
-
-  /// A reduce task that accumulates this many failed fetches without ever
-  /// completing a shuffle FAILS its attempt (burning budget) instead of
-  /// being killed and relaunched for free — Hadoop's shuffle-retry suicide.
-  /// Without it a pathological fetch-failure regime livelocks: attempts are
-  /// KILLED (free) and re-shuffled forever while map outputs thrash between
-  /// declared-lost and re-executed.  The strike counter survives kills and
-  /// relaunches of the same reduce and resets only when a shuffle lands or
-  /// an attempt is charged, so four hopeless shuffles end the job loudly.
-  /// 0 disables the limit.
-  int reduce_fetch_abort_limit = 12;
-
-  /// Concurrent block re-replication streams the NameNode may keep in
-  /// flight (Hadoop's dfs.max-repl-streams analogue).
-  int max_replication_streams = 4;
-
-  /// Per-flow rate cap of block re-replication traffic (same scale as the
-  /// other application-level caps).
-  double rereplication_mbps = 40.0;
 
   // --- control-plane fault tolerance -------------------------------------------
 
@@ -249,10 +195,11 @@ struct JobTrackerConfig {
 
   // --- scheduler-cost attribution ----------------------------------------------
 
-  /// Measure wall-clock time spent inside Scheduler::select_job (the
-  /// per-heartbeat scheduler-work attribution emitted by bench/perf_smoke).
-  /// Off by default: the flag never changes simulation results, but the
-  /// timing calls cost a few nanoseconds per slot offer.
+  /// Measure wall-clock time spent inside Scheduler::select_job: the
+  /// per-heartbeat scheduler-work attribution of bench/perf_smoke and the
+  /// sched.select_s layer of perfbench's traced mode (--trace 1).  Off by
+  /// default: the flag never changes simulation results, but the timing
+  /// calls cost a few nanoseconds per slot offer.
   bool measure_scheduler_time = false;
 };
 
@@ -292,10 +239,6 @@ class JobTracker {
 
   /// Non-null once attach_fabric() was called.
   net::Fabric* fabric() { return fabric_; }
-
-  /// True iff a task launch actually used the scalar-bandwidth fallback
-  /// (i.e. modelled network traffic without a fabric attached).
-  bool used_legacy_network() const { return legacy_network_noted_; }
 
   /// Flows restarted from a different source because theirs crashed.
   std::size_t retransferred_flows() const { return retransferred_flows_; }
@@ -462,9 +405,9 @@ class JobTracker {
   /// output was unreachable fetch_failure_threshold times).
   std::size_t fetch_reexecuted_maps() const { return fetch_reexecuted_maps_; }
 
-  /// Reduce attempts that FAILED after exhausting their per-attempt fetch
-  /// budget (reduce_fetch_abort_limit) — the escape hatch that turns a
-  /// hopeless shuffle into a loud job failure instead of a livelock.
+  /// Reduce attempts that FAILED after exhausting their fetch budget — the
+  /// escape hatch that turns a hopeless shuffle into a loud job failure
+  /// instead of a livelock.
   std::size_t fetch_aborted_attempts() const { return fetch_aborted_attempts_; }
 
   /// Blocks restored to full replication after a datanode loss.
@@ -755,8 +698,6 @@ class JobTracker {
   void try_speculate(TaskTracker& tracker, TaskKind kind);
   Seconds base_duration(const TaskSpec& spec, const cluster::Machine& machine,
                         Locality locality) const;
-  Seconds compute_duration(const JobState& js, const TaskSpec& spec,
-                           const cluster::Machine& machine, Locality locality);
   void maybe_build_reduces(JobState& js);
   double shuffle_skew_penalty(const JobState& js) const;
   void launch(JobState& js, TaskKind kind, TaskIndex index,
@@ -768,7 +709,10 @@ class JobTracker {
                         net::TransferClass cls);
   void on_flow_complete(net::FlowId id, const TransferKey& key);
   void on_flow_failed(net::FlowId id, Megabytes remaining_mb);
-  void begin_compute_for(const TransferKey& key, const PendingTransfer& pt);
+  /// Once the attempt's last flow landed and no fetch retry is pending, ends
+  /// its transfer phase and starts the compute phase.
+  void begin_compute_if_drained(
+      std::map<TransferKey, PendingTransfer>::iterator it);
   void abort_transfers(const TransferKey& key);
   void handle_network_casualties(cluster::MachineId dead);
   void start_replication_flows(const JobState& js, const TaskReport& report);
@@ -802,14 +746,22 @@ class JobTracker {
   /// budget, re-queue.
   void charge_attempt_failure(TaskReport report, WasteReason reason);
   void pump_rereplication();
+  /// If `flow` is a re-replication stream, forgets it and puts its block back
+  /// on the NameNode's queue; returns whether it was one.
+  bool release_rereplication(net::FlowId flow);
   void finish_rereplication(net::FlowId id, hdfs::BlockId block,
                             cluster::MachineId target, Megabytes mb);
   void decay_blacklist_counters();
   void start_checkpoint_timer();
   void reregister_tracker(TaskTracker& tracker);
-  void resolve_orphans(cluster::MachineId machine, bool commit_allowed);
+  void resolve_orphans(cluster::MachineId machine);
   void reconcile_running_attempts(TaskTracker& tracker);
-  void requeue_orphaned_task(const TaskSpec& spec, cluster::MachineId machine);
+  /// Buffers the report as an orphan iff the master cannot accept it now
+  /// (down, or the tracker's epoch is stale); returns whether it did.
+  bool fence_report(const TaskReport& report, bool failed);
+  /// Discards an orphaned attempt (audited kOrphanRequeue, outcome ledger,
+  /// waste) and requeues its task; returns requeue_task's verdict.
+  bool requeue_orphan(const TaskReport& report, int outcome);
   void note_orphan_outcome(const TaskSpec& spec, cluster::MachineId machine,
                            int outcome);
   void replay_pending_submissions();
@@ -835,13 +787,22 @@ class JobTracker {
   void update_node_health(TaskTracker& tracker);
   void decay_quarantine();
   void maybe_rejoin(cluster::MachineId machine);
-  void note_legacy_network();
   void check_tracker_expiry();
   void reclaim_lost_work(cluster::MachineId machine, bool datanode_lost);
+  /// Sends the task of a dead attempt back to Pending: only while its job is
+  /// live and the task still Running, clearing the speculative mark, and
+  /// unless a twin attempt still runs it.  Returns whether it re-queued.
+  bool requeue_task(JobId job, TaskKind kind, TaskIndex index);
+  /// Reverts a completed map whose output (on report.machine's local disk)
+  /// is gone, if its job is live and the map still Done; returns whether it
+  /// did.
+  bool revert_map_output(const TaskReport& report, WasteReason reason);
   void fail_job(JobState& js);
+  /// Retires a completed or failed job: active list, per-job bookkeeping,
+  /// scheduler, admission, audit record and listener.
+  void retire_job(JobState& js);
   void report_waste(const TaskReport& report, WasteReason reason);
   void note_recovered(JobId job, TaskKind kind, TaskIndex index);
-  void drop_job_bookkeeping(JobId job);
   bool running_elsewhere(JobId job, TaskKind kind, TaskIndex index) const;
 
   sim::Simulator& sim_;
@@ -856,7 +817,6 @@ class JobTracker {
   std::map<TransferKey, PendingTransfer> transfers_;
   std::map<net::FlowId, OwnedFlow> flow_owner_;
   std::uint64_t transfer_generation_ = 0;
-  bool legacy_network_noted_ = false;
   std::size_t retransferred_flows_ = 0;
 
   // --- degraded-mode state ----------------------------------------------------
@@ -919,7 +879,7 @@ class JobTracker {
   /// Brownout: speculation suspended while Saturated or worse.
   bool speculation_suspended_ = false;
   /// Brownout: live cap on concurrent re-replication streams (restored to
-  /// config_.max_replication_streams on recovery).
+  /// the full stream count on recovery).
   int rerep_limit_ = 0;
 
   std::vector<TrackerState> tracker_states_;

@@ -96,13 +96,8 @@ void TaskTracker::schedule_compute(Running& r, std::uint64_t attempt,
   r.work_done = 0.0;
   // stretch is the literal 1.0 on a healthy machine, so event_work * stretch
   // is bit-identical to the pre-fail-slow schedule there.
-  if (r.fails) {
-    r.completion_event = sim_.schedule_after(
-        r.event_work * r.stretch, [this, attempt] { fail_task(attempt); });
-  } else {
-    r.completion_event = sim_.schedule_after(
-        r.event_work * r.stretch, [this, attempt] { finish_task(attempt); });
-  }
+  r.completion_event = sim_.schedule_after(
+      r.event_work * r.stretch, [this, attempt] { end_attempt(attempt); });
 }
 
 void TaskTracker::start_task(const TaskSpec& spec, Seconds duration,
@@ -186,13 +181,8 @@ void TaskTracker::set_perf_factors(double cpu, double io) {
     const Seconds remaining =
         std::max(r.event_work - r.work_done, 0.0) * new_stretch;
     const std::uint64_t id = attempt;
-    if (r.fails) {
-      r.completion_event =
-          sim_.schedule_after(remaining, [this, id] { fail_task(id); });
-    } else {
-      r.completion_event =
-          sim_.schedule_after(remaining, [this, id] { finish_task(id); });
-    }
+    r.completion_event =
+        sim_.schedule_after(remaining, [this, id] { end_attempt(id); });
   }
   if (audit::InvariantAuditor* auditor = job_tracker_.auditor()) {
     audit::Fnv1a key;
@@ -298,21 +288,16 @@ void TaskTracker::check_work_integral(const Running& r) {
   }
 }
 
-void TaskTracker::finish_task(std::uint64_t attempt_id) {
+void TaskTracker::end_attempt(std::uint64_t attempt_id) {
   auto it = running_.find(attempt_id);
-  EANT_ASSERT(it != running_.end(), "completion for unknown attempt");
+  EANT_ASSERT(it != running_.end(), "end of an unknown attempt");
   Running& r = it->second;
+  const bool failed = r.fails;
   check_work_integral(r);
   close_sample_window(r);
   machine_.adjust_demand(-r.current_demand);
   TaskReport report = make_report(r);
-
   release_slot(r.spec.kind);
-  if (r.spec.kind == TaskKind::kMap) {
-    ++completed_maps_;
-  } else {
-    ++completed_reduces_;
-  }
   running_.erase(it);
 
   // A report the master will fence (down, or this tracker not yet
@@ -320,30 +305,16 @@ void TaskTracker::finish_task(std::uint64_t attempt_id) {
   // instead — exactly one terminal event per launch either way.
   if (job_tracker_.accepts_reports(machine_.id())) {
     audit_transition(job_tracker_, report.spec, machine_.id(),
-                     audit::TaskEvent::kFinish);
+                     failed ? audit::TaskEvent::kFail
+                            : audit::TaskEvent::kFinish);
   }
+  if (failed) {
+    job_tracker_.handle_task_failure(std::move(report));
+    return;
+  }
+  ++(report.spec.kind == TaskKind::kMap ? completed_maps_
+                                        : completed_reduces_);
   job_tracker_.handle_completion(std::move(report));
-}
-
-void TaskTracker::fail_task(std::uint64_t attempt_id) {
-  auto it = running_.find(attempt_id);
-  EANT_ASSERT(it != running_.end(), "failure for unknown attempt");
-  Running& r = it->second;
-  check_work_integral(r);
-  close_sample_window(r);
-  machine_.adjust_demand(-r.current_demand);
-  TaskReport report = make_report(r);
-
-  release_slot(r.spec.kind);
-  running_.erase(it);
-
-  // Same fencing rule as finish_task: a buffered failure audits when the
-  // recovered master resolves the orphan.
-  if (job_tracker_.accepts_reports(machine_.id())) {
-    audit_transition(job_tracker_, report.spec, machine_.id(),
-                     audit::TaskEvent::kFail);
-  }
-  job_tracker_.handle_task_failure(std::move(report));
 }
 
 std::uint64_t TaskTracker::find_attempt(JobId job, TaskKind kind,
@@ -374,6 +345,8 @@ bool TaskTracker::cancel_task(JobId job, TaskKind kind, TaskIndex index) {
   if (attempt == 0) return false;
   auto it = running_.find(attempt);
   Running& r = it->second;
+  // Not kill_attempt: no report is produced, so the sample window stays
+  // open (closing it would draw measurement noise).
   abort_transfer_if_fetching(r);
   sim_.cancel(r.completion_event);
   machine_.adjust_demand(-r.current_demand);
@@ -384,20 +357,27 @@ bool TaskTracker::cancel_task(JobId job, TaskKind kind, TaskIndex index) {
   return true;
 }
 
+TaskReport TaskTracker::kill_attempt(Running& r) {
+  // The transfer aborts first: the fabric's abort record precedes the kKill
+  // record in the audited stream.
+  abort_transfer_if_fetching(r);
+  sim_.cancel(r.completion_event);
+  // The partial work stays measurable: close the current sample window
+  // before releasing the demand.
+  close_sample_window(r);
+  machine_.adjust_demand(-r.current_demand);
+  release_slot(r.spec.kind);
+  audit_transition(job_tracker_, r.spec, machine_.id(),
+                   audit::TaskEvent::kKill);
+  return make_report(r);
+}
+
 std::optional<TaskReport> TaskTracker::preempt_task(JobId job, TaskKind kind,
                                                     TaskIndex index) {
   const std::uint64_t attempt = find_attempt(job, kind, index);
   if (attempt == 0) return std::nullopt;
   auto it = running_.find(attempt);
-  Running& r = it->second;
-  abort_transfer_if_fetching(r);
-  sim_.cancel(r.completion_event);
-  close_sample_window(r);
-  machine_.adjust_demand(-r.current_demand);
-  TaskReport report = make_report(r);
-  release_slot(kind);
-  audit_transition(job_tracker_, r.spec, machine_.id(),
-                   audit::TaskEvent::kKill);
+  TaskReport report = kill_attempt(it->second);
   running_.erase(it);
   return report;
 }
@@ -405,19 +385,11 @@ std::optional<TaskReport> TaskTracker::preempt_task(JobId job, TaskKind kind,
 std::vector<TaskReport> TaskTracker::cancel_job(JobId job) {
   std::vector<TaskReport> killed;
   for (auto it = running_.begin(); it != running_.end();) {
-    Running& r = it->second;
-    if (r.spec.job != job) {
+    if (it->second.spec.job != job) {
       ++it;
       continue;
     }
-    abort_transfer_if_fetching(r);
-    sim_.cancel(r.completion_event);
-    close_sample_window(r);
-    machine_.adjust_demand(-r.current_demand);
-    killed.push_back(make_report(r));
-    release_slot(r.spec.kind);
-    audit_transition(job_tracker_, r.spec, machine_.id(),
-                     audit::TaskEvent::kKill);
+    killed.push_back(kill_attempt(it->second));
     it = running_.erase(it);
   }
   return killed;
@@ -428,23 +400,12 @@ void TaskTracker::crash() {
   alive_ = false;
   sim_.cancel(heartbeat_event_);
 
-  // Every running attempt dies with the machine.  Close the current sample
-  // window first so the partial work is measurable, then release the demand
-  // so the machine can power down.
+  // Every running attempt dies with the machine; releasing their demand lets
+  // the machine power down.
   std::vector<TaskReport> killed;
   killed.reserve(running_.size());
-  for (auto& [id, r] : running_) {
-    abort_transfer_if_fetching(r);
-    sim_.cancel(r.completion_event);
-    close_sample_window(r);
-    machine_.adjust_demand(-r.current_demand);
-    killed.push_back(make_report(r));
-    audit_transition(job_tracker_, r.spec, machine_.id(),
-                     audit::TaskEvent::kKill);
-  }
+  for (auto& [id, r] : running_) killed.push_back(kill_attempt(r));
   running_.clear();
-  running_maps_ = 0;
-  running_reduces_ = 0;
   machine_.set_up(false);
 
   // Accounting + deferred-requeue bookkeeping only: the JobTracker's

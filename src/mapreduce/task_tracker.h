@@ -184,8 +184,12 @@ class TaskTracker {
                         Seconds fail_after);
   double work_now(const Running& r) const;
   void check_work_integral(const Running& r);
-  void finish_task(std::uint64_t attempt_id);
-  void fail_task(std::uint64_t attempt_id);
+  /// The attempt's scheduled event fired: it finished, or (when `fails`) it
+  /// died of its transient fault.  Closes it and reports to the JobTracker.
+  void end_attempt(std::uint64_t attempt_id);
+  /// Kills a running attempt (transfer, pending event, demand, slot) and
+  /// returns its partial-work report; the caller erases it from running_.
+  TaskReport kill_attempt(Running& r);
   void close_sample_window(Running& r);
   void abort_transfer_if_fetching(Running& r);
   Running& occupy_slot(const TaskSpec& spec, std::uint64_t attempt);

@@ -19,7 +19,8 @@
 
 namespace eant::sim {
 
-/// Identifies a scheduled event so it can be cancelled before it fires.
+/// Identifies a scheduled event so it can be cancelled before it fires; 0
+/// never names one.
 using EventId = std::uint64_t;
 
 /// Passive observer of the event loop (the audit layer's tap).  Callbacks
@@ -67,7 +68,9 @@ class Simulator {
   /// itself) stops its repetition.
   void cancel(EventId id) {
     // Only ids that are actually live may enter cancelled_, otherwise a
-    // stale id would sit in the set forever and skew pending().
+    // stale id would sit in the set forever and skew pending().  Id 0 means
+    // "no event", and outside an event executing_id_ is 0 as well.
+    if (id == 0) return;
     if (queued_.contains(id) || id == executing_id_) cancelled_.insert(id);
   }
 

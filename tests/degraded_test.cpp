@@ -54,6 +54,28 @@ TEST(DegradedNet, AccessLinkFailureAbortsFlowsAndJobsStillComplete) {
   EXPECT_EQ(m.replication_violations, 0u);
 }
 
+TEST(DegradedNet, RemoteReadsFailOverOrRequeueWhenTheirLinkDies) {
+  auto cfg = degraded_config(12);
+  // Every map reads its split remotely, so reads are in flight through the
+  // whole map phase when node 5's access link goes hard down: reads served
+  // by node 5 resume the missing bytes from another replica, and node 5's
+  // own reads, with no reachable source, are killed and re-queued.
+  cfg.job_tracker.locality_override = [](const mr::TaskSpec&,
+                                         cluster::MachineId) { return false; };
+  cfg.faults.fail_link_for(5, 20.0, 60.0);
+  exp::Run run(exp::paper_fleet(), exp::SchedulerKind::kFair, cfg);
+  run.submit(exp::job_batch(workload::AppKind::kTerasort, 3000.0, 8, 3));
+  run.execute();
+  const auto m = run.metrics();
+
+  EXPECT_EQ(m.jobs_failed, 0u);
+  EXPECT_EQ(m.jobs.size(), 3u);
+  // No machine crashes, so every re-sourced flow is a remote-read failover.
+  EXPECT_GT(run.job_tracker().retransferred_flows(), 0u);
+  EXPECT_GT(m.killed_attempts, 0u);
+  EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
+}
+
 TEST(DegradedNet, LinkDegradationSlowsButNeverStrands) {
   auto cfg = degraded_config(4);
   // Degrade (not kill) several links: capacity drops, flows re-rate, nothing

@@ -1,6 +1,6 @@
 // Golden outputs: a table of audited cells whose determinism digests and
-// headline metrics are pinned.  Together the cells drive every task-attempt
-// lifecycle path of the JobTracker and TaskTracker — node loss and fast
+// headline metrics are pinned.  Together the cells reach every task-attempt
+// lifecycle mechanism of the JobTracker and TaskTracker — node loss and fast
 // restart, fetch-failure re-execution, rack partitions, master failover with
 // orphan resolution, corruption and fail-slow re-rates, tenant preemption
 // under admission control, job failure, and the fault-free scalar path — so

@@ -138,7 +138,7 @@ TEST(JobState, UnclaimReturnsTaskToPending) {
   bool local;
   const auto idx = js.claim_map(0, local);
   ASSERT_TRUE(idx.has_value());
-  js.unclaim(TaskKind::kMap, *idx, 0);
+  js.unclaim(TaskKind::kMap, *idx);
   EXPECT_EQ(js.status(TaskKind::kMap, *idx), TaskStatus::kPending);
   EXPECT_EQ(js.pending(TaskKind::kMap), 1u);
   EXPECT_TRUE(js.claim_map(1, local).has_value());

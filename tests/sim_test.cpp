@@ -103,6 +103,7 @@ TEST(Simulator, CancelAfterFireDoesNotLeakPendingCount) {
 TEST(Simulator, CancelOfUnknownIdIsIgnored) {
   Simulator sim;
   sim.cancel(12345);
+  sim.cancel(0);  // "no event", outside any event
   EXPECT_EQ(sim.pending(), 0u);
   sim.schedule_at(1.0, [] {});
   EXPECT_EQ(sim.pending(), 1u);
