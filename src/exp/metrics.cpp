@@ -120,6 +120,7 @@ RunMetrics MetricsCollector::finalize(const std::string& scheduler_name) {
   rm.wasted_energy = wasted_energy_;
   rm.recovery_times = jt_.recovery_times();
   rm.preempted_attempts = jt_.preempted_attempts();
+  rm.speculative_launches = jt_.speculative_launches();
 
   // Per-tenant SLO aggregates (std::map: by_tenant sorted by tenant id).
   // Admission ledgers merge in first: a tenant whose every arrival was

@@ -91,6 +91,7 @@ struct RunMetrics {
   std::vector<JobMetrics> jobs;
   std::vector<TenantMetrics> by_tenant;  ///< sorted by tenant id
   std::size_t preempted_attempts = 0;    ///< scheduler-preempted attempts
+  std::size_t speculative_launches = 0;  ///< speculative twins launched
   std::size_t deadline_misses = 0;       ///< over all tenants
   std::size_t total_tasks = 0;
   std::size_t local_maps = 0;       ///< node-local maps

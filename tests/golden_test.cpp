@@ -58,6 +58,7 @@ constexpr GoldenRow kGolden[] = {
     {"tenant/capacity-admission", 0xd6381f18c244b014ull, 4311.2274804285735, 9998443.8041535839, 0.53094462540716614, 1335, 0, 15, 65.443905341280924},
     {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666},
     {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0},
+    {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0},
 };
 // clang-format on
 
@@ -180,6 +181,28 @@ std::vector<Cell> run_cells() {
     cells.push_back({"scalar/eant", run(exp::paper_fleet(),
                                         exp::SchedulerKind::kEAnt, cfg, batch)});
   }
+
+  // LATE's straggler speculation under fail-slow (bench/fig_failslow quick,
+  // two limpers): progress-ranked candidates, the per-node clone cap, and
+  // machines 1 and 5 limping from 20% of Fair's fault-free makespan.
+  {
+    exp::RunConfig cfg;
+    cfg.seed = 42;
+    cfg.noise = mr::NoiseConfig::typical();
+    cfg.audit.enabled = true;
+    cfg.job_tracker.speculative_progress_ranking = true;
+    cfg.job_tracker.max_speculative_per_node = 2;
+    const Seconds fair_makespan =
+        run(exp::paper_fleet(), exp::SchedulerKind::kFair, cfg, batch)
+            .makespan;
+    for (cluster::MachineId v : {1, 5}) {
+      cfg.faults.slow_for(v, 0.2 * fair_makespan, 50.0 * fair_makespan, 0.3,
+                          0.5);
+    }
+    cells.push_back({"late/fail-slow", run(exp::paper_fleet(),
+                                           exp::SchedulerKind::kLate, cfg,
+                                           batch)});
+  }
   return cells;
 }
 
@@ -242,6 +265,7 @@ TEST(Golden, AuditedCellsReproduceTheirRecordedRows) {
   EXPECT_TRUE(reached([](const auto& m) { return m.task_output_corruptions; }));
   EXPECT_TRUE(reached([](const auto& m) { return m.preempted_attempts; }));
   EXPECT_TRUE(reached([](const auto& m) { return m.jobs_failed; }));
+  EXPECT_TRUE(reached([](const auto& m) { return m.speculative_launches; }));
 }
 
 }  // namespace
