@@ -12,6 +12,8 @@ MachineId Cluster::add_machines(const MachineType& type, std::size_t count) {
     const MachineId id = machines_.size();
     machines_.push_back(std::make_unique<Machine>(sim_, id, type));
     groups_[type.name].push_back(id);
+    map_slots_ += type.map_slots;
+    reduce_slots_ += type.reduce_slots;
   }
   return first;
 }
@@ -42,18 +44,6 @@ std::vector<MachineId> Cluster::machines_of_type(
   auto it = groups_.find(type_name);
   if (it == groups_.end()) return {};
   return it->second;
-}
-
-int Cluster::total_map_slots() const {
-  int total = 0;
-  for (const auto& m : machines_) total += m->type().map_slots;
-  return total;
-}
-
-int Cluster::total_reduce_slots() const {
-  int total = 0;
-  for (const auto& m : machines_) total += m->type().reduce_slots;
-  return total;
 }
 
 Joules Cluster::total_energy() const {

@@ -42,9 +42,10 @@ class Cluster {
   /// Machines of a given type name (empty vector if none).
   std::vector<MachineId> machines_of_type(const std::string& type_name) const;
 
-  /// Total map (resp. reduce) slots across the fleet.
-  int total_map_slots() const;
-  int total_reduce_slots() const;
+  /// Total map (resp. reduce) slots across the fleet (summed as machines
+  /// are added; a machine's type never changes).
+  int total_map_slots() const { return map_slots_; }
+  int total_reduce_slots() const { return reduce_slots_; }
 
   /// Sum of exact machine energies up to the current simulation time.
   Joules total_energy() const;
@@ -56,6 +57,8 @@ class Cluster {
   std::vector<std::unique_ptr<Machine>> machines_;
   std::map<std::string, std::vector<MachineId>> groups_;
   std::vector<std::string> type_order_;
+  int map_slots_ = 0;
+  int reduce_slots_ = 0;
 };
 
 }  // namespace eant::cluster

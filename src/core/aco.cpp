@@ -47,13 +47,14 @@ std::optional<mr::JobId> sample_job(
   if (candidates.empty()) return std::nullopt;
   EANT_CHECK(static_cast<bool>(eta), "eta function must be callable");
   EANT_CHECK(beta >= 0.0, "beta must be non-negative");
+  EANT_CHECK(machine < table.num_machines(), "machine id out of range");
 
   std::vector<double> weights;
   weights.reserve(candidates.size());
   for (mr::JobId j : candidates) {
-    const double row = table.row_sum(j, kind);
-    EANT_ASSERT(row > 0.0, "pheromone row sum must stay positive");
-    const double normalized_tau = table.tau(j, kind, machine) / row;
+    const PheromoneTable::Trail& row = table.row(j, kind);
+    EANT_ASSERT(row.sum > 0.0, "pheromone row sum must stay positive");
+    const double normalized_tau = row.tau[machine] / row.sum;
     const double boost = beta <= 0.0 ? 1.0 : std::pow(eta(j), beta);
     weights.push_back(normalized_tau * boost);
   }

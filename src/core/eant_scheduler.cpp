@@ -192,13 +192,28 @@ void EAntScheduler::audit_pheromone_bounds() {
   for (mr::JobId job : jt_->active_jobs()) {
     if (!table_->has_job(job)) continue;
     for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
-      const std::vector<double> trail = table_->trail(job, kind);
-      for (std::size_t m = 0; m < trail.size(); ++m) {
+      const PheromoneTable::Trail& trail = table_->row(job, kind);
+      double sum = 0.0;
+      double max = 0.0;
+      for (std::size_t m = 0; m < trail.tau.size(); ++m) {
         std::ostringstream context;
         context << "tau(job=" << job << ", " << mr::kind_name(kind)
                 << ", machine=" << m << ')';
-        auditor_->check_in_range("pheromone-bounds", trail[m], lo, hi,
+        auditor_->check_in_range("pheromone-bounds", trail.tau[m], lo, hi,
                                  context.str());
+        sum += trail.tau[m];
+        max = std::max(max, trail.tau[m]);
+      }
+      // The cached sum and max must equal a fresh in-order recompute bit for
+      // bit: a mismatch means some write to the row skipped its refresh.
+      if (trail.sum != sum || trail.max != max) {
+        std::ostringstream context;
+        context.precision(17);
+        context << "trail(job=" << job << ", " << mr::kind_name(kind)
+                << "): cached sum " << trail.sum << " / max " << trail.max
+                << ", recomputed " << sum << " / " << max;
+        auditor_->report_violation("pheromone-cache", audit::Severity::kError,
+                                   context.str());
       }
     }
   }
@@ -286,9 +301,9 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
     // colony's best-ranked machine.  (Normalising by the row mean instead
     // would let trails floored by negative feedback drag the mean down and
     // make every remaining machine look above-average.)
-    const double best = table_->row_max(*choice, kind);
-    EANT_ASSERT(best > 0.0, "pheromone trail must stay positive");
-    const double normalized = table_->tau(*choice, kind, machine) / best;
+    const PheromoneTable::Trail& row = table_->row(*choice, kind);
+    EANT_ASSERT(row.max > 0.0, "pheromone trail must stay positive");
+    const double normalized = row.tau[machine] / row.max;
     double floor = config_.min_acceptance;
     if (kind == mr::TaskKind::kMap) {
       if (jt_->job(*choice).has_local_pending_map(machine)) {
@@ -314,15 +329,14 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
 
 bool EAntScheduler::better_machine_free(mr::JobId job, mr::TaskKind kind,
                                         cluster::MachineId machine) const {
-  const double own_tau = table_->tau(job, kind, machine);
+  const std::vector<double>& tau = table_->row(job, kind).tau;
+  const double own_tau = tau[machine];
   const std::size_t n = jt_->cluster().size();
   for (cluster::MachineId m = 0; m < n; ++m) {
     if (m == machine) continue;
     if (!jt_->tracker_available(m)) continue;
     if (jt_->tracker(m).free_slots(kind) <= 0) continue;
-    if (table_->tau(job, kind, m) > kBetterMachineMargin * own_tau) {
-      return true;
-    }
+    if (tau[m] > kBetterMachineMargin * own_tau) return true;
   }
   return false;
 }

@@ -50,14 +50,30 @@ class PheromoneTable {
 
   bool has_job(mr::JobId job) const;
 
+  /// One live trail: tau per machine, with its sum and max cached.  Every
+  /// write to `tau` recomputes both in machine order from 0.0 (never by
+  /// adjusting the old value), so they equal a fresh scan bit for bit.
+  struct Trail {
+    std::vector<double> tau;
+    double sum = 0.0;  ///< Eq. 3/8's denominator
+    double max = 0.0;  ///< the colony's best-ranked machine's tau
+  };
+
+  /// The live trail of a colony: tau, sum and max in one lookup.
+  const Trail& row(mr::JobId job, mr::TaskKind kind) const;
+
   double tau(mr::JobId job, mr::TaskKind kind,
              cluster::MachineId machine) const;
 
   /// Sum of tau over machines for a trail — Eq. 3/8's denominator.
-  double row_sum(mr::JobId job, mr::TaskKind kind) const;
+  double row_sum(mr::JobId job, mr::TaskKind kind) const {
+    return row(job, kind).sum;
+  }
 
   /// Largest tau in a trail (the colony's best-ranked machine).
-  double row_max(mr::JobId job, mr::TaskKind kind) const;
+  double row_max(mr::JobId job, mr::TaskKind kind) const {
+    return row(job, kind).max;
+  }
 
   /// Applies one control-interval update: tau <- (1-rho) tau + rho * deposit,
   /// clamped at tau_min.  Deposits for unknown (already removed) trails are
@@ -107,11 +123,14 @@ class PheromoneTable {
   void restore(const Snapshot& snap);
 
  private:
+  /// Recomputes a trail's cached sum and max after a write to its tau.
+  static void refresh(Trail& trail);
+
   std::size_t num_machines_;
   double rho_;
   double tau_init_;
   double tau_min_;
-  std::map<TrailKey, std::vector<double>> trails_;
+  std::map<TrailKey, Trail> trails_;
   std::map<TrailKey, std::string> classes_;
   std::map<std::pair<std::string, mr::TaskKind>, std::vector<double>> priors_;
 };

@@ -126,6 +126,30 @@ std::optional<TaskIndex> JobState::pop_pending(KindState& ks) {
   return std::nullopt;
 }
 
+void JobState::claim(KindState& ks, TaskIndex index) {
+  ks.status[index] = TaskStatus::kRunning;
+  ++ks.running;
+  if (!ks.speculative[index]) index_insert(ks, index);
+}
+
+void JobState::index_insert(KindState& ks, TaskIndex index) {
+  const RunningTask entry{ks.start_time[index], index};
+  const auto it =
+      std::lower_bound(ks.by_start.begin(), ks.by_start.end(), entry);
+  EANT_ASSERT(it == ks.by_start.end() || *it != entry,
+              "task already in the straggler index");
+  ks.by_start.insert(it, entry);
+}
+
+void JobState::index_erase(KindState& ks, TaskIndex index) {
+  const RunningTask entry{ks.start_time[index], index};
+  const auto it =
+      std::lower_bound(ks.by_start.begin(), ks.by_start.end(), entry);
+  EANT_ASSERT(it != ks.by_start.end() && *it == entry,
+              "task missing from the straggler index");
+  ks.by_start.erase(it);
+}
+
 std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
                                              Locality& level_out) {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
@@ -135,8 +159,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
     const TaskIndex i = locals.front();
     locals.pop_front();
     if (map_state_.status[i] == TaskStatus::kPending) {
-      map_state_.status[i] = TaskStatus::kRunning;
-      ++map_state_.running;
+      claim(map_state_, i);
       level_out = Locality::kNodeLocal;
       return i;
     }
@@ -150,8 +173,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
       const TaskIndex i = rack.front();
       rack.pop_front();
       if (map_state_.status[i] == TaskStatus::kPending) {
-        map_state_.status[i] = TaskStatus::kRunning;
-        ++map_state_.running;
+        claim(map_state_, i);
         level_out = Locality::kRackLocal;
         return i;
       }
@@ -159,8 +181,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
   }
   // Otherwise any pending split (remote read; off-rack when racks exist).
   if (auto i = pop_pending(map_state_)) {
-    map_state_.status[*i] = TaskStatus::kRunning;
-    ++map_state_.running;
+    claim(map_state_, *i);
     level_out = Locality::kOffRack;
     return i;
   }
@@ -178,8 +199,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
 std::optional<TaskIndex> JobState::claim_reduce() {
   if (!reduces_built_) return std::nullopt;
   if (auto i = pop_pending(reduce_state_)) {
-    reduce_state_.status[*i] = TaskStatus::kRunning;
-    ++reduce_state_.running;
+    claim(reduce_state_, *i);
     return i;
   }
   return std::nullopt;
@@ -190,6 +210,7 @@ void JobState::unclaim(TaskKind kind, TaskIndex index) {
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   EANT_CHECK(ks.status[index] == TaskStatus::kRunning,
              "only a running task can be unclaimed");
+  if (!ks.speculative[index]) index_erase(ks, index);
   ks.status[index] = TaskStatus::kPending;
   EANT_ASSERT(ks.running > 0, "running-count underflow");
   --ks.running;
@@ -207,8 +228,10 @@ void JobState::mark_started(TaskKind kind, TaskIndex index,
   // Keep the first attempt's start time and machine when a speculative twin
   // launches.
   if (!ks.speculative[index]) {
+    index_erase(ks, index);
     ks.start_time[index] = now;
     ks.start_machine[index] = machine;
+    index_insert(ks, index);
   }
 }
 
@@ -218,6 +241,7 @@ void JobState::mark_done(const TaskReport& report) {
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   EANT_CHECK(ks.status[index] == TaskStatus::kRunning,
              "only a running task can complete");
+  if (!ks.speculative[index]) index_erase(ks, index);
   ks.status[index] = TaskStatus::kDone;
   EANT_ASSERT(ks.running > 0, "running-count underflow");
   --ks.running;
@@ -261,11 +285,17 @@ Seconds JobState::mean_completed_duration(TaskKind kind) const {
   return ks.completed_duration_sum / static_cast<double>(ks.done);
 }
 
+const std::vector<RunningTask>& JobState::running_by_start(
+    TaskKind kind) const {
+  return state(kind).by_start;
+}
+
 void JobState::mark_speculative(TaskKind kind, TaskIndex index) {
   auto& ks = state(kind);
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   EANT_CHECK(ks.status[index] == TaskStatus::kRunning,
              "only a running task can be speculated");
+  if (!ks.speculative[index]) index_erase(ks, index);
   ks.speculative[index] = true;
 }
 
@@ -278,6 +308,11 @@ bool JobState::is_speculative(TaskKind kind, TaskIndex index) const {
 void JobState::clear_speculative(TaskKind kind, TaskIndex index) {
   auto& ks = state(kind);
   EANT_CHECK(index < ks.status.size(), "task index out of range");
+  // The surviving attempt re-enters the index under the original's start
+  // time, which mark_started kept through the twin's launch.
+  if (ks.speculative[index] && ks.status[index] == TaskStatus::kRunning) {
+    index_insert(ks, index);
+  }
   ks.speculative[index] = false;
 }
 

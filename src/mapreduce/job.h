@@ -1,18 +1,18 @@
 // Per-job runtime state tracked by the JobTracker: task specs, pending
-// queues with per-machine locality indexes, progress counters and the
-// per-machine assignment histogram used by Fig. 9, Tarazu and E-Ant's
-// convergence tracking.
+// queues with per-machine locality indexes, the start-ordered straggler
+// index, progress counters and the per-machine assignment histogram used by
+// Fig. 9, Tarazu and E-Ant's convergence tracking.
 
 #pragma once
 
-#include <array>
-#include <deque>
+#include <compare>
 #include <optional>
 #include <vector>
 
 #include "cluster/machine.h"
 #include "common/locality.h"
 #include "hdfs/namenode.h"
+#include "mapreduce/index_fifo.h"
 #include "mapreduce/task.h"
 #include "workload/apps.h"
 #include "workload/job_spec.h"
@@ -21,6 +21,15 @@ namespace eant::mr {
 
 /// Lifecycle status of one task.
 enum class TaskStatus { kPending, kRunning, kDone };
+
+/// One entry of a job's straggler index: a Running task without a
+/// speculative twin, keyed by its (first) attempt's start time.  Ordered by
+/// start time, then index.
+struct RunningTask {
+  Seconds start = 0.0;
+  TaskIndex index = 0;
+  auto operator<=>(const RunningTask&) const = default;
+};
 
 /// Mutable state of a submitted job.  Owned and mutated by the JobTracker;
 /// schedulers receive const access.
@@ -141,6 +150,12 @@ class JobState {
   /// the straggler threshold basis for LATE-style speculation.
   Seconds mean_completed_duration(TaskKind kind) const;
 
+  /// The straggler index: every task of the kind that is Running and not
+  /// speculative, as (task_start_time, index), oldest first.  A claim enters
+  /// the index under the start time the task last held and is re-keyed when
+  /// its attempt starts (the JobTracker starts every claim in the same call).
+  const std::vector<RunningTask>& running_by_start(TaskKind kind) const;
+
   /// Expected total map-output volume (input x output ratio), used to size
   /// the shuffle when building reduces.
   Megabytes expected_map_output_mb() const;
@@ -167,7 +182,7 @@ class JobState {
 
  private:
   struct KindState {
-    std::deque<TaskIndex> pending_queue;
+    IndexFifo pending_queue;
     std::vector<TaskStatus> status;
     std::size_t running = 0;
     std::size_t done = 0;
@@ -178,11 +193,17 @@ class JobState {
     std::vector<cluster::MachineId> start_machine;
     std::vector<int> failed_attempts;
     double completed_duration_sum = 0.0;
+    std::vector<RunningTask> by_start;  ///< sorted; see running_by_start()
   };
 
   KindState& state(TaskKind kind);
   const KindState& state(TaskKind kind) const;
   std::optional<TaskIndex> pop_pending(KindState& ks);
+
+  /// Pending -> Running, entering the straggler index unless speculative.
+  static void claim(KindState& ks, TaskIndex index);
+  static void index_insert(KindState& ks, TaskIndex index);
+  static void index_erase(KindState& ks, TaskIndex index);
 
   JobId id_;
   workload::JobSpec spec_;
@@ -197,11 +218,11 @@ class JobState {
 
   /// Per-machine queues of map indices whose split is local to the machine
   /// (lazily cleaned: entries may be stale once a task leaves Pending).
-  std::vector<std::deque<TaskIndex>> local_maps_;
+  std::vector<IndexFifo> local_maps_;
 
   /// Per-rack queues of map indices with a replica in the rack; only built
   /// when the NameNode reports more than one rack (same lazy cleanup).
-  std::vector<std::deque<TaskIndex>> rack_maps_;
+  std::vector<IndexFifo> rack_maps_;
   std::vector<std::size_t> machine_rack_;  ///< empty when racks are inactive
 
   bool failed_ = false;

@@ -33,7 +33,6 @@ bool LateScheduler::machine_is_fast(cluster::MachineId machine) const {
 bool LateScheduler::try_speculate(cluster::MachineId machine,
                                   mr::TaskKind kind) {
   if (!machine_is_fast(machine)) return false;
-  const Seconds now = jt_->simulator().now();
 
   // Longest-elapsed straggler across active jobs; with the JobTracker's
   // speculative_progress_ranking enabled the candidates are instead ranked
@@ -41,36 +40,17 @@ bool LateScheduler::try_speculate(cluster::MachineId machine,
   // which singles out attempts crawling on a limping machine rather than
   // merely old ones.
   const bool by_progress = jt_->config().speculative_progress_ranking;
-  mr::JobId best_job = 0;
-  mr::TaskIndex best_index = 0;
-  Seconds best_score = 0.0;
-  bool found = false;
-  for (mr::JobId id : jt_->active_jobs()) {
-    const auto& js = jt_->job(id);
-    const Seconds mean = js.mean_completed_duration(kind);
-    if (mean <= 0.0) continue;  // no baseline yet
-    const std::size_t total =
-        kind == mr::TaskKind::kMap ? js.num_maps() : js.num_reduces();
-    for (mr::TaskIndex i = 0; i < total; ++i) {
-      if (js.status(kind, i) != mr::TaskStatus::kRunning) continue;
-      if (js.is_speculative(kind, i)) continue;
-      const Seconds elapsed = now - js.task_start_time(kind, i);
-      if (elapsed <= straggler_beta_ * mean) continue;
-      Seconds score = elapsed;
-      if (by_progress) {
-        const double p = jt_->running_progress(id, kind, i);
-        score = p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
-      }
-      if (score > best_score) {
-        best_job = id;
-        best_index = i;
-        best_score = score;
-        found = true;
-      }
-    }
-  }
-  if (!found) return false;
-  if (!jt_->start_speculative(best_job, kind, best_index,
+  const auto pick = jt_->find_straggler(
+      kind, straggler_beta_,
+      [this, by_progress](const mr::JobState& js, mr::TaskKind k,
+                          mr::TaskIndex i, Seconds elapsed,
+                          Seconds /*mean*/) -> std::optional<Seconds> {
+        if (!by_progress) return elapsed;
+        const double p = jt_->running_progress(js.id(), k, i);
+        return p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
+      });
+  if (!pick) return false;
+  if (!jt_->start_speculative(pick->job, kind, pick->index,
                               jt_->tracker(machine))) {
     return false;
   }
