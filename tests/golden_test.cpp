@@ -3,8 +3,9 @@
 // lifecycle mechanism of the JobTracker and TaskTracker — node loss and fast
 // restart, fetch-failure re-execution, rack partitions, master failover with
 // orphan resolution, corruption and fail-slow re-rates, tenant preemption
-// under admission control, job failure, and the fault-free scalar path — so
-// a change meant to preserve behaviour must leave every row unchanged.
+// under admission control, job failure, the fault-free scalar path, and the
+// MSD workload's Table III mix — so a change meant to preserve behaviour must
+// leave every row unchanged.
 //
 // Digests compare exactly; metrics to 1e-9 relative.  On a mismatch the test
 // prints the actual row in table syntax: an intended change in behaviour is a
@@ -29,6 +30,7 @@
 #include "sched/capacity.h"
 #include "tenancy/presets.h"
 #include "tenancy/traffic.h"
+#include "workload/msd.h"
 
 namespace eant {
 namespace {
@@ -59,6 +61,7 @@ constexpr GoldenRow kGolden[] = {
     {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666},
     {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0},
     {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0},
+    {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0},
 };
 // clang-format on
 
@@ -202,6 +205,27 @@ std::vector<Cell> run_cells() {
     cells.push_back({"late/fail-slow", run(exp::paper_fleet(),
                                            exp::SchedulerKind::kLate, cfg,
                                            batch)});
+  }
+
+  // fig8_comparison's E-Ant cell: the canonical 87-job MSD trace of
+  // bench/bench_common.h on the scalar network, the one cell whose jobs
+  // come from MsdGenerator's Table III mix.
+  {
+    workload::MsdConfig wl;
+    wl.num_jobs = 87;
+    wl.input_scale = 1.0 / 200.0;
+    wl.mean_interarrival = 60.0;
+    Rng rng(42);
+    const std::vector<workload::JobSpec> jobs =
+        workload::MsdGenerator(wl).generate(rng);
+    exp::RunConfig cfg;
+    cfg.seed = 42;
+    cfg.noise = mr::NoiseConfig::typical();
+    cfg.eant.control_interval = 120.0;
+    cfg.eant.negative_feedback = false;
+    cfg.audit.enabled = true;
+    cells.push_back({"msd/eant", run(exp::paper_fleet(),
+                                     exp::SchedulerKind::kEAnt, cfg, jobs)});
   }
   return cells;
 }
