@@ -10,6 +10,21 @@
 #include "common/fp.h"
 
 namespace eant::audit {
+namespace {
+
+/// Relative / absolute tolerance for the end-of-run energy cross-check.
+/// The two integrals run the same arithmetic in a different association
+/// order, so only accumulated rounding separates them.
+constexpr double kEnergyRelTol = 1e-6;
+constexpr Joules kEnergyAbsTol = 1e-3;
+
+/// Tolerance (MB, relative to flow size) for flow byte conservation.
+/// Delivered bytes lag the requested total by at most one rate * dt
+/// rounding step when the completion event fires.
+constexpr double kFlowRelTol = 1e-6;
+constexpr Megabytes kFlowAbsTol = 1e-6;
+
+}  // namespace
 
 std::string severity_name(Severity severity) {
   switch (severity) {
@@ -154,8 +169,7 @@ void InvariantAuditor::on_flow_finished(net::FlowId id, Megabytes requested_mb,
   // The completion event fired exactly when the last byte should have
   // arrived, so the lazily-advanced byte counter must agree with the
   // requested size up to one rounding step.
-  const double tol =
-      config_.flow_abs_tol + config_.flow_rel_tol * requested_mb;
+  const double tol = kFlowAbsTol + kFlowRelTol * requested_mb;
   if (std::abs(requested_mb - delivered_mb) > tol) {
     std::ostringstream os;
     os << "flow " << id << " requested " << requested_mb
@@ -183,8 +197,7 @@ void InvariantAuditor::on_flow_aborted(net::FlowId id, Megabytes requested_mb,
     open_flows_.erase(it);
   }
   // An aborted flow can never have delivered more than was requested.
-  const double tol =
-      config_.flow_abs_tol + config_.flow_rel_tol * requested_mb;
+  const double tol = kFlowAbsTol + kFlowRelTol * requested_mb;
   if (delivered_mb > requested_mb + tol || delivered_mb < -tol) {
     std::ostringstream os;
     os << "flow " << id << " aborted after delivering " << delivered_mb
@@ -384,8 +397,7 @@ AuditReport InvariantAuditor::finalize() {
       MachineAudit& m = machines_[id];
       integrate(m, sim_.now());
       const Joules expected = cluster_->machine(id).energy();
-      const double tol = config_.energy_abs_tol +
-                         config_.energy_rel_tol * std::abs(expected);
+      const double tol = kEnergyAbsTol + kEnergyRelTol * std::abs(expected);
       if (std::abs(m.energy - expected) > tol) {
         std::ostringstream os;
         os << "machine " << id << " audited energy " << m.energy
@@ -406,8 +418,8 @@ AuditReport InvariantAuditor::finalize() {
       in_flight_allowance += requested;
     const Megabytes lo = finished_requested_mb_ + aborted_delivered_mb_;
     const Megabytes hi = lo + in_flight_allowance;
-    const double tol = config_.flow_abs_tol +
-                       config_.flow_rel_tol * std::max(std::abs(hi), 1.0);
+    const double tol =
+        kFlowAbsTol + kFlowRelTol * std::max(std::abs(hi), 1.0);
     if (fm.total_mb() < lo - tol || fm.total_mb() > hi + tol) {
       std::ostringstream os;
       os << "fabric accounted " << fm.total_mb()

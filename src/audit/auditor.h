@@ -63,22 +63,6 @@ struct AuditConfig {
 
   /// Throw InvariantError at the first violation instead of aggregating.
   bool abort_on_violation = false;
-
-  /// Relative / absolute tolerance for the end-of-run energy cross-check.
-  /// The two integrals run the same arithmetic in a different association
-  /// order, so only accumulated rounding separates them.
-  double energy_rel_tol = 1e-6;
-  Joules energy_abs_tol = 1e-3;
-
-  /// Tolerance (MB, relative to flow size) for flow byte conservation.
-  /// Delivered bytes lag the requested total by at most one rate * dt
-  /// rounding step when the completion event fires.
-  double flow_rel_tol = 1e-6;
-  Megabytes flow_abs_tol = 1e-6;
-
-  /// Hard ceiling for pheromone values: anything above this (or non-finite)
-  /// means a deposit computation exploded.
-  double pheromone_ceiling = 1e12;
 };
 
 /// True iff the EANT_AUDIT environment variable requests auditing
@@ -151,8 +135,6 @@ class InvariantAuditor final : public sim::SimObserver,
 
   InvariantAuditor(const InvariantAuditor&) = delete;
   InvariantAuditor& operator=(const InvariantAuditor&) = delete;
-
-  const AuditConfig& config() const { return config_; }
 
   // --- wiring -----------------------------------------------------------------
 

@@ -28,12 +28,6 @@ const Machine& Cluster::machine(MachineId id) const {
   return *machines_[id];
 }
 
-std::vector<MachineId> Cluster::machine_ids() const {
-  std::vector<MachineId> ids(machines_.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  return ids;
-}
-
 const std::vector<MachineId>& Cluster::homogeneous_group(MachineId id) const {
   EANT_CHECK(id < machines_.size(), "machine id out of range");
   return groups_.at(machines_[id]->type().name);

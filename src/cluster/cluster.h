@@ -28,9 +28,6 @@ class Cluster {
   Machine& machine(MachineId id);
   const Machine& machine(MachineId id) const;
 
-  /// All machine ids, in id order.
-  std::vector<MachineId> machine_ids() const;
-
   /// Ids of all machines whose type name matches the given machine's type —
   /// the homogeneous sub-cluster used for machine-level exchange.  Always
   /// contains `id` itself.

@@ -115,10 +115,6 @@ class Machine {
   /// signature of a gray failure.
   void set_perf_factors(double cpu, double io);
 
-  /// Current dynamic performance multipliers (1 when healthy).
-  double perf_cpu_factor() const { return perf_cpu_factor_; }
-  double perf_io_factor() const { return perf_io_factor_; }
-
   /// Seconds a task needs on this machine *right now*, with the dynamic
   /// performance multipliers applied on top of the static type speed.
   /// Identical to type().task_runtime() while the machine is healthy.

@@ -6,8 +6,6 @@
 
 #pragma once
 
-#include <string>
-
 namespace eant {
 
 enum class Locality {
@@ -15,17 +13,5 @@ enum class Locality {
   kRackLocal,  ///< a replica lives in the task's rack (but not its node)
   kOffRack,    ///< every replica is in another rack
 };
-
-inline std::string locality_name(Locality l) {
-  switch (l) {
-    case Locality::kNodeLocal:
-      return "node-local";
-    case Locality::kRackLocal:
-      return "rack-local";
-    case Locality::kOffRack:
-      return "off-rack";
-  }
-  return "?";
-}
 
 }  // namespace eant

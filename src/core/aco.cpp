@@ -7,11 +7,16 @@
 #include "common/error.h"
 
 namespace eant::core {
+namespace {
+
+/// Floor of a task's energy in Eq. 5's ratios, which guards them against
+/// near-zero estimates.
+constexpr Joules kEnergyFloor = 1.0;
+
+}  // namespace
 
 DeltaMap compute_deposits(const std::vector<EstimatedReport>& interval,
-                          std::size_t num_machines, Joules energy_floor) {
-  EANT_CHECK(energy_floor > 0.0, "energy floor must be positive");
-
+                          std::size_t num_machines) {
   // Mean task energy per colony (Eq. 5's numerator).
   struct Acc {
     Joules sum = 0.0;
@@ -21,7 +26,7 @@ DeltaMap compute_deposits(const std::vector<EstimatedReport>& interval,
   for (const auto& er : interval) {
     EANT_CHECK(er.energy >= 0.0, "negative task energy estimate");
     auto& acc = means[{er.report.spec.job, er.report.spec.kind}];
-    acc.sum += std::max(er.energy, energy_floor);
+    acc.sum += std::max(er.energy, kEnergyFloor);
     ++acc.count;
   }
 
@@ -30,7 +35,7 @@ DeltaMap compute_deposits(const std::vector<EstimatedReport>& interval,
     const TrailKey key{er.report.spec.job, er.report.spec.kind};
     const auto& acc = means.at(key);
     const Joules avg = acc.sum / static_cast<double>(acc.count);
-    const Joules e = std::max(er.energy, energy_floor);
+    const Joules e = std::max(er.energy, kEnergyFloor);
     auto& row = deposits[key];
     if (row.empty()) row.assign(num_machines, 0.0);
     EANT_CHECK(er.report.machine < num_machines, "machine id out of range");

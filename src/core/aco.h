@@ -28,10 +28,9 @@ struct EstimatedReport {
 /// Eq. 5 over one control interval: for each colony (job, kind), the deposit
 /// of task n on machine m is  (mean energy of the colony's completed tasks)
 /// / (energy of task n); deposits are summed per machine (Eq. 4's inner
-/// sum).  Near-zero task energies are floored to keep ratios finite.
+/// sum).  Task energies are floored at 1 J to keep ratios finite.
 DeltaMap compute_deposits(const std::vector<EstimatedReport>& interval,
-                          std::size_t num_machines,
-                          Joules energy_floor = 1.0);
+                          std::size_t num_machines);
 
 /// Samples one candidate job for a slot on `machine` with probability
 /// proportional to  tau(j,kind,machine)/row_sum(j,kind) * eta(j)^beta.

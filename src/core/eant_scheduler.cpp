@@ -9,15 +9,50 @@
 #include "common/error.h"
 
 namespace eant::core {
+namespace {
+
+/// Initial trail value and the MMAS floor that keeps every machine
+/// sampleable.
+constexpr double kTauInit = 1.0;
+constexpr double kTauMin = 0.05;
+
+/// Sec. VI-C convergence definition.
+constexpr double kStabilityThreshold = 0.8;
+
+/// Floor of the slot-acceptance probability (see select_job): even the
+/// worst-ranked machine keeps exploring occasionally, the acceptance-side
+/// analogue of the tau floor.
+constexpr double kMinAcceptance = 0.05;
+
+/// Exponent sharpening the slot-acceptance probability.  A machine whose
+/// slots turn over faster is offered tasks more often, which counteracts
+/// proportional routing; sharpening restores the pheromone ratio's
+/// authority over placement.
+constexpr double kAcceptanceSharpness = 3.0;
+
+/// Acceptance floor when the sampled job has a node-local pending split on
+/// the offering machine: Eq. 7 ranks locality above everything, and a
+/// declined local slot usually turns into a remote read elsewhere, so local
+/// offers decline only half-heartedly.
+constexpr double kLocalAcceptanceFloor = 0.5;
+
+/// Acceptance floor for a rack-local offer on a multi-rack topology —
+/// between the node-local floor and kMinAcceptance, because a declined
+/// rack-local slot risks a cross-rack read over the oversubscribed uplink.
+/// Inert with one flat rack.
+constexpr double kRackLocalAcceptanceFloor = 0.25;
+
+/// Ceiling of the auditor's pheromone-bounds check: a trail above it (or
+/// non-finite) means a deposit computation exploded.
+constexpr double kPheromoneCeiling = 1e12;
+
+}  // namespace
 
 EAntScheduler::EAntScheduler(EnergyModel model, Rng rng, EAntConfig config)
     : model_(std::move(model)), rng_(rng), config_(config) {
   EANT_CHECK(config.control_interval > 0.0,
              "control interval must be positive");
   EANT_CHECK(config.beta >= 0.0, "beta must be non-negative");
-  EANT_CHECK(config.slow_completion_beta == 0.0 ||  // lint-ok: float-eq
-                 config.slow_completion_beta >= 1.0,
-             "slow-completion beta must be 0 (off) or >= 1");
 }
 
 void EAntScheduler::attach(mr::JobTracker& job_tracker) {
@@ -26,9 +61,9 @@ void EAntScheduler::attach(mr::JobTracker& job_tracker) {
   const std::size_t machines = jt_->cluster().size();
   EANT_CHECK(model_.num_machines() >= machines,
              "energy model lacks parameters for some machines");
-  table_ = std::make_unique<PheromoneTable>(machines, config_.rho,
-                                            config_.tau_init, config_.tau_min);
-  convergence_ = ConvergenceTracker(config_.stability_threshold);
+  table_ = std::make_unique<PheromoneTable>(machines, config_.rho, kTauInit,
+                                            kTauMin);
+  convergence_ = ConvergenceTracker(kStabilityThreshold);
   estimated_per_machine_.assign(machines, 0.0);
   jt_->simulator().schedule_periodic(config_.control_interval, [this] {
     control_tick();
@@ -55,19 +90,6 @@ void EAntScheduler::on_task_completed(const mr::TaskReport& report) {
   auto& counts = interval_counts_[report.spec.job];
   if (counts.empty()) counts.assign(jt_->cluster().size(), 0);
   ++counts[report.machine];
-
-  if (config_.slow_completion_beta > 0.0) {
-    // Anomalously slow completion (a limping machine's signature): treat it
-    // as negative path evidence right away, one evaporation step like a
-    // failure.  The mean includes this report, biasing conservatively.
-    const auto& js = jt_->job(report.spec.job);
-    const Seconds mean = js.mean_completed_duration(report.spec.kind);
-    if (mean > 0.0 &&
-        report.duration() > config_.slow_completion_beta * mean) {
-      table_->penalize(report.spec.job, report.spec.kind, report.machine,
-                       1.0 - config_.rho);
-    }
-  }
 }
 
 void EAntScheduler::on_tracker_lost(cluster::MachineId machine) {
@@ -84,7 +106,7 @@ void EAntScheduler::on_tracker_rejoined(cluster::MachineId machine) {
   table_->reseed_machine(machine);
 }
 
-void EAntScheduler::on_master_recovered(std::uint64_t /*epoch*/) {
+void EAntScheduler::on_master_recovered() {
   // The partial interval's buffered reports lived in the dead master's
   // memory; re-depositing them after the failover would double-count task
   // energy across epochs (the auditor checks exactly that on the commit
@@ -106,9 +128,8 @@ void EAntScheduler::on_master_recovered(std::uint64_t /*epoch*/) {
   } else {
     // Amnesia ablation: the trail died with the master.  Every live colony
     // restarts at tau_init, and the class priors are gone too.
-    table_ = std::make_unique<PheromoneTable>(
-        table_->num_machines(), config_.rho, config_.tau_init,
-        config_.tau_min);
+    table_ = std::make_unique<PheromoneTable>(table_->num_machines(),
+                                              config_.rho, kTauInit, kTauMin);
   }
   // Colonies submitted after the snapshot (under amnesia, all of them) need
   // fresh trails before the next heartbeat samples them.
@@ -143,8 +164,8 @@ void EAntScheduler::control_tick() {
   if (!jt_->master_up()) return;
   ++intervals_;
   if (!interval_reports_.empty()) {
-    DeltaMap deposits = compute_deposits(
-        interval_reports_, jt_->cluster().size(), config_.energy_floor);
+    DeltaMap deposits =
+        compute_deposits(interval_reports_, jt_->cluster().size());
     if (config_.machine_exchange) {
       deposits = machine_level_exchange(deposits, jt_->cluster());
     }
@@ -157,7 +178,7 @@ void EAntScheduler::control_tick() {
     if (config_.negative_feedback) {
       deposits = apply_negative_feedback(deposits, class_key);
     }
-    deposits = center_deposits(deposits, config_.tau_init);
+    deposits = center_deposits(deposits, kTauInit);
     table_->apply(deposits);
   }
 
@@ -188,7 +209,7 @@ void EAntScheduler::audit_pheromone_bounds() {
   // non-finite tau means a deposit computation diverged.  Tiny slack under
   // the floor absorbs the clamp's own rounding.
   const double lo = table_->tau_min() * (1.0 - 1e-12);
-  const double hi = auditor_->config().pheromone_ceiling;
+  const double hi = kPheromoneCeiling;
   for (mr::JobId job : jt_->active_jobs()) {
     if (!table_->has_job(job)) continue;
     for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
@@ -304,12 +325,12 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
     const PheromoneTable::Trail& row = table_->row(*choice, kind);
     EANT_ASSERT(row.max > 0.0, "pheromone trail must stay positive");
     const double normalized = row.tau[machine] / row.max;
-    double floor = config_.min_acceptance;
+    double floor = kMinAcceptance;
     if (kind == mr::TaskKind::kMap) {
       if (jt_->job(*choice).has_local_pending_map(machine)) {
-        floor = std::max(floor, config_.local_acceptance_floor);
+        floor = std::max(floor, kLocalAcceptanceFloor);
       } else if (jt_->job(*choice).has_rack_local_pending_map(machine)) {
-        floor = std::max(floor, config_.rack_local_acceptance_floor);
+        floor = std::max(floor, kRackLocalAcceptanceFloor);
       }
     }
     if (!has_trade) {
@@ -320,7 +341,7 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
       floor = std::max(floor, occupancy * occupancy);
     }
     const double steered = std::clamp(
-        std::pow(normalized, config_.acceptance_sharpness), floor, 1.0);
+        std::pow(normalized, kAcceptanceSharpness), floor, 1.0);
     if (rng_.uniform() <= steered) return choice;
     candidates.erase(std::find(candidates.begin(), candidates.end(), *choice));
   }

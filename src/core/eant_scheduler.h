@@ -35,36 +35,9 @@ struct EAntConfig {
   Seconds control_interval = 300.0;  ///< 5 minutes (Sec. V-B)
   double rho = 0.5;                  ///< evaporation (the worked example's value)
   double beta = 0.1;                 ///< locality/fairness weight (Fig. 12(a) knee)
-  double tau_init = 1.0;
-  double tau_min = 0.05;
   bool machine_exchange = true;      ///< Sec. IV-D machine-level strategy
   bool job_exchange = true;          ///< Sec. IV-D job-level strategy
   bool negative_feedback = true;     ///< Eq. 6 cross-colony update
-  double stability_threshold = 0.8;  ///< Sec. VI-C convergence definition
-  Joules energy_floor = 1.0;         ///< guards Eq. 5 ratios
-
-  /// Floor of the slot-acceptance probability (see select_job): even the
-  /// worst-ranked machine keeps exploring occasionally, the acceptance-side
-  /// analogue of the tau floor.
-  double min_acceptance = 0.05;
-
-  /// Exponent sharpening the slot-acceptance probability.  A machine whose
-  /// slots turn over faster is offered tasks more often, which counteracts
-  /// proportional routing; sharpening restores the pheromone ratio's
-  /// authority over placement.
-  double acceptance_sharpness = 3.0;
-
-  /// Acceptance floor when the sampled job has a node-local pending split
-  /// on the offering machine: Eq. 7 ranks locality above everything, and a
-  /// declined local slot usually turns into a remote read elsewhere, so
-  /// local offers decline only half-heartedly.
-  double local_acceptance_floor = 0.5;
-
-  /// Acceptance floor for a rack-local offer on a multi-rack topology —
-  /// between the node-local floor and min_acceptance, because a declined
-  /// rack-local slot risks a cross-rack read over the oversubscribed
-  /// uplink.  Inert with one flat rack.
-  double rack_local_acceptance_floor = 0.25;
 
   /// Master-failover ablation (does the ant trail survive amnesia?): when
   /// true (default), E-Ant snapshots its pheromone table at every control
@@ -74,15 +47,6 @@ struct EAntConfig {
   /// with the master: recovery reseeds every live colony at tau_init and
   /// the fleet relearns its ranking from scratch.
   bool pheromone_snapshot_on_master_recovery = true;
-
-  /// Optional slow-completion feedback: a task whose duration exceeds this
-  /// multiple of its job's mean completed duration depresses the
-  /// (job, kind, machine) trail immediately, like a failure, instead of
-  /// waiting for the energy deposits to starve it.  0 disables (default):
-  /// E-Ant's energy loop already routes around limping machines — their
-  /// tasks burn more energy, so their deposits shrink — and the fail-slow
-  /// tests prove that collapse happens without this explicit signal.
-  double slow_completion_beta = 0.0;
 };
 
 /// Realisation of Eq. 7's "infinite" eta for data-local candidates: the cap
@@ -111,7 +75,7 @@ class EAntScheduler final : public mr::Scheduler {
   void on_tracker_rejoined(cluster::MachineId machine) override;
   void on_task_failed(const mr::TaskSpec& spec,
                       cluster::MachineId machine) override;
-  void on_master_recovered(std::uint64_t epoch) override;
+  void on_master_recovered() override;
   void on_fetch_failed(mr::JobId job, cluster::MachineId source) override;
 
   /// Brownout: under Saturated/Critical overload the decline loop is

@@ -8,6 +8,17 @@
 #include "common/error.h"
 
 namespace eant::mr {
+namespace {
+
+/// Backlog thresholds of the Elevated and Saturated levels, in task waves
+/// per slot: exactly full, and a quarter-wave queued on top.
+constexpr double kElevatedBacklog = 1.0;
+constexpr double kSaturatedBacklog = 1.25;
+static_assert(kElevatedBacklog <= kSaturatedBacklog &&
+                  kSaturatedBacklog <= kCriticalBacklog,
+              "backlog thresholds must be ordered");
+
+}  // namespace
 
 const char* overload_state_name(OverloadState s) {
   switch (s) {
@@ -23,33 +34,20 @@ const char* overload_state_name(OverloadState s) {
   return "?";
 }
 
-const char* admission_verdict_name(AdmissionVerdict v) {
-  switch (v) {
-    case AdmissionVerdict::kAdmit:
-      return "admit";
-    case AdmissionVerdict::kQueueFull:
-      return "queue-full";
-    case AdmissionVerdict::kShed:
-      return "shed";
-    case AdmissionVerdict::kInfeasible:
-      return "infeasible";
-  }
-  return "?";
-}
-
 // --- OverloadDetector ---------------------------------------------------------
 
-OverloadDetector::OverloadDetector(const AdmissionConfig& cfg) : cfg_(cfg) {}
+OverloadDetector::OverloadDetector(const AdmissionConfig& cfg)
+    : alpha_(cfg.ewma_alpha) {}
 
 int OverloadDetector::classify(double scale) const {
-  if (backlog_ >= cfg_.critical_backlog * scale) return 3;
-  if (backlog_ >= cfg_.saturated_backlog * scale ||
-      (occ_ >= cfg_.elevated_occupancy * scale &&
-       slack_ >= cfg_.slack_pressure_threshold * scale)) {
+  if (backlog_ >= kCriticalBacklog * scale) return 3;
+  if (backlog_ >= kSaturatedBacklog * scale ||
+      (occ_ >= kElevatedOccupancy * scale &&
+       slack_ >= kSlackPressureThreshold * scale)) {
     return 2;
   }
-  if (occ_ >= cfg_.elevated_occupancy * scale ||
-      backlog_ >= cfg_.elevated_backlog * scale) {
+  if (occ_ >= kElevatedOccupancy * scale ||
+      backlog_ >= kElevatedBacklog * scale) {
     return 1;
   }
   return 0;
@@ -63,17 +61,16 @@ OverloadState OverloadDetector::fold(double occupancy, double backlog_per_slot,
     slack_ = slack_pressure;
     primed_ = true;
   } else {
-    const double a = cfg_.ewma_alpha;
-    occ_ = a * occupancy + (1.0 - a) * occ_;
-    backlog_ = a * backlog_per_slot + (1.0 - a) * backlog_;
-    slack_ = a * slack_pressure + (1.0 - a) * slack_;
+    occ_ = alpha_ * occupancy + (1.0 - alpha_) * occ_;
+    backlog_ = alpha_ * backlog_per_slot + (1.0 - alpha_) * backlog_;
+    slack_ = alpha_ * slack_pressure + (1.0 - alpha_) * slack_;
   }
   const int target = classify(1.0);
   if (target > level_) {
     // Escalate immediately: the point of protection is reacting before the
     // backlog compounds.
     level_ = target;
-  } else if (classify(cfg_.hysteresis) < level_) {
+  } else if (classify(kHysteresis) < level_) {
     // De-escalate one level per tick, and only once the smoothed signals
     // clear the hysteresis floor — brownout measures restore in reverse
     // order of shedding, without flapping at a threshold.
@@ -109,10 +106,9 @@ TenantAdmissionLedger& AdmissionControl::ledger(workload::TenantId tenant) {
 }
 
 AdmissionVerdict AdmissionControl::decide(const workload::JobSpec& spec,
-                                          int attempt, int total_slots,
+                                          int total_slots,
                                           std::size_t pending_tasks,
                                           Seconds now) {
-  (void)attempt;
   const TenantAdmissionLedger& led = ledger(spec.tenant);
 
   // 1. Weighted-fair bounded queue: the tenant's admitted-but-unfinished
@@ -135,12 +131,10 @@ AdmissionVerdict AdmissionControl::decide(const workload::JobSpec& spec,
   //    task service time already overruns the deadline would only be
   //    admitted to miss — reject it now so the client can back off.  Needs
   //    at least one observed task duration to estimate with.
-  if (cfg_.deadline_feasibility && spec.has_deadline() && task_samples_ > 0 &&
-      total_slots > 0) {
+  if (spec.has_deadline() && task_samples_ > 0 && total_slots > 0) {
     const double est_wait = static_cast<double>(pending_tasks) * task_s_ewma_ /
                             static_cast<double>(total_slots);
-    if (now + (est_wait + task_s_ewma_) * cfg_.feasibility_margin >
-        spec.deadline) {
+    if (now + (est_wait + task_s_ewma_) > spec.deadline) {
       return AdmissionVerdict::kInfeasible;
     }
   }
@@ -173,8 +167,7 @@ void AdmissionControl::note_admitted(JobId id, const workload::JobSpec& spec,
 
 bool AdmissionControl::note_rejection(const workload::JobSpec& spec,
                                       AdmissionVerdict verdict, int attempt,
-                                      Seconds now, Seconds* retry_delay) {
-  (void)now;
+                                      Seconds* retry_delay) {
   TenantAdmissionLedger& led = ledger(spec.tenant);
   ++led.rejections;
   if (auditor_ != nullptr) {
@@ -194,8 +187,8 @@ bool AdmissionControl::note_rejection(const workload::JobSpec& spec,
   // verdict, so the stream's consumption order is a pure function of the
   // rejection sequence.
   const double factor = std::pow(2.0, static_cast<double>(attempt));
-  const Seconds backoff = std::min(cfg_.retry_base * factor, cfg_.retry_cap);
-  *retry_delay = backoff * (1.0 + cfg_.retry_jitter * retry_rng_.uniform());
+  const Seconds backoff = std::min(kRetryBase * factor, kRetryCap);
+  *retry_delay = backoff * (1.0 + kRetryJitter * retry_rng_.uniform());
   ++led.retries;
   if (auditor_ != nullptr) {
     auditor_->record(audit::Record::kJobRetry,
@@ -307,18 +300,6 @@ void AdmissionControl::finalize(Seconds now) {
 std::size_t AdmissionControl::total_rejections() const {
   std::size_t n = 0;
   for (const auto& [t, led] : ledgers_) n += led.rejections;
-  return n;
-}
-
-std::size_t AdmissionControl::total_dropped() const {
-  std::size_t n = 0;
-  for (const auto& [t, led] : ledgers_) n += led.dropped;
-  return n;
-}
-
-std::size_t AdmissionControl::total_retries() const {
-  std::size_t n = 0;
-  for (const auto& [t, led] : ledgers_) n += led.retries;
   return n;
 }
 

@@ -11,9 +11,9 @@
 //    queue-wait vs. deadline slack, folded on a periodic detector tick and
 //    classified into Normal / Elevated / Saturated / Critical with
 //    hysteresis: escalation is immediate, de-escalation decays one level per
-//    tick and only when the smoothed signals clear a fraction
-//    (AdmissionConfig::hysteresis) of the escalation thresholds.  Every
-//    state transition is an audit::Record, so flapping shows up in digests.
+//    tick and only when the smoothed signals clear a fraction (kHysteresis)
+//    of the escalation thresholds.  Every state transition is an
+//    audit::Record, so flapping shows up in digests.
 //
 //  * AdmissionControl::decide — runs at JobTracker::submit time.  Per-tenant
 //    queues are bounded in proportion to tenant weight (weighted-fair
@@ -66,6 +66,39 @@ struct AdmissionTenantPolicy {
   double weight = 1.0;
 };
 
+/// Escalation thresholds of the overload detector, evaluated against the
+/// smoothed signals (the Elevated and Saturated backlog thresholds are
+/// file-local to admission.cpp).  Occupancy is 1 - free_slots/total_slots
+/// in [0,1].  Backlog is total outstanding demand in task waves per slot —
+/// (running + pending tasks) / slots — so 1.0 means exactly full and
+/// kCriticalBacklog means every slot has well over a full extra wave
+/// waiting.  Demand, not queue length alone, because weighted queue bounds
+/// cap the queued fraction themselves: a threshold on the bounded queue
+/// would leave the brownout reactions permanently dormant.  Slack pressure
+/// is the fraction of active deadlined jobs whose estimated wait already
+/// overruns their deadline.
+constexpr double kElevatedOccupancy = 0.9;
+constexpr double kCriticalBacklog = 2.5;
+constexpr double kSlackPressureThreshold = 0.5;
+
+/// De-escalation hysteresis: to leave a level, the smoothed signals must
+/// drop below kHysteresis * the escalation threshold; the level then decays
+/// one step per tick (so recovery restores brownout measures in reverse
+/// order of shedding).
+constexpr double kHysteresis = 0.7;
+static_assert(kHysteresis > 0.0 && kHysteresis <= 1.0,
+              "hysteresis must lie in (0, 1]");
+
+/// Backoff of a rejected job's n-th retry (n from 0):
+/// delay = min(kRetryBase * 2^n, kRetryCap) * (1 + kRetryJitter * u), with u
+/// uniform in [0,1) from the dedicated retry stream.
+constexpr Seconds kRetryBase = 30.0;
+constexpr Seconds kRetryCap = 480.0;
+constexpr double kRetryJitter = 0.5;
+static_assert(kRetryBase > 0.0 && kRetryCap >= kRetryBase &&
+                  kRetryJitter >= 0.0,
+              "retry backoff must be positive and capped above its base");
+
 /// Tunables for the overload-protection subsystem.  Defaults are inert:
 /// enabled = false means no detector events, no RNG consumption, and
 /// digests identical to a build without the subsystem.
@@ -83,38 +116,10 @@ struct AdmissionConfig {
   /// sample); 1.0 = no smoothing.
   double ewma_alpha = 0.3;
 
-  /// Escalation thresholds, evaluated against the smoothed signals.
-  /// Occupancy is 1 - free_slots/total_slots in [0,1].  Backlog is total
-  /// outstanding demand in task waves per slot — (running + pending tasks) /
-  /// slots — so 1.0 means exactly full, 1.25 means a quarter-wave queued on
-  /// top, 2.5 means every slot has well over a full extra wave waiting.
-  /// Demand, not queue length alone, because weighted queue bounds cap the
-  /// queued fraction themselves: a threshold on the bounded queue would
-  /// leave the brownout reactions permanently dormant.  Slack pressure is
-  /// the fraction of active deadlined jobs whose estimated wait already
-  /// overruns their deadline.
-  double elevated_occupancy = 0.9;
-  double elevated_backlog = 1.0;
-  double saturated_backlog = 1.25;
-  double critical_backlog = 2.5;
-  double slack_pressure_threshold = 0.5;
-
-  /// De-escalation hysteresis: to leave a level, the smoothed signals must
-  /// drop below hysteresis * the escalation threshold; the level then decays
-  /// one step per tick (so recovery restores brownout measures in reverse
-  /// order of shedding).
-  double hysteresis = 0.7;
-
   // --- admission control ------------------------------------------------------
 
   /// Admitted-but-unfinished jobs allowed per unit of tenant weight.
   double queue_bound_per_weight = 8.0;
-
-  /// Reject deadlined jobs whose EDF slack test fails: estimated queue wait
-  /// (backlog * mean task time / slots) plus one task time, scaled by
-  /// feasibility_margin, must fit before the deadline.
-  bool deadline_feasibility = true;
-  double feasibility_margin = 1.0;
 
   /// Per-tenant weights; unlisted tenants get weight 1.0.
   std::vector<AdmissionTenantPolicy> tenants;
@@ -123,12 +128,6 @@ struct AdmissionConfig {
 
   /// Retries before a rejected job is dropped for good.
   int max_retries = 5;
-
-  /// Backoff: delay = min(retry_base * 2^attempt, retry_cap) * (1 + jitter*u)
-  /// with u uniform in [0,1) from the dedicated retry stream.
-  Seconds retry_base = 30.0;
-  Seconds retry_cap = 480.0;
-  double retry_jitter = 0.5;
 
   /// Seed of the retry-backoff RNG stream.  0 = the Run harness substitutes
   /// the run seed, so retries are deterministic per run yet independent of
@@ -151,16 +150,13 @@ class OverloadDetector {
                      double slack_pressure);
 
   OverloadState state() const { return static_cast<OverloadState>(level_); }
-  double occupancy_ewma() const { return occ_; }
-  double backlog_ewma() const { return backlog_; }
-  double slack_pressure_ewma() const { return slack_; }
 
  private:
   /// The level the smoothed signals justify when thresholds are scaled by
-  /// `scale` (1.0 = escalation thresholds, hysteresis = floor for decay).
+  /// `scale` (1.0 = escalation thresholds, kHysteresis = floor for decay).
   int classify(double scale) const;
 
-  AdmissionConfig cfg_;
+  double alpha_;  ///< AdmissionConfig::ewma_alpha
   double occ_ = 0.0;
   double backlog_ = 0.0;
   double slack_ = 0.0;
@@ -176,9 +172,6 @@ enum class AdmissionVerdict : std::uint32_t {
   kShed = 2,        ///< load shedding under Saturated/Critical state
   kInfeasible = 3,  ///< deadlined job cannot finish in time anyway
 };
-
-/// "admit" / "queue-full" / "shed" / "infeasible".
-const char* admission_verdict_name(AdmissionVerdict v);
 
 /// Per-tenant admission ledger: conservation counters plus the live backlog
 /// against its bound.  Exposed read-only through AdmissionControl::ledgers()
@@ -218,9 +211,8 @@ class AdmissionControl {
 
   /// The admission decision for one submission attempt.  Pure with respect
   /// to simulator state: the caller supplies the cluster signals.
-  AdmissionVerdict decide(const workload::JobSpec& spec, int attempt,
-                          int total_slots, std::size_t pending_tasks,
-                          Seconds now);
+  AdmissionVerdict decide(const workload::JobSpec& spec, int total_slots,
+                          std::size_t pending_tasks, Seconds now);
 
   /// A fresh job arrived from the trace (attempt 0, counted exactly once
   /// even if the submission is buffered across a master outage).
@@ -235,7 +227,7 @@ class AdmissionControl {
   /// emits kJobRetry, and returns true.  Returns false when the job is
   /// dropped for good.
   bool note_rejection(const workload::JobSpec& spec, AdmissionVerdict verdict,
-                      int attempt, Seconds now, Seconds* retry_delay);
+                      int attempt, Seconds* retry_delay);
 
   /// A scheduled backoff retry fired (conservation: must eventually match
   /// every note_rejection that returned true).
@@ -274,8 +266,6 @@ class AdmissionControl {
     return ledgers_;
   }
   std::size_t total_rejections() const;
-  std::size_t total_dropped() const;
-  std::size_t total_retries() const;
   std::size_t transitions() const { return transitions_; }
   Seconds time_in(OverloadState s) const {
     return time_in_state_[static_cast<int>(s)];

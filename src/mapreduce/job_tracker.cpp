@@ -128,17 +128,9 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
              "admission detector interval must be positive");
   EANT_CHECK(adm.ewma_alpha > 0.0 && adm.ewma_alpha <= 1.0,
              "admission EWMA weight must lie in (0, 1]");
-  EANT_CHECK(adm.hysteresis > 0.0 && adm.hysteresis <= 1.0,
-             "admission hysteresis must lie in (0, 1]");
-  EANT_CHECK(adm.elevated_backlog <= adm.saturated_backlog &&
-                 adm.saturated_backlog <= adm.critical_backlog,
-             "admission backlog thresholds must be ordered");
   EANT_CHECK(adm.queue_bound_per_weight > 0.0,
              "admission queue bound must be positive");
   EANT_CHECK(adm.max_retries >= 0, "admission retry budget must be >= 0");
-  EANT_CHECK(adm.retry_base > 0.0 && adm.retry_cap >= adm.retry_base,
-             "admission retry backoff must be positive and capped above base");
-  EANT_CHECK(adm.retry_jitter >= 0.0, "admission retry jitter must be >= 0");
   rerep_limit_ = kMaxReplicationStreams;
   scheduler_.attach(*this);
 }
@@ -161,9 +153,8 @@ void JobTracker::start_trackers() {
     const double frac =
         std::fmod(0.6180339887498949 * static_cast<double>(id + 1), 1.0);
     trackers_.push_back(std::make_unique<TaskTracker>(
-        sim_, cluster_.machine(id), *this, noise_, config_.heartbeat_interval,
-        type.map_slots, type.reduce_slots,
-        frac * config_.heartbeat_interval));
+        sim_, cluster_.machine(id), *this, noise_, kHeartbeatInterval,
+        type.map_slots, type.reduce_slots, frac * kHeartbeatInterval));
     total_capability += type.cores * type.cpu_factor;
   }
   capability_share_.resize(cluster_.size());
@@ -182,7 +173,7 @@ void JobTracker::start_trackers() {
     // one sweep per heartbeat interval bounds detection latency at
     // expiry_window + heartbeat_interval.  The same sweep drives the
     // blacklist fault-counter decay and quarantine healing.
-    expiry_event_ = sim_.schedule_periodic(config_.heartbeat_interval, [this] {
+    expiry_event_ = sim_.schedule_periodic(kHeartbeatInterval, [this] {
       if (!master_up_) return true;  // a dead master detects nothing
       check_tracker_expiry();
       decay_blacklist_counters();
@@ -291,7 +282,7 @@ void JobTracker::submit_arrival(workload::JobSpec spec, int attempt) {
   }
   if (admission_) {
     const AdmissionVerdict verdict =
-        admission_->decide(spec, attempt, total_slots(),
+        admission_->decide(spec, total_slots(),
                            total_pending(TaskKind::kMap) +
                                total_pending(TaskKind::kReduce),
                            sim_.now());
@@ -309,7 +300,7 @@ void JobTracker::submit_arrival(workload::JobSpec spec, int attempt) {
 void JobTracker::reject_submission(workload::JobSpec spec,
                                    AdmissionVerdict verdict, int attempt) {
   Seconds delay = 0.0;
-  if (admission_->note_rejection(spec, verdict, attempt, sim_.now(), &delay)) {
+  if (admission_->note_rejection(spec, verdict, attempt, &delay)) {
     // Backpressure: the client re-submits after a capped exponential
     // backoff.  jobs_expected_ stays counted, so the run waits for the
     // retry to resolve before declaring itself done.
@@ -771,7 +762,7 @@ void JobTracker::launch(JobState& js, TaskKind kind, TaskIndex index,
     // block), so the job eventually fails instead of silently succeeding.
     // No noise draws — lost-block handling must not perturb healthy streams.
     const TaskSpec& spec = js.task(kind, index);
-    const Seconds duration = config_.heartbeat_interval;
+    const Seconds duration = kHeartbeatInterval;
     js.mark_started(kind, index, mid, sim_.now());
     tracker.start_task(spec, duration, false, 0.5 * duration);
     return;
@@ -1118,7 +1109,7 @@ void JobTracker::fail_fetching_attempt(const TransferKey& key) {
   TaskTracker& t = *trackers_[key.machine];
   EANT_ASSERT(t.alive() && t.is_running(key.job, key.kind, key.index),
               "fetch-aborting an attempt that is no longer running");
-  const Seconds duration = config_.heartbeat_interval;
+  const Seconds duration = kHeartbeatInterval;
   t.begin_compute(key.job, key.kind, key.index, duration, 0.5 * duration);
 }
 
@@ -1552,7 +1543,7 @@ void JobTracker::recover_master() {
   }
   if (namenode_up_) replay_pending_submissions();
   // Scheduler hook last: it may immediately inspect tracker state.
-  scheduler_.on_master_recovered(master_epoch_);
+  scheduler_.on_master_recovered();
   // The restarted scheduler instance state survived (same process object),
   // but re-broadcast the overload state so a scheduler that resets its view
   // in on_master_recovered still sheds correctly.

@@ -41,11 +41,11 @@ class InvariantAuditor;
 
 namespace eant::mr {
 
+/// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
+constexpr Seconds kHeartbeatInterval = 3.0;
+
 /// Tunables of the MapReduce engine (defaults follow the paper's setup).
 struct JobTrackerConfig {
-  /// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
-  Seconds heartbeat_interval = 3.0;
-
   /// Fraction of a job's maps that must finish before its reduces become
   /// schedulable.  1.0 = reduces wait for all maps (shuffle is folded into
   /// the reduce runtime).
@@ -558,10 +558,6 @@ class JobTracker {
   /// Fencing epoch, bumped at every master recovery.  Reports from trackers
   /// registered under an older epoch are buffered until re-registration.
   std::uint64_t master_epoch() const { return master_epoch_; }
-
-  /// Durable coverage time of the last committed checkpoint; -1 = none.  An
-  /// in-flight attempt survives failover iff it launched at or before this.
-  Seconds checkpoint_coverage() const { return checkpoint_coverage_; }
 
   /// Control-plane (JobTracker + NameNode) process deaths observed.
   std::size_t master_crashes() const { return master_crashes_; }

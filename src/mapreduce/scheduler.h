@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -55,12 +54,11 @@ class Scheduler {
     (void)machine;
   }
 
-  /// The JobTracker restarted after a control-plane crash and is entering
-  /// `epoch` (a strictly increasing failover counter).  In-memory scheduler
-  /// state not covered by the master's checkpoint died with the old
-  /// process; schedulers that keep learned per-machine state (E-Ant's
+  /// The JobTracker restarted after a control-plane crash.  In-memory
+  /// scheduler state not covered by the master's checkpoint died with the
+  /// old process; schedulers that keep learned per-machine state (E-Ant's
   /// pheromone table) decide here whether to restore a snapshot or reseed.
-  virtual void on_master_recovered(std::uint64_t epoch) { (void)epoch; }
+  virtual void on_master_recovered() {}
 
   /// The overload detector changed state (admission.h).  Schedulers react
   /// by shedding their own optional work under Saturated/Critical — Fair

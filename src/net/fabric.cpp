@@ -17,18 +17,6 @@ constexpr double kRateTol = 1e-9;
 
 }  // namespace
 
-std::string transfer_class_name(TransferClass cls) {
-  switch (cls) {
-    case TransferClass::kShuffle:
-      return "shuffle";
-    case TransferClass::kRemoteRead:
-      return "remote-read";
-    case TransferClass::kReplication:
-      return "replication";
-  }
-  return "?";
-}
-
 Fabric::Fabric(sim::Simulator& sim, Topology topology)
     : sim_(sim), topo_(std::move(topology)) {
   link_load_.resize(topo_.num_links());
@@ -172,7 +160,6 @@ bool Fabric::reachable(NodeId src, NodeId dst) const {
   return true;
 }
 
-NodeId Fabric::flow_src(FlowId id) const { return flows_.at(id).src; }
 NodeId Fabric::flow_dst(FlowId id) const { return flows_.at(id).dst; }
 TransferClass Fabric::flow_class(FlowId id) const { return flows_.at(id).cls; }
 double Fabric::flow_cap_mbps(FlowId id) const { return flows_.at(id).cap_mbps; }

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -32,8 +31,6 @@ enum class TransferClass {
   kRemoteRead,   ///< non-local map reading its split from a replica holder
   kReplication,  ///< HDFS pipeline writing job output replicas
 };
-
-std::string transfer_class_name(TransferClass cls);
 
 /// Identifies an in-flight flow; never reused within a Fabric.
 using FlowId = std::uint64_t;
@@ -152,7 +149,6 @@ class Fabric {
   std::size_t active_flows() const { return flows_.size(); }
 
   // Introspection for the JobTracker's crash handling and for tests.
-  NodeId flow_src(FlowId id) const;
   NodeId flow_dst(FlowId id) const;
   TransferClass flow_class(FlowId id) const;
   double flow_cap_mbps(FlowId id) const;

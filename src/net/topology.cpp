@@ -68,16 +68,6 @@ double Topology::capacity_mbps(LinkId link) const {
   return link < 2 * num_nodes_ ? spec_.node_mbps : spec_.rack_uplink_mbps;
 }
 
-std::string Topology::link_name(LinkId link) const {
-  EANT_CHECK(link < num_links(), "unknown link");
-  if (link < num_nodes_) return "node" + std::to_string(link) + ".tx";
-  if (link < 2 * num_nodes_)
-    return "node" + std::to_string(link - num_nodes_) + ".rx";
-  if (link < 2 * num_nodes_ + spec_.racks)
-    return "rack" + std::to_string(link - 2 * num_nodes_) + ".up";
-  return "rack" + std::to_string(link - 2 * num_nodes_ - spec_.racks) + ".down";
-}
-
 void Topology::append_path(NodeId src, NodeId dst,
                            std::vector<LinkId>& out) const {
   if (src == dst) return;  // loopback: data never leaves the node

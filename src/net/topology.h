@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/locality.h"
@@ -90,7 +89,6 @@ class Topology {
   bool is_finite(LinkId link) const {
     return std::isfinite(capacity_mbps(link));
   }
-  std::string link_name(LinkId link) const;
 
   /// Appends the links a src->dst transfer crosses (empty for loopback).
   void append_path(NodeId src, NodeId dst, std::vector<LinkId>& out) const;

@@ -72,7 +72,7 @@ void CapacityScheduler::on_job_submitted(mr::JobId job) {
   next_queue_ = (next_queue_ + 1) % capacities_.size();
 }
 
-void CapacityScheduler::on_master_recovered(std::uint64_t /*epoch*/) {
+void CapacityScheduler::on_master_recovered() {
   // The job->queue map lived in the dead master's memory.  Rebuild it from
   // the replayed job table in submission order — recover_master replays
   // buffered submissions (which re-enter via on_job_submitted) before this

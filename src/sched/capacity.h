@@ -76,7 +76,7 @@ class CapacityScheduler final : public mr::Scheduler {
 
   void attach(mr::JobTracker& job_tracker) override;
   void on_job_submitted(mr::JobId job) override;
-  void on_master_recovered(std::uint64_t epoch) override;
+  void on_master_recovered() override;
 
   /// Brownout: under Saturated/Critical overload the preemption sweep is
   /// paused — killing attempts to fine-tune shares wastes finished work

@@ -396,9 +396,6 @@ class FaultInjector {
   /// Every machine transition actually applied, in simulation order.
   const std::vector<Transition>& log() const { return log_; }
 
-  /// Every network transition actually applied, in simulation order.
-  const std::vector<NetTransition>& net_log() const { return net_log_; }
-
   /// Every fail-slow transition actually applied, in simulation order.
   const std::vector<SlowTransition>& slow_log() const { return slow_log_; }
 

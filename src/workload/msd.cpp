@@ -6,6 +6,15 @@
 #include "common/error.h"
 
 namespace eant::workload {
+namespace {
+
+/// Multiplied into sampled reduce counts.  Scaled more gently than the
+/// input (reduce counts grow sublinearly with input in production
+/// configurations), so per-reduce shuffle volumes stay realistic at
+/// simulation scale; at least one reduce per job.
+constexpr double kReduceScale = 1.0 / 8.0;
+
+}  // namespace
 
 std::string size_class_suffix(SizeClass c) {
   switch (c) {
@@ -20,44 +29,22 @@ std::string size_class_suffix(SizeClass c) {
 }
 
 JobSpec MsdGenerator::sample_job(Rng& rng) const {
-  const auto& c = config_;
   JobSpec job;
 
   const std::size_t cls = rng.weighted_index(
-      {c.small_share, c.medium_share, c.large_share});
-  Megabytes lo = 0, hi = 0;
-  int rlo = 1, rhi = 1;
-  switch (cls) {
-    case 0:
-      job.size_class = SizeClass::kSmall;
-      lo = c.small_min_mb;
-      hi = c.small_max_mb;
-      rlo = c.small_min_reduces;
-      rhi = c.small_max_reduces;
-      break;
-    case 1:
-      job.size_class = SizeClass::kMedium;
-      lo = c.medium_min_mb;
-      hi = c.medium_max_mb;
-      rlo = c.medium_min_reduces;
-      rhi = c.medium_max_reduces;
-      break;
-    default:
-      job.size_class = SizeClass::kLarge;
-      lo = c.large_min_mb;
-      hi = c.large_max_mb;
-      rlo = c.large_min_reduces;
-      rhi = c.large_max_reduces;
-      break;
-  }
+      {kMsdClasses[0].share, kMsdClasses[1].share, kMsdClasses[2].share});
+  job.size_class = static_cast<SizeClass>(cls);
+  const MsdClass& c = msd_class(job.size_class);
 
   // Sample log-uniformly within the class range, like production job-size
   // distributions (heavier mass towards the small end of each class).
-  const double log_size = rng.uniform(std::log(lo), std::log(hi));
-  job.input_mb = std::max(kHdfsBlockMb, std::exp(log_size) * c.input_scale);
+  const double log_size = rng.uniform(std::log(c.min_mb), std::log(c.max_mb));
+  job.input_mb =
+      std::max(kHdfsBlockMb, std::exp(log_size) * config_.input_scale);
 
   const double reduces =
-      static_cast<double>(rng.uniform_int(rlo, rhi)) * c.reduce_scale;
+      static_cast<double>(rng.uniform_int(c.min_reduces, c.max_reduces)) *
+      kReduceScale;
   job.num_reduces = std::max(1, static_cast<int>(std::lround(reduces)));
 
   const auto& apps = all_apps();
@@ -69,7 +56,6 @@ JobSpec MsdGenerator::sample_job(Rng& rng) const {
 std::vector<JobSpec> MsdGenerator::generate(Rng& rng) const {
   EANT_CHECK(config_.num_jobs >= 1, "workload needs at least one job");
   EANT_CHECK(config_.input_scale > 0.0, "input_scale must be positive");
-  EANT_CHECK(config_.reduce_scale > 0.0, "reduce_scale must be positive");
   std::vector<JobSpec> jobs;
   jobs.reserve(static_cast<std::size_t>(config_.num_jobs));
   Seconds t = 0.0;

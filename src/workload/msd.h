@@ -17,39 +17,35 @@
 
 namespace eant::workload {
 
+/// One job class of Table III: its share of the job mix, its input-size
+/// range in MB (before scaling) and its reduce-count range.
+struct MsdClass {
+  double share;
+  Megabytes min_mb, max_mb;
+  int min_reduces, max_reduces;
+};
+
+/// Table III, indexed by SizeClass: Small 1-100 GB, Medium 0.1-1 TB and
+/// Large 1-10 TB jobs with 4-128, 128-256 and 256-1024 reduces, in the
+/// shares 40/20/10 renormalised to sum to 1.
+inline constexpr MsdClass kMsdClasses[] = {
+    {4.0 / 7.0, 1.0 * 1024, 100.0 * 1024, 4, 128},
+    {2.0 / 7.0, 100.0 * 1024, 1024.0 * 1024, 128, 256},
+    {1.0 / 7.0, 1024.0 * 1024, 10.0 * 1024 * 1024, 256, 1024},
+};
+
+/// The Table III row of a size class.
+constexpr const MsdClass& msd_class(SizeClass c) {
+  return kMsdClasses[static_cast<std::size_t>(c)];
+}
+
 /// Configuration of the MSD workload generator (defaults follow the paper).
 struct MsdConfig {
   int num_jobs = 87;  ///< the paper's scaled-down job count
 
-  // Class shares from Table III (40/20/10), renormalised to sum to 1.
-  double small_share = 4.0 / 7.0;
-  double medium_share = 2.0 / 7.0;
-  double large_share = 1.0 / 7.0;
-
-  // Input-size ranges from Table III (Small 1-100 GB, Medium 0.1-1 TB,
-  // Large 1-10 TB), in MB, before scaling.
-  Megabytes small_min_mb = 1.0 * 1024;
-  Megabytes small_max_mb = 100.0 * 1024;
-  Megabytes medium_min_mb = 100.0 * 1024;
-  Megabytes medium_max_mb = 1024.0 * 1024;
-  Megabytes large_min_mb = 1024.0 * 1024;
-  Megabytes large_max_mb = 10.0 * 1024 * 1024;
-
   /// Multiplied into sampled input sizes; 1/40 keeps the Table III 10x
   /// class ratios while making an 87-job run simulate in seconds.
   double input_scale = 1.0 / 40.0;
-
-  /// Multiplied into sampled reduce counts.  Scaled more gently than the
-  /// input (reduce counts grow sublinearly with input in production
-  /// configurations), so per-reduce shuffle volumes stay realistic at
-  /// simulation scale.
-  double reduce_scale = 1.0 / 8.0;
-
-  // Reduce counts from Table III (4-128 / 128-256 / 256-1024), scaled with
-  // the same factor (at least one reduce per job).
-  int small_min_reduces = 4, small_max_reduces = 128;
-  int medium_min_reduces = 128, medium_max_reduces = 256;
-  int large_min_reduces = 256, large_max_reduces = 1024;
 
   /// Mean inter-arrival time for the Poisson job-arrival process.
   Seconds mean_interarrival = 120.0;

@@ -1,5 +1,6 @@
-// Overload-protection suite: detector hysteresis, digest neutrality of the
-// disabled subsystem, bounded per-tenant queues under sustained bursty +
+// Overload-protection suite: detector hysteresis, admission verdicts and
+// retry backoff without a simulator, digest neutrality of the disabled
+// subsystem, bounded per-tenant queues under sustained bursty +
 // diurnal overload, backpressure retry/conservation accounting, brownout
 // engagement, termination with the retry budget exhausted, determinism, and
 // the bench CLI's double-argument validation.
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -98,7 +100,7 @@ TEST(OverloadDetector, EscalatesImmediatelyDecaysOneLevelWithHysteresis) {
 
   // A backlog past the critical threshold escalates straight to Critical —
   // no one-level-per-tick ramp on the way up.
-  EXPECT_EQ(det.fold(1.0, cfg.critical_backlog + 0.5, 0.0),
+  EXPECT_EQ(det.fold(1.0, mr::kCriticalBacklog + 0.5, 0.0),
             mr::OverloadState::kCritical);
 
   // Signals drop to zero: decay is one level per tick, not a jump.
@@ -109,11 +111,11 @@ TEST(OverloadDetector, EscalatesImmediatelyDecaysOneLevelWithHysteresis) {
   // Hysteresis: occupancy below the escalation threshold but above
   // hysteresis * threshold holds the level; only dropping below the
   // hysteresis band releases it.
-  EXPECT_EQ(det.fold(cfg.elevated_occupancy + 0.05, 0.0, 0.0),
+  EXPECT_EQ(det.fold(mr::kElevatedOccupancy + 0.05, 0.0, 0.0),
             mr::OverloadState::kElevated);
-  const double held = cfg.elevated_occupancy * cfg.hysteresis + 0.01;
+  const double held = mr::kElevatedOccupancy * mr::kHysteresis + 0.01;
   EXPECT_EQ(det.fold(held, 0.0, 0.0), mr::OverloadState::kElevated);
-  const double released = cfg.elevated_occupancy * cfg.hysteresis - 0.05;
+  const double released = mr::kElevatedOccupancy * mr::kHysteresis - 0.05;
   EXPECT_EQ(det.fold(released, 0.0, 0.0), mr::OverloadState::kNormal);
 
   EXPECT_STREQ(mr::overload_state_name(mr::OverloadState::kNormal), "normal");
@@ -129,8 +131,123 @@ TEST(OverloadDetector, OccupancyPlusSlackPressureMeansSaturated) {
   EXPECT_EQ(det.fold(1.0, 0.0, 0.0), mr::OverloadState::kElevated);
   // ...but full occupancy with most deadlined jobs predicted to miss is
   // Saturated even while the queue itself is short.
-  EXPECT_EQ(det.fold(1.0, 0.0, cfg.slack_pressure_threshold + 0.1),
+  EXPECT_EQ(det.fold(1.0, 0.0, mr::kSlackPressureThreshold + 0.1),
             mr::OverloadState::kSaturated);
+}
+
+// --- AdmissionControl decisions -----------------------------------------------
+
+workload::JobSpec tenant_job(workload::TenantId tenant,
+                             Seconds deadline = -1.0) {
+  workload::JobSpec spec;
+  spec.tenant = tenant;
+  spec.deadline = deadline;
+  return spec;
+}
+
+/// Tenant 0 (weight 1, the lowest) and tenant 1 (weight 3), with unsmoothed
+/// detector signals so one tick sets the state.
+mr::AdmissionConfig two_tenant_config() {
+  mr::AdmissionConfig cfg;
+  cfg.enabled = true;
+  cfg.ewma_alpha = 1.0;
+  cfg.tenants = {{0, 1.0}, {1, 3.0}};
+  return cfg;
+}
+
+TEST(AdmissionControl, QueueFullAtTheTenantsBound) {
+  mr::AdmissionControl ac(two_tenant_config(), nullptr);
+  const workload::JobSpec spec = tenant_job(0);
+  const std::size_t bound = ac.ledgers().at(0).bound;
+  EXPECT_EQ(bound, 8u);  // ceil(weight 1 * queue_bound_per_weight 8)
+  for (mr::JobId id = 0; id < bound; ++id) {
+    ASSERT_EQ(ac.decide(spec, 16, 0, 0.0), mr::AdmissionVerdict::kAdmit);
+    ac.note_admitted(id, spec, 0.0);
+  }
+  EXPECT_EQ(ac.decide(spec, 16, 0, 0.0), mr::AdmissionVerdict::kQueueFull);
+  // Deadlines do not bypass the bound, and the other tenant has its own.
+  EXPECT_EQ(ac.decide(tenant_job(0, 1e6), 16, 0, 0.0),
+            mr::AdmissionVerdict::kQueueFull);
+  EXPECT_EQ(ac.decide(tenant_job(1), 16, 0, 0.0),
+            mr::AdmissionVerdict::kAdmit);
+  // A finished job frees its place in the queue.
+  ac.note_job_finished(0, spec, 1.0);
+  EXPECT_EQ(ac.decide(spec, 16, 0, 1.0), mr::AdmissionVerdict::kAdmit);
+}
+
+TEST(AdmissionControl, ShedsNonDeadlinedWorkUnderSaturatedAndCritical) {
+  const workload::JobSpec low = tenant_job(0);
+  const workload::JobSpec high = tenant_job(1);
+  const workload::JobSpec deadlined = tenant_job(0, 1e6);
+  {
+    // Critical: every tenant's non-deadlined work is shed.
+    mr::AdmissionControl ac(two_tenant_config(), nullptr);
+    ASSERT_EQ(ac.tick(1.0, mr::kCriticalBacklog + 0.5, 0.0, 0.0),
+              mr::OverloadState::kCritical);
+    EXPECT_EQ(ac.decide(low, 16, 0, 0.0), mr::AdmissionVerdict::kShed);
+    EXPECT_EQ(ac.decide(high, 16, 0, 0.0), mr::AdmissionVerdict::kShed);
+    EXPECT_EQ(ac.decide(deadlined, 16, 0, 0.0), mr::AdmissionVerdict::kAdmit);
+  }
+  {
+    // Saturated: only the lowest-weight tenant's non-deadlined work.
+    mr::AdmissionControl ac(two_tenant_config(), nullptr);
+    ASSERT_EQ(ac.tick(1.0, 0.0, mr::kSlackPressureThreshold + 0.1, 0.0),
+              mr::OverloadState::kSaturated);
+    EXPECT_EQ(ac.decide(low, 16, 0, 0.0), mr::AdmissionVerdict::kShed);
+    EXPECT_EQ(ac.decide(high, 16, 0, 0.0), mr::AdmissionVerdict::kAdmit);
+    EXPECT_EQ(ac.decide(deadlined, 16, 0, 0.0), mr::AdmissionVerdict::kAdmit);
+  }
+  {
+    // Elevated sheds nothing.
+    mr::AdmissionControl ac(two_tenant_config(), nullptr);
+    ASSERT_EQ(ac.tick(1.0, 0.0, 0.0, 0.0), mr::OverloadState::kElevated);
+    EXPECT_EQ(ac.decide(low, 16, 0, 0.0), mr::AdmissionVerdict::kAdmit);
+  }
+}
+
+TEST(AdmissionControl, InfeasibleOnceATaskDurationIsKnown) {
+  mr::AdmissionControl ac(two_tenant_config(), nullptr);
+  const workload::JobSpec tight = tenant_job(1, 100.0);
+  // No task duration observed yet: nothing to estimate the wait with.
+  EXPECT_EQ(ac.decide(tight, 10, 1000, 0.0), mr::AdmissionVerdict::kAdmit);
+  ac.note_task_duration(20.0);
+  // Estimated wait 1000 tasks * 20 s / 10 slots, plus one 20 s task, ends
+  // long after the deadline.
+  EXPECT_EQ(ac.decide(tight, 10, 1000, 0.0),
+            mr::AdmissionVerdict::kInfeasible);
+  // An empty queue leaves one task time: 80 + 20 s meets the deadline
+  // exactly, 80.5 + 20 s overruns it.
+  EXPECT_EQ(ac.decide(tight, 10, 0, 80.0), mr::AdmissionVerdict::kAdmit);
+  EXPECT_EQ(ac.decide(tight, 10, 0, 80.5), mr::AdmissionVerdict::kInfeasible);
+  // Work without a deadline, or a fleet without slots, skips the test.
+  EXPECT_EQ(ac.decide(tenant_job(1), 10, 1000, 0.0),
+            mr::AdmissionVerdict::kAdmit);
+  EXPECT_EQ(ac.decide(tight, 0, 1000, 0.0), mr::AdmissionVerdict::kAdmit);
+}
+
+TEST(AdmissionControl, RetryBackoffIsCappedJitteredAndBudgeted) {
+  mr::AdmissionConfig cfg = two_tenant_config();
+  cfg.retry_seed = 11;
+  cfg.max_retries = 6;  // retry 5 is the first the cap binds: 30 s * 2^5
+  mr::AdmissionControl ac(cfg, nullptr);
+  const workload::JobSpec spec = tenant_job(0);
+  for (int n = 0; n < cfg.max_retries; ++n) {
+    Seconds delay = 0.0;
+    ASSERT_TRUE(
+        ac.note_rejection(spec, mr::AdmissionVerdict::kShed, n, &delay));
+    const Seconds backoff =
+        std::min(mr::kRetryBase * std::pow(2.0, n), mr::kRetryCap);
+    EXPECT_GE(delay, backoff) << "retry " << n;
+    EXPECT_LT(delay, (1.0 + mr::kRetryJitter) * backoff) << "retry " << n;
+  }
+  // The budget is spent: the next rejection drops the job.
+  Seconds delay = 0.0;
+  EXPECT_FALSE(ac.note_rejection(spec, mr::AdmissionVerdict::kShed,
+                                 cfg.max_retries, &delay));
+  const mr::TenantAdmissionLedger& led = ac.ledgers().at(0);
+  EXPECT_EQ(led.rejections, 7u);
+  EXPECT_EQ(led.retries, 6u);
+  EXPECT_EQ(led.dropped, 1u);
 }
 
 // --- digest neutrality ------------------------------------------------------

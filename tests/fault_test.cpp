@@ -249,7 +249,7 @@ TEST(FaultRecovery, ExpiryDeclaresLossAndEAntFloorsPheromoneRow) {
   // crash — the sweep runs at heartbeat granularity.
   const Seconds detect_deadline = crash_time +
                                   cfg.job_tracker.tracker_expiry_window +
-                                  2.0 * cfg.job_tracker.heartbeat_interval;
+                                  2.0 * mr::kHeartbeatInterval;
   bool checked_floor = false;
   while (!jt.all_done()) {
     ASSERT_TRUE(sim.step());
@@ -276,7 +276,7 @@ TEST(FaultRecovery, ExpiryDeclaresLossAndEAntFloorsPheromoneRow) {
   // machine's repair and first post-restart heartbeat — the rejoin must
   // clear the lost flag and make the tracker schedulable again.
   const Seconds rejoin_deadline =
-      crash_time + downtime + 2.0 * cfg.job_tracker.heartbeat_interval;
+      crash_time + downtime + 2.0 * mr::kHeartbeatInterval;
   while (sim.now() < rejoin_deadline) {
     ASSERT_TRUE(sim.step());
   }

@@ -111,7 +111,7 @@ TEST(ComputeDeposits, EnergyFloorPreventsDivision) {
   std::vector<EstimatedReport> interval;
   interval.push_back({report_on(0, 0), 0.0});  // zero-energy estimate
   interval.push_back({report_on(0, 1), 10.0});
-  const DeltaMap deposits = compute_deposits(interval, 2, 1.0);
+  const DeltaMap deposits = compute_deposits(interval, 2);
   const auto& row = deposits.at({0, mr::TaskKind::kMap});
   EXPECT_TRUE(std::isfinite(row[0]));
   EXPECT_GT(row[0], row[1]);  // cheaper task earns more pheromone

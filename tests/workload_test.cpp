@@ -96,21 +96,8 @@ TEST(Msd, InputSizesRespectScaledClassRanges) {
   MsdGenerator gen(cfg);
   Rng rng(3);
   for (const auto& j : gen.generate(rng)) {
-    double lo = 0, hi = 0;
-    switch (j.size_class) {
-      case SizeClass::kSmall:
-        lo = cfg.small_min_mb;
-        hi = cfg.small_max_mb;
-        break;
-      case SizeClass::kMedium:
-        lo = cfg.medium_min_mb;
-        hi = cfg.medium_max_mb;
-        break;
-      case SizeClass::kLarge:
-        lo = cfg.large_min_mb;
-        hi = cfg.large_max_mb;
-        break;
-    }
+    const double lo = msd_class(j.size_class).min_mb;
+    const double hi = msd_class(j.size_class).max_mb;
     EXPECT_GE(j.input_mb, std::max(kHdfsBlockMb, lo * cfg.input_scale) - 1e-9);
     EXPECT_LE(j.input_mb, hi * cfg.input_scale + 1e-9);
     EXPECT_GE(j.num_reduces, 1);
