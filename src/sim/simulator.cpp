@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <limits>
 #include <utility>
 
 namespace eant::sim {
@@ -28,8 +29,8 @@ EventId Simulator::schedule_periodic(Seconds interval,
   return id;
 }
 
-bool Simulator::step() {
-  while (!queue_.empty()) {
+std::optional<Simulator::Entry> Simulator::pop_live(Seconds limit) {
+  while (!queue_.empty() && queue_.top().time <= limit) {
     Entry entry = queue_.top();
     queue_.pop();
     queued_.erase(entry.id);
@@ -37,10 +38,17 @@ bool Simulator::step() {
       cancelled_.erase(it);
       continue;
     }
-    execute(std::move(entry));
-    return true;
+    return entry;
   }
-  return false;
+  return std::nullopt;
+}
+
+bool Simulator::step() {
+  std::optional<Entry> entry =
+      pop_live(std::numeric_limits<Seconds>::infinity());
+  if (!entry) return false;
+  execute(std::move(*entry));
+  return true;
 }
 
 void Simulator::execute(Entry entry) {
@@ -73,16 +81,7 @@ void Simulator::execute(Entry entry) {
 
 void Simulator::run_until(Seconds t) {
   EANT_CHECK(t >= now_, "cannot run to the past");
-  while (!queue_.empty() && queue_.top().time <= t) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    queued_.erase(entry.id);
-    if (auto it = cancelled_.find(entry.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    execute(std::move(entry));
-  }
+  while (std::optional<Entry> entry = pop_live(t)) execute(std::move(*entry));
   now_ = t;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -108,6 +109,10 @@ class Simulator {
       return seq > other.seq;
     }
   };
+
+  /// Pops entries up to time `limit`, dropping cancelled ones, and returns
+  /// the first live entry (nothing when none is due by `limit`).
+  std::optional<Entry> pop_live(Seconds limit);
 
   void execute(Entry entry);
 
