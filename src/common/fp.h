@@ -1,6 +1,6 @@
 // Floating-point comparison helpers.
 //
-// The project lint (tools/lint.py) bans raw `==`/`!=` on floating-point
+// The project lint (tools/lint2) bans raw `==`/`!=` on floating-point
 // values: exact equality is almost always a latent bug once a value has been
 // through arithmetic.  Code that genuinely needs to compare floats goes
 // through these helpers, which make the tolerance explicit.

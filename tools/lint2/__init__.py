@@ -1,15 +1,38 @@
-"""eant-lint v2: concurrency-grade static analysis for the e-ant simulator.
+"""eant-lint: the project linter for the e-ant simulator.
 
-Grown from the regex pass in tools/lint.py for the pre-parallelism hardening
-of the simulator core: before the thread-per-seed sweep driver (exp/sweep.h)
-instantiates one Run per thread, these checks prove — at the AST level when
-libclang is available, via a structured textual fallback otherwise — that the
-core has no shared mutable state and no RNG-discipline violations the regex
-lint structurally cannot see.
+The simulator is the test oracle for every experiment in the paper
+reproduction, so two properties are load-bearing and worth enforcing
+mechanically:
+
+  determinism   — a run is a pure function of its RunConfig + seed.  Wall
+                  clocks, unseeded RNGs, shared mutable state and
+                  hash-ordered iteration feeding scheduling decisions all
+                  silently break that, and the thread-per-seed sweep driver
+                  (exp/sweep.h) turns shared state into a data race.
+  exactness     — raw floating-point ==/!= comparisons are latent bugs once
+                  a value has been through arithmetic; common/fp.h provides
+                  the explicit-tolerance helpers.
+
+The textual backend always runs; a libclang AST backend adds type-aware
+findings for the structural rules when the python bindings are available.
 
 Rules (suppress a line with `// lint-ok: <rule>`; file-level exemptions live
 in tools/lint2/allowlist.py and each carries a written justification):
 
+  wall-clock       system_clock / steady_clock / time(NULL) / clock()
+                   outside src/common/rng.* — sim time comes from
+                   sim::Simulator, and all randomness from the seeded
+                   common/rng.h Rng.
+  raw-random       rand(), srand(), std::random_device — unseeded entropy.
+  float-eq         == or != with a floating-point literal operand; use
+                   eant::approx_equal / near_zero (common/fp.h) or
+                   restructure into an ordered comparison.
+  ns-in-header     `using namespace` at file scope in a header.
+  machine-speed    `.type().task_runtime(...)` in src/ outside
+                   src/cluster/machine.* — the nominal per-type runtime
+                   ignores the fail-slow performance multipliers; use
+                   Machine::effective_task_runtime (or suppress where
+                   nominal time is deliberate).
   global-state     any namespace-scope or function-local `static` mutable
                    variable in src/ — thread-hostile for per-thread
                    simulators, and a determinism leak across Runs even
@@ -21,11 +44,11 @@ in tools/lint2/allowlist.py and each carries a written justification):
                    blessed pattern), and no RNG draw may execute inside a
                    loop over a hash-ordered container (the draw order would
                    follow the hash seed, not the config).
-  unordered-iter   actual iteration sites (range-for, structured bindings,
-                   .begin()/.cbegin() loops) over unordered_* containers in
-                   order-sensitive subsystems — the v1 rule only saw member
-                   *declarations*; this one sees the loops, including over
-                   locals.
+  unordered-iter   unordered_* containers in the order-sensitive
+                   subsystems (src/{mapreduce,sched,core,sim,net,hdfs,
+                   tenancy,audit}): every declaration, and every iteration
+                   site (range-for, structured bindings, .begin()/.cbegin()
+                   loops) over members and locals alike.
   observer-completeness
                    every task-attempt lifecycle emission point must pass
                    through the audit tap: TaskTracker functions that mutate
@@ -39,13 +62,22 @@ in tools/lint2/allowlist.py and each carries a written justification):
                    mirrors — mark_started/mark_done/unclaim — are excluded:
                    their attempt-level taps fire in the TaskTracker paths.)
 
+Scope: src/, tests/, bench/ and examples/ by default; each rule filters
+paths further as stated above (global-state: src/; rng-discipline: src/ and
+bench/).  The AST backend parses src/ and bench/ only.
+
 Modes: `--ast` forces libclang (error if unavailable), `--no-ast` forces the
-textual fallback, default auto-detects.  The AST mode is driven by
+textual backend alone, default auto-detects.  The AST mode is driven by
 compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS is ON in the top-level
 CMakeLists); pass `--compile-commands build/compile_commands.json`.
 """
 
 RULES = (
+    "wall-clock",
+    "raw-random",
+    "float-eq",
+    "ns-in-header",
+    "machine-speed",
     "global-state",
     "rng-discipline",
     "unordered-iter",

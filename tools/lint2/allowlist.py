@@ -9,8 +9,9 @@ too long for a trailing comment.
 
 Keys are (rule, repo-relative path, symbol).  `symbol` is matched against the
 finding's subject: the variable name for global-state, the enclosing function
-name (unqualified) for observer-completeness, the container expression for
-unordered-iter.  An empty symbol exempts the whole file for that rule.
+name (unqualified) for observer-completeness, the declared member or the
+iterated container expression for unordered-iter.  An empty symbol exempts
+the whole file for that rule.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ ALLOWLIST: dict[tuple[str, str, str], str] = {
         "emits its attempt-level audit_transition() before calling here.  "
         "Emitting again inside the delegate would double-count transitions "
         "in the auditor's conservation ledger.",
+    ("unordered-iter", "src/sim/simulator.h", "queued_"):
+        "Membership test only: scheduling inserts an id, the pop path "
+        "erases it and cancel() asks whether it is still queued; the set is "
+        "never iterated, so hash order cannot reach the event order.",
+    ("unordered-iter", "src/sim/simulator.h", "cancelled_"):
+        "Membership test only: cancel() inserts an id, the pop path and the "
+        "periodic re-arm look it up and erase it, and pending() reads the "
+        "size; the set is never iterated, so hash order cannot reach the "
+        "event order.",
 }
 
 

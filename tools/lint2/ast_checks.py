@@ -14,8 +14,10 @@ backend for the affected files; `--ast` turns the first two into hard
 errors for CI lanes that install python3-clang.
 
 observer-completeness is deliberately NOT re-implemented here: it is a
-project-specific emission-point audit over two named files, and the text
-check is already exact for them.
+project-specific emission-point audit over named files, and the text check
+is already exact for them.  Neither are the line rules (wall-clock,
+raw-random, float-eq, ns-in-header, machine-speed) or unordered-iter's
+declaration half: they need no types.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import json
 import shlex
 from pathlib import Path
 
-from tools.lint import ORDER_SENSITIVE_DIRS
 from tools.lint2.findings import Finding
+from tools.lint2.text_checks import ORDER_SENSITIVE_DIRS
 
 
 def ast_available() -> str | None:

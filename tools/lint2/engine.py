@@ -3,9 +3,10 @@ filtering, reporting.
 
 Backend policy: the textual checks ALWAYS run (they are the committed
 baseline and the self-tested reference); the AST backend, when libclang is
-importable (or forced with --ast), runs on top and its findings are merged,
-deduplicated per (rule, file, line).  Both funnels pass through the same
-filters, so a `// lint-ok: <rule>` comment or an allowlist.py entry
+importable (or forced with --ast), runs on top over the default scan's src/
+and bench/ files (or every explicitly named file) and its findings are
+merged, deduplicated per (rule, file, line).  Both funnels pass through the
+same filters, so a `// lint-ok: <rule>` comment or an allowlist.py entry
 silences a finding regardless of which backend produced it.
 """
 
@@ -22,7 +23,9 @@ from tools.lint2.source import SourceFile, load
 from tools.lint2.text_checks import run_text_checks
 
 REPO = Path(__file__).resolve().parent.parent.parent
-SCAN_DIRS = ["src", "bench"]
+SCAN_DIRS = ["src", "tests", "bench", "examples"]
+# The AST backend's default scope: the code compile_commands.json describes.
+AST_SCAN_DIRS = ("src/", "bench/")
 EXTS = {".h", ".cpp", ".cc"}
 
 
@@ -77,7 +80,9 @@ def run(paths: list[str], mode: str,
                 notes.append(f"lint2: compile commands not found at {cc}; "
                              "AST mode parsing with default flags")
                 cc = None
-            findings.extend(run_ast_checks(sources, cc, REPO, notes))
+            ast_sources = sources if paths else [
+                sf for sf in sources if sf.rel.startswith(AST_SCAN_DIRS)]
+            findings.extend(run_ast_checks(ast_sources, cc, REPO, notes))
             notes.append("lint2: backends = text + AST (libclang)")
         elif mode == "ast":
             raise SystemExit(f"lint2: --ast requested but {reason}")
@@ -92,11 +97,11 @@ def run(paths: list[str], mode: str,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lint2",
-        description="Concurrency-grade static checks for the e-ant "
+        description="Determinism and concurrency checks for the e-ant "
                     "simulator (see tools/lint2/__init__.py for the rules).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories relative to the repo "
-                             "root (default: src bench)")
+                             "root (default: src tests bench examples)")
     backend = parser.add_mutually_exclusive_group()
     backend.add_argument("--ast", action="store_true",
                          help="require the libclang backend (error if "

@@ -1,8 +1,8 @@
 """Source model shared by the lint2 checks.
 
 Loads a C++ file once into a `SourceFile`: raw lines, comment/string-stripped
-lines (reusing tools/lint.py's stripper so both linters agree on what counts
-as code), per-line `// lint-ok:` suppressions, and a brace-scope scan that
+lines (so string literals and comments never produce findings), per-line
+`// lint-ok:` suppressions, and a brace-scope scan that
 classifies every line's enclosing scope chain (namespace / class / function /
 block).  The scope scan is a heuristic, not a parser — it keys off statement
 keywords and the identifier-before-`(` shape of function definition headers —
@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from tools.lint import SUPPRESS, strip_comments_and_strings
+# `// lint-ok: <rule>` silences that rule's findings on its line.
+SUPPRESS = re.compile(r"//\s*lint-ok:\s*([\w-]+)")
 
 # Scope kinds pushed by the brace scanner.
 NAMESPACE, CLASS, FUNCTION, BLOCK = "namespace", "class", "function", "block"
@@ -56,6 +57,53 @@ class SourceFile:
             if r.start <= lineno <= r.end:
                 return r
         return None
+
+
+def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
+    """Blanks out string/char literals and comments, preserving length.
+
+    Tracks /* */ across lines via `in_block`.  Good enough for regex rules;
+    raw strings spanning lines are rare here and acceptable noise.
+    """
+    out = []
+    i, n = 0, len(line)
+    while i < n:
+        if in_block:
+            end = line.find("*/", i)
+            if end == -1:
+                out.append(" " * (n - i))
+                i = n
+            else:
+                out.append(" " * (end + 2 - i))
+                i = end + 2
+                in_block = False
+            continue
+        c = line[i]
+        if c == "/" and i + 1 < n and line[i + 1] == "/":
+            out.append(" " * (n - i))
+            break
+        if c == "/" and i + 1 < n and line[i + 1] == "*":
+            in_block = True
+            out.append("  ")
+            i += 2
+            continue
+        if c in "\"'":
+            quote = c
+            j = i + 1
+            while j < n:
+                if line[j] == "\\":
+                    j += 2
+                    continue
+                if line[j] == quote:
+                    break
+                j += 1
+            j = min(j, n - 1)
+            out.append(quote + " " * (j - i - 1) + (line[j] if j < n else ""))
+            i = j + 1
+            continue
+        out.append(c)
+        i += 1
+    return "".join(out), in_block
 
 
 def load(path: Path, repo: Path) -> SourceFile:

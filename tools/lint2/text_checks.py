@@ -1,11 +1,13 @@
 """Textual (regex + scope-scan) backend for the lint2 rules.
 
-This is the fallback when libclang is unavailable and the reference
-implementation the self-tests pin down: the AST backend must find a superset
-of what these checks find on the project tree.  Each check operates on the
-`SourceFile` model from tools/lint2/source.py — comment/string-stripped
-lines plus the heuristic scope scan — so string literals and comments can
-never produce findings.
+This backend always runs, and it is the reference implementation the
+self-tests pin down: the AST backend must find a superset of what these
+checks find on the project tree.  Each check operates on the `SourceFile`
+model from tools/lint2/source.py — comment/string-stripped lines plus the
+heuristic scope scan — so string literals and comments can never produce
+findings.  The line rules (wall-clock, raw-random, float-eq, ns-in-header,
+machine-speed and unordered-iter's member declarations) need no scope scan
+and have no AST counterpart.
 
 Heuristics and their known limits (acceptable for the project style, which
 is clang-formatted with definitions at column 0):
@@ -25,9 +27,96 @@ from __future__ import annotations
 
 import re
 
-from tools.lint import ORDER_SENSITIVE_DIRS
 from tools.lint2.findings import Finding
 from tools.lint2.source import CLASS, FUNCTION, SourceFile
+
+# Subsystems whose iteration order can feed scheduling decisions or RNG
+# draws: hash-ordered containers are flagged here.
+ORDER_SENSITIVE_DIRS = ("src/mapreduce", "src/sched", "src/core", "src/sim",
+                        "src/net", "src/hdfs", "src/tenancy", "src/audit")
+
+# ---------------------------------------------------------------------------
+# line rules: wall-clock, raw-random, float-eq, ns-in-header, machine-speed
+# ---------------------------------------------------------------------------
+
+# Files allowed to touch entropy / wall-clock primitives: the seeded RNG
+# wrapper itself.
+_RNG_ALLOWLIST = {"src/common/rng.h", "src/common/rng.cpp"}
+
+_WALL_CLOCK = re.compile(
+    r"\b(?:std::chrono::)?(?:system_clock|steady_clock|high_resolution_clock)\b"
+    r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0|&)"
+    r"|(?<![\w:.])clock\s*\(\s*\)"
+)
+_RAW_RANDOM = re.compile(
+    r"(?<![\w:.])s?rand\s*\(|std::random_device|(?<!\w)random_device\s+\w"
+)
+
+_FLOAT_LITERAL = (r"(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?[fF]?"
+                  r"|\d+[eE][-+]?\d+[fF]?")
+# ==/!= with a float literal on either side.  `!=` must not match `<=`/`>=`,
+# and `==` must not match a preceding `!=`/`<=`/`>=` or C++20 `<=>`.
+_FLOAT_EQ = re.compile(
+    r"(?:%(lit)s)\s*[=!]=(?!=)|(?<![<>!=])[=!]=(?!=)\s*[-+]?(?:%(lit)s)"
+    % {"lit": _FLOAT_LITERAL}
+)
+
+_USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\s+[\w:]+\s*;")
+
+# Nominal (type-level) task runtime read outside the Machine wrapper: every
+# src/ call site must either go through Machine::effective_task_runtime —
+# which folds in the fail-slow performance multipliers — or carry an explicit
+# `// lint-ok: machine-speed` acknowledging that nominal time is intended.
+_MACHINE_SPEED = re.compile(r"\.\s*type\s*\(\s*\)\s*\.\s*task_runtime\s*\(")
+_MACHINE_SPEED_ALLOWLIST = {"src/cluster/machine.h", "src/cluster/machine.cpp"}
+
+
+def check_line_rules(sf: SourceFile) -> list[Finding]:
+    """Per-line determinism and exactness bans, at most one per rule a line.
+
+      wall-clock     system_clock / steady_clock / time(NULL) / clock()
+                     outside src/common/rng.* — sim time comes from
+                     sim::Simulator, and all randomness from the seeded
+                     common/rng.h Rng.
+      raw-random     rand(), srand(), std::random_device — unseeded entropy.
+      float-eq       == or != with a floating-point literal operand; use
+                     eant::approx_equal / near_zero (common/fp.h) or
+                     restructure into an ordered comparison.
+      ns-in-header   `using namespace` at file scope in a header.
+      machine-speed  `.type().task_runtime(...)` in src/ outside
+                     src/cluster/machine.* — the nominal per-type runtime
+                     ignores the fail-slow performance multipliers; use
+                     Machine::effective_task_runtime (or suppress where
+                     nominal time is deliberate, e.g. the launch path that
+                     lets the TaskTracker apply the stretch).
+    """
+    out: list[Finding] = []
+    is_header = sf.rel.endswith(".h")
+    for lineno, code in enumerate(sf.code, start=1):
+
+        def report(rule: str, message: str) -> None:
+            out.append(Finding(rule, sf.rel, lineno, "", message))
+
+        if sf.rel not in _RNG_ALLOWLIST:
+            if _WALL_CLOCK.search(code):
+                report("wall-clock",
+                       "wall-clock call; use sim::Simulator time instead")
+            if _RAW_RANDOM.search(code):
+                report("raw-random",
+                       "unseeded entropy; use the seeded eant::Rng")
+        if _FLOAT_EQ.search(code):
+            report("float-eq",
+                   "float ==/!=; use approx_equal/near_zero (common/fp.h) "
+                   "or an ordered comparison")
+        if is_header and _USING_NAMESPACE.search(code):
+            report("ns-in-header", "`using namespace` in a header")
+        if (sf.rel.startswith("src/")
+                and sf.rel not in _MACHINE_SPEED_ALLOWLIST
+                and _MACHINE_SPEED.search(code)):
+            report("machine-speed",
+                   "nominal type-level runtime bypasses the fail-slow "
+                   "perf multipliers; use Machine::effective_task_runtime")
+    return out
 
 # ---------------------------------------------------------------------------
 # global-state
@@ -205,13 +294,13 @@ _RANGE_FOR = re.compile(r"\bfor\s*\(\s*(?:const\s+)?(?:auto|[\w:<>]+)"
 _BEGIN_CALL = re.compile(r"(\w+)\s*\.\s*c?begin\s*\(")
 
 
-def _unordered_names(sf: SourceFile) -> set[str]:
-    """Names of variables declared as std::unordered_* in this file.
-
-    Members and locals alike; a declaration split across lines is joined
-    with the following line once.
+def _unordered_decls(sf: SourceFile) -> list[tuple[int, str]]:
+    """(line, declared name) of every std::unordered_* declaration in this
+    file — members, locals and parameters alike; the name is empty when none
+    follows the type.  A declaration split across lines is joined with the
+    following line once.
     """
-    names: set[str] = set()
+    decls: list[tuple[int, str]] = []
     for i, code in enumerate(sf.code):
         m = _UNORDERED_DECL.search(code)
         if not m:
@@ -230,9 +319,8 @@ def _unordered_names(sf: SourceFile) -> set[str]:
                 if depth == 0:
                     break
         name_m = re.match(r"\s*&?\s*([A-Za-z_]\w*)", text[j + 1:])
-        if name_m:
-            names.add(name_m.group(1))
-    return names
+        decls.append((i + 1, name_m.group(1) if name_m else ""))
+    return decls
 
 
 def _loop_body_end(sf: SourceFile, lineno: int) -> int:
@@ -256,7 +344,7 @@ def _loop_body_end(sf: SourceFile, lineno: int) -> int:
 def _unordered_loops(sf: SourceFile) -> list[tuple[int, int, str]]:
     """(header_line, body_end_line, container_expr) for every iteration
     site over a hash-ordered container in this file."""
-    names = _unordered_names(sf)
+    names = {name for _, name in _unordered_decls(sf) if name}
     loops: list[tuple[int, int, str]] = []
     for lineno, code in enumerate(sf.code, start=1):
         expr = ""
@@ -276,25 +364,38 @@ def _unordered_loops(sf: SourceFile) -> list[tuple[int, int, str]]:
 
 
 def check_unordered_iter(sf: SourceFile) -> list[Finding]:
-    """Iteration sites over unordered_* containers in order-sensitive dirs.
+    """Hash-ordered containers in the order-sensitive subsystems.
 
-    v1 (tools/lint.py) flags member *declarations*; this rule flags the
-    actual loops — range-for (incl. structured bindings), and explicit
-    .begin()/.cbegin() iteration — over members AND locals, plus range
-    expressions that mention `unordered` textually.  Iteration order is
-    hash-seed dependent: any scheduling decision, RNG draw or output
-    ordering derived from it diverges across platforms and libstdc++
-    versions.
+    Iteration order is hash-seed dependent: any scheduling decision, RNG
+    draw or output ordering derived from it diverges across platforms and
+    libstdc++ versions.  The rule flags the actual loops — range-for (incl.
+    structured bindings), and explicit .begin()/.cbegin() iteration — over
+    members AND locals, plus range expressions that mention `unordered`
+    textually.  A std::unordered_* declaration is flagged too (symbol: the
+    declared name, for allowlisting) unless an unsuppressed loop of the same
+    file already reports that container; deterministic alternatives are
+    std::map / std::set / sorted vectors.
     """
     out: list[Finding] = []
     if not sf.rel.startswith(ORDER_SENSITIVE_DIRS):
         return out
+    reported: set[str] = set()
     for lineno, _, expr in _unordered_loops(sf):
         out.append(Finding(
             "unordered-iter", sf.rel, lineno, expr,
             f"iteration over hash-ordered `{expr}` in an order-sensitive "
             "subsystem; iterate a sorted snapshot (std::map / sorted "
             "vector) or justify via allowlist"))
+        if "unordered-iter" not in sf.suppressed[lineno - 1]:
+            reported.update(re.findall(r"[A-Za-z_]\w*", expr))
+    for lineno, name in _unordered_decls(sf):
+        if name and name in reported:
+            continue
+        out.append(Finding(
+            "unordered-iter", sf.rel, lineno, name,
+            "hash-ordered container in an order-sensitive subsystem; "
+            "use std::map/std::set or add to the allowlist with a "
+            "determinism argument"))
     return out
 
 
@@ -463,6 +564,7 @@ def _near(sf: SourceFile, lineno: int, pat: re.Pattern[str],
 
 
 ALL_CHECKS = (
+    check_line_rules,
     check_global_state,
     check_rng_discipline,
     check_unordered_iter,

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Self-tests for the project linters (tools/lint.py and tools/lint2/).
+"""Self-tests for the project linter (tools/lint2/).
 
 Each rule gets fixture snippets that must fire and near-miss snippets that
 must not, plus coverage of the `// lint-ok:` suppression syntax, the
 allowlist, and the libclang-unavailable fallback path.  Fixtures are
 written to a throwaway directory that stands in for the repo root, so the
-tests never touch the real tree; a final test asserts the committed tree
-itself is clean under both linters (the same gate CI applies).
+tests never touch the real tree; final tests assert the committed tree
+itself is clean (the same gate CI applies).
 
 Run directly: `python3 tools/lint_test.py` (CI runs this in the lint job).
 """
@@ -24,7 +24,6 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
 
-from tools import lint  # noqa: E402
 from tools.lint2 import RULES, allowlist, engine, source, text_checks  # noqa: E402
 
 
@@ -46,19 +45,21 @@ class FixtureRepo:
 
 
 class LintV1Base(unittest.TestCase):
-    """lint.py fixtures run with lint.REPO retargeted at the fixture dir."""
+    """Fixtures of the line rules and unordered-iter's declaration half
+    (the rules of the former tools/lint.py), run through every lint2 text
+    check; findings come back rendered."""
 
     def setUp(self) -> None:
         self.repo = FixtureRepo()
-        self._saved_repo = lint.REPO
-        lint.REPO = self.repo.root
 
     def tearDown(self) -> None:
-        lint.REPO = self._saved_repo
         self.repo.cleanup()
 
     def v1(self, rel: str, body: str) -> list[str]:
-        return lint.lint_file(self.repo.write(rel, body))
+        sf = source.load(self.repo.write(rel, body), self.repo.root)
+        found = engine.filter_findings(text_checks.run_text_checks([sf]),
+                                       {sf.rel: sf})
+        return [f.render() for f in found]
 
     def rules_of(self, findings: list[str]) -> set[str]:
         return {f.split("[", 1)[1].split("]", 1)[0] for f in findings}
@@ -112,9 +113,9 @@ class LintV1Rules(LintV1Base):
         self.assertEqual(self.v1("src/workload/x.h", body), [])
 
     def test_strip_comments_tracks_block_state(self) -> None:
-        code, in_block = lint.strip_comments_and_strings("a /* b", False)
+        code, in_block = source.strip_comments_and_strings("a /* b", False)
         self.assertTrue(in_block)
-        code, in_block = lint.strip_comments_and_strings("c */ d", in_block)
+        code, in_block = source.strip_comments_and_strings("c */ d", in_block)
         self.assertFalse(in_block)
         self.assertIn("d", code)
         self.assertNotIn("c", code)
@@ -320,6 +321,18 @@ class UnorderedIter(LintV2Base):
             };
             """, "unordered-iter"), [])
 
+    def test_declaration_reported_only_when_no_loop_reports_it(self) -> None:
+        # The loop's finding covers the container it iterates...
+        hits = self.v2("src/core/a.h", self.FIXTURE, "unordered-iter")
+        self.assertEqual([h.line for h in hits], [5])
+        # ...unless the loop is suppressed: then the declaration still needs
+        # its own suppression or allowlist entry.
+        suppressed = self.FIXTURE.replace(
+            ": table_) {", ": table_) {  // lint-ok: unordered-iter")
+        hits = self.v2("src/core/b.h", suppressed, "unordered-iter")
+        self.assertEqual([h.line for h in hits], [11])
+        self.assertEqual(hits[0].symbol, "table_")
+
     def test_allowlist_silences(self) -> None:
         key = ("unordered-iter", "src/core/a.h", "table_")
         allowlist.ALLOWLIST[key] = "self-test entry"
@@ -507,8 +520,10 @@ class ObserverCompleteness(LintV2Base):
 class EngineAndFallback(unittest.TestCase):
     def test_rule_registry_matches_docs(self) -> None:
         self.assertEqual(set(RULES),
-                         {"global-state", "rng-discipline",
-                          "unordered-iter", "observer-completeness"})
+                         {"wall-clock", "raw-random", "float-eq",
+                          "ns-in-header", "machine-speed", "global-state",
+                          "rng-discipline", "unordered-iter",
+                          "observer-completeness"})
 
     def test_committed_tree_is_clean_text_mode(self) -> None:
         findings, notes = engine.run([], "text", None)
@@ -531,15 +546,19 @@ class EngineAndFallback(unittest.TestCase):
         findings, _ = engine.run([], "ast", str(cc) if cc.is_file() else None)
         self.assertEqual([f.render() for f in findings], [])
 
+    def test_default_scan_covers_every_source_dir(self) -> None:
+        tops = {p.relative_to(REPO).parts[0] for p in engine.discover([])}
+        self.assertEqual(tops, {"src", "tests", "bench", "examples"})
+
     def test_cli_entrypoint_lists_rules(self) -> None:
         out = subprocess.run(
             [sys.executable, str(REPO / "tools" / "lint2"), "--list-rules"],
             capture_output=True, text=True, cwd=REPO, check=True)
         self.assertEqual(out.stdout.split(), list(RULES))
 
-    def test_v1_committed_tree_is_clean(self) -> None:
+    def test_cli_committed_tree_is_clean(self) -> None:
         out = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "lint.py")],
+            [sys.executable, str(REPO / "tools" / "lint2"), "--no-ast"],
             capture_output=True, text=True, cwd=REPO)
         self.assertEqual(out.returncode, 0, out.stdout + out.stderr)
 
