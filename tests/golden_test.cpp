@@ -4,8 +4,9 @@
 // restart, fetch-failure re-execution, rack partitions, master failover with
 // orphan resolution, corruption and fail-slow re-rates, tenant preemption
 // under admission control, job failure, the fault-free scalar path, and the
-// MSD workload's Table III mix — so a change meant to preserve behaviour must
-// leave every row unchanged.
+// MSD workload's Table III mix on the scalar network and (under Fair) on the
+// oversubscribed fabric — so a change meant to preserve behaviour must leave
+// every row unchanged.
 //
 // Digests compare exactly; metrics to 1e-9 relative.  On a mismatch the test
 // prints the actual row in table syntax: an intended change in behaviour is a
@@ -62,6 +63,7 @@ constexpr GoldenRow kGolden[] = {
     {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0},
     {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0},
     {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0},
+    {"msd/fair-oversub", 0xb73a39e8a9f3960aull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0},
 };
 // clang-format on
 
@@ -210,22 +212,33 @@ std::vector<Cell> run_cells() {
   // fig8_comparison's E-Ant cell: the canonical 87-job MSD trace of
   // bench/bench_common.h on the scalar network, the one cell whose jobs
   // come from MsdGenerator's Table III mix.
+  workload::MsdConfig wl;
+  wl.num_jobs = 87;
+  wl.input_scale = 1.0 / 200.0;
+  wl.mean_interarrival = 60.0;
+  Rng rng(42);
+  std::vector<workload::JobSpec> msd_jobs =
+      workload::MsdGenerator(wl).generate(rng);
+  exp::RunConfig msd_cfg;
+  msd_cfg.seed = 42;
+  msd_cfg.noise = mr::NoiseConfig::typical();
+  msd_cfg.eant.control_interval = 120.0;
+  msd_cfg.eant.negative_feedback = false;
+  msd_cfg.audit.enabled = true;
+  cells.push_back({"msd/eant", run(exp::paper_fleet(),
+                                   exp::SchedulerKind::kEAnt, msd_cfg,
+                                   msd_jobs)});
+
+  // perfbench's fair-oversub-msd cell: Fair on the first 30 jobs of the
+  // same trace over the oversubscribed fabric, where MSD's job sizes drive
+  // the flow reallocations.
   {
-    workload::MsdConfig wl;
-    wl.num_jobs = 87;
-    wl.input_scale = 1.0 / 200.0;
-    wl.mean_interarrival = 60.0;
-    Rng rng(42);
-    const std::vector<workload::JobSpec> jobs =
-        workload::MsdGenerator(wl).generate(rng);
-    exp::RunConfig cfg;
-    cfg.seed = 42;
-    cfg.noise = mr::NoiseConfig::typical();
-    cfg.eant.control_interval = 120.0;
-    cfg.eant.negative_feedback = false;
-    cfg.audit.enabled = true;
-    cells.push_back({"msd/eant", run(exp::paper_fleet(),
-                                     exp::SchedulerKind::kEAnt, cfg, jobs)});
+    exp::RunConfig cfg = msd_cfg;
+    cfg.topology = net::TopologySpec::oversubscribed();
+    msd_jobs.resize(30);  // the trace is sorted by submit time
+    cells.push_back({"msd/fair-oversub", run(exp::paper_fleet(),
+                                             exp::SchedulerKind::kFair, cfg,
+                                             msd_jobs)});
   }
   return cells;
 }
