@@ -19,14 +19,16 @@ constexpr double kRateTol = 1e-9;
 
 Fabric::Fabric(sim::Simulator& sim, Topology topology)
     : sim_(sim), topo_(std::move(topology)) {
+  link_cap_.resize(topo_.num_links());
   link_load_.resize(topo_.num_links());
   link_active_.resize(topo_.num_links());
+  link_saturated_.resize(topo_.num_links());
   link_factor_.assign(topo_.num_links(), 1.0);
 }
 
 Fabric::~Fabric() {
-  // Pending completion events capture `this`; never let them outlive us.
-  for (const auto& [id, flow] : flows_) sim_.cancel(flow.completion_event);
+  // The pending event captures `this`; never let it outlive us.
+  sim_.cancel(event_);
 }
 
 FlowId Fabric::start_flow(NodeId src, NodeId dst, Megabytes mb, double cap_mbps,
@@ -71,7 +73,6 @@ void Fabric::abort_flow(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   advance_all();  // credit the bytes that did arrive before the abort
-  sim_.cancel(it->second.completion_event);
   ++aborted_;
   const Megabytes requested = it->second.total;
   const Megabytes delivered = it->second.sent;
@@ -84,7 +85,6 @@ void Fabric::fail_flow(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   advance_all();  // credit the bytes that did arrive before the fault hit
-  sim_.cancel(it->second.completion_event);
   ++failed_;
   Flow flow = std::move(it->second);
   flows_.erase(it);
@@ -97,11 +97,6 @@ void Fabric::fail_flow(FlowId id) {
 // --- degraded link state -----------------------------------------------------
 
 bool Fabric::link_down(LinkId link) const { return link_factor_[link] <= 0.0; }
-
-bool Fabric::binds(LinkId link) const {
-  // A dead link binds (at zero); an unlimited healthy/degraded one never does.
-  return std::isfinite(effective_capacity_mbps(link));
-}
 
 double Fabric::effective_capacity_mbps(LinkId link) const {
   const double factor = link_factor_[link];
@@ -208,93 +203,101 @@ void Fabric::advance_all() {
 }
 
 void Fabric::reallocate() {
+  sim_.cancel(event_);
+  event_ = 0;
   if (flows_.empty()) return;
 
   // Progressive filling: raise every unfrozen flow's rate in lockstep; when
   // a flow hits its cap it freezes, and when a link saturates every flow
-  // crossing it freezes at the current (max-min fair) level.
+  // crossing it freezes at the current (max-min fair) level.  A dead link
+  // binds (at zero); an unlimited healthy/degraded one never does.
+  for (LinkId link = 0; link < link_cap_.size(); ++link)
+    link_cap_[link] = effective_capacity_mbps(link);
   std::fill(link_load_.begin(), link_load_.end(), 0.0);
   std::fill(link_active_.begin(), link_active_.end(), std::size_t{0});
 
-  std::size_t unfrozen = 0;
+  unfrozen_.clear();
   for (auto& [id, flow] : flows_) {
     flow.rate_mbps = 0.0;
-    ++unfrozen;
+    unfrozen_.push_back(&flow);
     for (LinkId link : flow.path) ++link_active_[link];
   }
 
-  std::vector<bool> frozen(flows_.size(), false);
-  while (unfrozen > 0) {
+  while (!unfrozen_.empty()) {
     // Largest uniform rate increment the caps and link residuals allow.
     double inc = kUnlimitedMbps;
-    std::size_t i = 0;
-    for (auto& [id, flow] : flows_) {
-      if (!frozen[i]) inc = std::min(inc, flow.cap_mbps - flow.rate_mbps);
-      ++i;
-    }
-    for (LinkId link = 0; link < link_load_.size(); ++link) {
-      if (link_active_[link] == 0 || !binds(link)) continue;
-      const double residual = effective_capacity_mbps(link) - link_load_[link];
+    for (const Flow* flow : unfrozen_)
+      inc = std::min(inc, flow->cap_mbps - flow->rate_mbps);
+    for (LinkId link = 0; link < link_cap_.size(); ++link) {
+      if (link_active_[link] == 0 || std::isinf(link_cap_[link])) continue;
+      const double residual = link_cap_[link] - link_load_[link];
       inc = std::min(inc,
                      residual / static_cast<double>(link_active_[link]));
     }
     inc = std::max(inc, 0.0);  // float slack can drive the residual negative
 
-    // Apply the increment, then freeze whatever became binding.
-    i = 0;
-    for (auto& [id, flow] : flows_) {
-      if (!frozen[i]) {
-        flow.rate_mbps =
-            std::isinf(inc) ? flow.cap_mbps : flow.rate_mbps + inc;
-        for (LinkId link : flow.path) link_load_[link] += inc;
-      }
-      ++i;
+    // Apply the increment, then freeze whatever became binding.  Freezing
+    // moves no load, so the links saturated now stay so for the whole pass.
+    for (Flow* flow : unfrozen_) {
+      flow->rate_mbps =
+          std::isinf(inc) ? flow->cap_mbps : flow->rate_mbps + inc;
+      for (LinkId link : flow->path) link_load_[link] += inc;
     }
-    i = 0;
-    for (auto& [id, flow] : flows_) {
-      if (!frozen[i]) {
-        bool stop = flow.rate_mbps >= flow.cap_mbps - kRateTol;
-        for (LinkId link : flow.path) {
-          if (binds(link) &&
-              link_load_[link] >= effective_capacity_mbps(link) - kRateTol)
-            stop = true;
-        }
-        if (stop) {
-          frozen[i] = true;
-          --unfrozen;
-          for (LinkId link : flow.path) --link_active_[link];
-        }
-      }
-      ++i;
+    for (LinkId link = 0; link < link_cap_.size(); ++link) {
+      link_saturated_[link] = std::isfinite(link_cap_[link]) &&
+                              link_load_[link] >= link_cap_[link] - kRateTol;
     }
+    std::size_t kept = 0;
+    for (Flow* flow : unfrozen_) {
+      bool stop = flow->rate_mbps >= flow->cap_mbps - kRateTol;
+      for (LinkId link : flow->path) stop = stop || link_saturated_[link];
+      if (!stop) {
+        unfrozen_[kept++] = flow;
+        continue;
+      }
+      for (LinkId link : flow->path) --link_active_[link];
+    }
+    unfrozen_.resize(kept);
   }
 
   // Peak utilisation over binding links, observed at reallocation instants
   // (rates are constant between instants, so this is the true peak).
   for (LinkId link = 0; link < link_load_.size(); ++link) {
-    if (!binds(link) || link_down(link) || link_load_[link] <= 0.0) continue;
+    if (std::isinf(link_cap_[link]) || link_down(link) ||
+        link_load_[link] <= 0.0)
+      continue;
     peak_utilization_ = std::max(
-        peak_utilization_,
-        std::min(1.0, link_load_[link] / effective_capacity_mbps(link)));
+        peak_utilization_, std::min(1.0, link_load_[link] / link_cap_[link]));
   }
 
-  // Reschedule every completion at the new rates.  A flow stranded on a
-  // down link holds rate 0 and will never deliver another byte; it gets a
-  // fail event at `now` instead of a completion in the infinite future.
-  for (auto& [id, flow] : flows_) {
-    sim_.cancel(flow.completion_event);
+  // Arm the one event at the earliest projected finish; ties go to the
+  // lowest id.  A flow stranded on a down link holds rate 0 and will never
+  // deliver another byte; it is due at `now` and fails instead.
+  FlowId due = 0;
+  Seconds due_at = 0.0;
+  bool due_stranded = false;
+  for (const auto& [id, flow] : flows_) {
     const Megabytes remaining = std::max(0.0, flow.total - flow.sent);
-    const FlowId flow_id = id;
-    if (remaining > 0.0 && flow.rate_mbps <= kRateTol) {
-      flow.completion_event =
-          sim_.schedule_after(0.0, [this, flow_id] { fail_flow(flow_id); });
-      continue;
+    const bool stranded = remaining > 0.0 && flow.rate_mbps <= kRateTol;
+    const Seconds dt = stranded || std::isinf(flow.rate_mbps)
+                           ? 0.0
+                           : remaining / flow.rate_mbps;
+    EANT_CHECK(dt >= 0.0, "delay must be non-negative");
+    const Seconds at = sim_.now() + dt;
+    if (due == 0 || at < due_at) {
+      due = id;
+      due_at = at;
+      due_stranded = stranded;
     }
-    const Seconds dt =
-        std::isinf(flow.rate_mbps) ? 0.0 : remaining / flow.rate_mbps;
-    flow.completion_event =
-        sim_.schedule_after(dt, [this, flow_id] { finish_flow(flow_id); });
   }
+  event_ = sim_.schedule_at(due_at, [this, due, due_stranded] {
+    event_ = 0;  // fired; the reallocation it triggers arms the next one
+    if (due_stranded) {
+      fail_flow(due);
+    } else {
+      finish_flow(due);
+    }
+  });
 }
 
 void Fabric::finish_flow(FlowId id) {

@@ -9,8 +9,8 @@
 // The model is purely event-driven: rates only change when a flow starts,
 // finishes or aborts.  At each such instant the fabric advances all flows'
 // transferred bytes at their previous rates, re-runs the water-filling
-// allocation, and reschedules each flow's completion event in the Simulator.
-// There is no per-tick polling.
+// allocation, and re-arms its one pending Simulator event at the earliest
+// projected finish.  There is no per-tick polling.
 
 #pragma once
 
@@ -180,19 +180,21 @@ class Fabric {
     double solo_mbps = 0.0;         // rate on an idle network
     Seconds started = 0.0;
     TransferClass cls;
-    sim::EventId completion_event = 0;  // completion or stranded-fail event
     std::function<void(FlowId)> on_complete;
     FailureHandler on_failed;
   };
 
   /// Credits every flow with rate * elapsed bytes since the last call.
   void advance_all();
-  /// Water-filling over the current flow set + completion rescheduling.
+  /// Water-filling over the current flow set, then re-arms the one pending
+  /// event: it fires at the earliest projected finish (ties to the lowest
+  /// id) and finishes that flow, or fails it if a down link stranded it.
+  /// Re-armed on every call, even when the due flow is unchanged, so it
+  /// keeps the place among same-instant events that a per-flow event
+  /// rescheduled here would hold.  With no flows left, no event is pending.
   void reallocate();
   void finish_flow(FlowId id);
   void account_bytes(TransferClass cls, Megabytes mb);
-  /// True iff this link can constrain flow rates right now.
-  bool binds(LinkId link) const;
   bool link_down(LinkId link) const;
 
   sim::Simulator& sim_;
@@ -201,6 +203,7 @@ class Fabric {
   // id order at equal timestamps) regardless of hash seeds.
   std::map<FlowId, Flow> flows_;
   FlowId next_id_ = 1;
+  sim::EventId event_ = 0;  // the one pending finish/fail event (0 = none)
   Seconds last_advance_ = 0.0;
   FabricObserver* observer_ = nullptr;
 
@@ -216,8 +219,11 @@ class Fabric {
   double peak_utilization_ = 0.0;
 
   // scratch buffers reused across reallocations
+  std::vector<double> link_cap_;   // effective capacity, +inf if it can't bind
   std::vector<double> link_load_;
-  std::vector<std::size_t> link_active_;
+  std::vector<std::size_t> link_active_;  // unfrozen flows crossing the link
+  std::vector<char> link_saturated_;      // this round's saturated links
+  std::vector<Flow*> unfrozen_;           // in id order
 };
 
 }  // namespace eant::net

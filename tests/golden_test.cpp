@@ -52,18 +52,18 @@ struct GoldenRow {
 // fraction, jobs completed / failed / dropped, wasted task-seconds.
 // clang-format off
 constexpr GoldenRow kGolden[] = {
-    {"fabric/fault-free", 0xd72dd41e0ec478d9ull, 283.49763601827027, 397929.42109364492, 0.88652482269503541, 3, 0, 0, 0},
-    {"chaos/machine-crashes", 0x89f07e2300924e32ull, 258.62245744575858, 378744.47927224275, 0.89171974522292996, 3, 0, 0, 406.78649889899953},
-    {"chaos/rack-partition", 0x8faa725b08a4dabaull, 313.84432391590434, 501026.75241335505, 0.75971731448763247, 3, 0, 0, 1415.0453436702971},
-    {"chaos/jobtracker-crash", 0x54530e3b3bd8c917ull, 277.00398991337045, 397939.45917822438, 0.93617021276595747, 3, 0, 0, 438},
-    {"chaos/corrupt-and-limp", 0x28df3708a4ffdef7ull, 213.89607839750931, 322348.09678025206, 0.90780141843971629, 3, 0, 0, 8.8107700415993513},
-    {"failover-and-loss", 0x57b8b6507cd1fd94ull, 504.31854930439999, 682653.02149274759, 0.78260869565217395, 3, 0, 0, 3470.5851839196216},
+    {"fabric/fault-free", 0x6a7cb8be03482243ull, 283.49763601827027, 397929.42109364492, 0.88652482269503541, 3, 0, 0, 0},
+    {"chaos/machine-crashes", 0x291b7a2701b3652dull, 258.62245744575858, 378744.47927224275, 0.89171974522292996, 3, 0, 0, 406.78649889899953},
+    {"chaos/rack-partition", 0x68a8469a3cdf3511ull, 313.84432391590434, 501026.75241335505, 0.75971731448763247, 3, 0, 0, 1415.0453436702971},
+    {"chaos/jobtracker-crash", 0x737674c4e7da19ceull, 277.00398991337045, 397939.45917822438, 0.93617021276595747, 3, 0, 0, 438},
+    {"chaos/corrupt-and-limp", 0x0fe69b54e36f6df8ull, 213.89607839750931, 322348.09678025206, 0.90780141843971629, 3, 0, 0, 8.8107700415993513},
+    {"failover-and-loss", 0x9583ccb569b4eb1dull, 504.31854930439999, 682653.02149274759, 0.78260869565217395, 3, 0, 0, 3470.5851839196216},
     {"tenant/capacity-admission", 0xd6381f18c244b014ull, 4311.2274804285735, 9998443.8041535839, 0.53094462540716614, 1335, 0, 15, 65.443905341280924},
     {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666},
     {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0},
     {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0},
     {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0},
-    {"msd/fair-oversub", 0xb73a39e8a9f3960aull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0},
+    {"msd/fair-oversub", 0x13eedc9525fa3cbbull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0},
 };
 // clang-format on
 
