@@ -1,12 +1,15 @@
 // Network fabric tests: topology paths, analytic max-min (water-filling)
-// fixtures, event-driven rate recomputation, determinism, the flat-topology
-// parity guarantee against the legacy scalar model, the Fig. 1(d) ordering
-// under oversubscription, and flow recovery when a serving machine crashes.
+// fixtures, event-driven rate recomputation, the fabric's one pending
+// simulator event, determinism, the flat-topology parity guarantee against
+// the legacy scalar model, the Fig. 1(d) ordering under oversubscription,
+// and flow recovery when a serving machine crashes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "cluster/catalog.h"
@@ -182,6 +185,126 @@ TEST(Fabric, AbortKeepsPartialBytesAndFreesCapacity) {
   EXPECT_NEAR(m.remote_read_mb, 100.0, kTol);
   EXPECT_NEAR(sim.now(), 1.5, kTol);
   EXPECT_EQ(fabric.active_flows(), 0u);
+}
+
+// Counts simulator events scheduled between consecutive fabric callbacks;
+// each callback precedes exactly one reallocation, so the largest window is
+// the most events a single reallocation scheduled.
+class ReallocationWindows final : public sim::SimObserver,
+                                  public net::FabricObserver {
+ public:
+  void on_event_scheduled(Seconds, sim::EventId) override {
+    ++scheduled_;
+    max_window_ = std::max(max_window_, ++window_);
+  }
+  void on_event_executed(Seconds, sim::EventId) override {}
+  void on_flow_started(net::FlowId, net::TransferClass, Megabytes) override {
+    next_window();
+  }
+  void on_flow_finished(net::FlowId, Megabytes, Megabytes) override {
+    next_window();
+  }
+  void on_flow_aborted(net::FlowId, Megabytes, Megabytes) override {
+    next_window();
+  }
+
+  std::size_t reallocations() const { return reallocations_; }
+  std::size_t scheduled() const { return scheduled_; }
+  std::size_t max_window() const { return max_window_; }
+
+ private:
+  void next_window() {
+    ++reallocations_;
+    window_ = 0;
+  }
+
+  std::size_t reallocations_ = 0;
+  std::size_t scheduled_ = 0;
+  std::size_t window_ = 0;
+  std::size_t max_window_ = 0;
+};
+
+TEST(Fabric, KeepsOnePendingEventWhateverTheFlowCount) {
+  sim::Simulator sim;
+  net::Fabric fabric(sim, net::Topology(one_rack(100.0), 8));
+  ReallocationWindows windows;
+  sim.set_observer(&windows);
+  fabric.set_observer(&windows);
+  // Eight concurrent flows of different sizes: one pending finish event,
+  // not one per flow, and no reallocation schedules more than one event.
+  std::size_t done = 0;
+  for (net::NodeId src = 0; src < 8; ++src) {
+    fabric.start_flow(src, (src + 3) % 8, 10.0 * static_cast<double>(src + 1),
+                      1000.0, net::TransferClass::kShuffle,
+                      [&](net::FlowId) { ++done; });
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  EXPECT_EQ(fabric.active_flows(), 8u);
+  while (sim.step()) {
+    EXPECT_EQ(sim.pending(), fabric.active_flows() > 0 ? 1u : 0u);
+  }
+  EXPECT_EQ(done, 8u);
+  EXPECT_EQ(windows.reallocations(), 16u);  // 8 starts + 8 finishes
+  EXPECT_EQ(windows.max_window(), 1u);
+  EXPECT_EQ(windows.scheduled(), 15u);  // the last finish leaves no flow
+  sim.set_observer(nullptr);
+  fabric.set_observer(nullptr);
+}
+
+TEST(Fabric, ReallocationReArmsBehindSameInstantEvents) {
+  sim::Simulator sim;
+  net::Fabric fabric(sim, net::Topology(one_rack(100.0), 4));
+  std::vector<std::string> order;
+  // A: 100 MB at cap 50 from node 0 to node 1, due at t=2.
+  fabric.start_flow(0, 1, 100.0, 50.0, net::TransferClass::kShuffle,
+                    [&](net::FlowId) { order.push_back("A"); });
+  // H is scheduled after A's event, for the same instant.
+  sim.schedule_at(2.0, [&] { order.push_back("H"); });
+  // At t=1 flow C starts on disjoint links: A's rate and finish time stay
+  // the same, but the reallocation re-arms A's event behind H, exactly as
+  // rescheduling one event per flow would.
+  sim.schedule_at(1.0, [&] {
+    fabric.start_flow(2, 3, 1000.0, 50.0, net::TransferClass::kShuffle,
+                      nullptr);
+    EXPECT_EQ(fabric.flow_rate_mbps(1), 50.0);
+  });
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<std::string>{"H", "A"}));
+}
+
+TEST(Fabric, SameInstantFinishesRunInIdOrder) {
+  sim::Simulator sim;
+  net::Fabric fabric(sim, net::Topology(one_rack(100.0), 4));
+  std::vector<std::pair<net::FlowId, Seconds>> done;
+  const auto record = [&](net::FlowId id) { done.push_back({id, sim.now()}); };
+  // Two identical flows into node 3 share its rx link at 50 MB/s each.
+  const auto a = fabric.start_flow(0, 3, 100.0, 1000.0,
+                                   net::TransferClass::kShuffle, record);
+  const auto b = fabric.start_flow(1, 3, 100.0, 1000.0,
+                                   net::TransferClass::kShuffle, record);
+  sim.run();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first, a);
+  EXPECT_EQ(done[1].first, b);
+  EXPECT_EQ(done[0].second, 2.0);
+  EXPECT_EQ(done[1].second, 2.0);
+}
+
+TEST(Fabric, DestructionCancelsThePendingEvent) {
+  sim::Simulator sim;
+  sim.schedule_at(100.0, [] {});
+  const std::size_t before = sim.pending();
+  {
+    net::Fabric fabric(sim, net::Topology(one_rack(100.0), 4));
+    fabric.start_flow(0, 3, 100.0, 1000.0, net::TransferClass::kShuffle,
+                      nullptr);
+    fabric.start_flow(1, 2, 100.0, 1000.0, net::TransferClass::kShuffle,
+                      nullptr);
+    EXPECT_GT(sim.pending(), before);
+  }
+  EXPECT_EQ(sim.pending(), before);
+  sim.run();
+  EXPECT_EQ(sim.executed(), 1u);  // only the unrelated event ran
 }
 
 TEST(Fabric, DeterministicUnderIdenticalCallSequences) {
