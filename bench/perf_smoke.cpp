@@ -1,10 +1,13 @@
 // perf_smoke — the simulator-throughput baseline for the scale arc.
 //
 // Runs a homogeneous Terasort batch at three fleet sizes under E-Ant and
-// Capacity and emits BENCH_perf_smoke.json: simulated events per wall-clock
-// second, wall-clock seconds, peak RSS, and the scheduler-work attribution
-// (time inside Scheduler::select_job, per processed heartbeat) against node
-// and task count.  Future scale/speed PRs diff their numbers against this
+// Capacity on the scalar network, and at two sizes over the oversubscribed
+// fabric (the path fig6b, fig_corruption and the chaos mixes run), and
+// emits BENCH_perf_smoke.json: simulated events per wall-clock second,
+// wall-clock seconds, peak RSS, and the scheduler-work attribution (time
+// inside Scheduler::select_job, per processed heartbeat) against node and
+// task count.  Peak RSS is the process's high-water mark so far, so it
+// never falls from one row to the next.  Future scale/speed PRs diff their numbers against this
 // file's committed trajectory; the absolute values are machine-dependent,
 // the shape (events/sec should stay roughly flat as the fleet grows, and
 // select_job time per heartbeat should not blow up with job count) is not.
@@ -29,6 +32,7 @@
 #include "exp/cli.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
+#include "net/topology.h"
 
 using namespace eant;
 
@@ -43,6 +47,7 @@ double peak_rss_mib() {
 
 struct Row {
   std::string scheduler;
+  std::string network;  ///< "scalar" or "oversubscribed"
   std::size_t nodes = 0;
   std::size_t jobs = 0;
   std::size_t tasks = 0;
@@ -57,13 +62,14 @@ struct Row {
   double select_us_per_heartbeat = 0.0;
 };
 
-Row measure(exp::SchedulerKind kind, std::size_t nodes) {
+Row measure(exp::SchedulerKind kind, std::size_t nodes, bool oversubscribed) {
   // Work scales with the fleet: jobs proportional to nodes so every size
   // runs at comparable utilisation and the per-event cost is comparable.
   const int jobs = static_cast<int>(nodes / 4);
   exp::RunConfig cfg;
   cfg.seed = 7;
   cfg.job_tracker.measure_scheduler_time = true;
+  if (oversubscribed) cfg.topology = net::TopologySpec::oversubscribed();
   exp::Run run(exp::homogeneous(cluster::catalog::xeon_e5(), nodes), kind,
                cfg);
   run.submit(exp::job_batch(workload::AppKind::kTerasort, 4000.0, 8, jobs));
@@ -74,6 +80,7 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes) {
 
   Row r;
   r.scheduler = exp::scheduler_kind_name(kind);
+  r.network = oversubscribed ? "oversubscribed" : "scalar";
   r.nodes = nodes;
   r.jobs = static_cast<std::size_t>(jobs);
   const exp::RunMetrics m = run.metrics();
@@ -148,18 +155,24 @@ int main(int argc, char** argv) {
   cli.done();
 
   std::vector<Row> rows;
-  for (const exp::SchedulerKind kind :
-       {exp::SchedulerKind::kEAnt, exp::SchedulerKind::kCapacity}) {
-    for (std::size_t nodes : {16, 64, 256}) {
-      rows.push_back(measure(kind, nodes));
-      const Row& r = rows.back();
-      std::printf(
-          "%-8s nodes=%3zu jobs=%3zu tasks=%6zu events=%9llu wall=%6.2fs "
-          "events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
-          r.scheduler.c_str(), r.nodes, r.jobs, r.tasks,
-          static_cast<unsigned long long>(r.events), r.wall_seconds,
-          r.events_per_sec, r.peak_rss_mib, r.select_us_per_heartbeat);
-    }
+  const auto add_row = [&](exp::SchedulerKind kind, std::size_t nodes,
+                           bool oversubscribed) {
+    rows.push_back(measure(kind, nodes, oversubscribed));
+    const Row& r = rows.back();
+    std::printf(
+        "%-8s %-14s nodes=%3zu jobs=%3zu tasks=%6zu events=%9llu "
+        "wall=%6.2fs events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
+        r.scheduler.c_str(), r.network.c_str(), r.nodes, r.jobs, r.tasks,
+        static_cast<unsigned long long>(r.events), r.wall_seconds,
+        r.events_per_sec, r.peak_rss_mib, r.select_us_per_heartbeat);
+  };
+  const exp::SchedulerKind kinds[] = {exp::SchedulerKind::kEAnt,
+                                      exp::SchedulerKind::kCapacity};
+  for (const exp::SchedulerKind kind : kinds) {
+    for (std::size_t nodes : {16, 64, 256}) add_row(kind, nodes, false);
+  }
+  for (const exp::SchedulerKind kind : kinds) {
+    for (std::size_t nodes : {16, 64}) add_row(kind, nodes, true);
   }
 
   const SweepRow sweep = measure_sweep();
@@ -178,7 +191,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"scheduler\": \"%s\", \"nodes\": %zu, \"jobs\": %zu, "
+                 "    {\"scheduler\": \"%s\", \"network\": \"%s\", "
+                 "\"nodes\": %zu, \"jobs\": %zu, "
                  "\"tasks\": %zu, "
                  "\"events\": %llu, \"sim_makespan_s\": %.3f, "
                  "\"wall_s\": %.3f, \"events_per_s\": %.0f, "
@@ -186,8 +200,9 @@ int main(int argc, char** argv) {
                  "\"heartbeats\": %llu, \"select_job_calls\": %llu, "
                  "\"select_job_wall_s\": %.4f, "
                  "\"select_us_per_heartbeat\": %.3f}%s\n",
-                 r.scheduler.c_str(), r.nodes, r.jobs, r.tasks,
-                 static_cast<unsigned long long>(r.events), r.sim_makespan,
+                 r.scheduler.c_str(), r.network.c_str(), r.nodes, r.jobs,
+                 r.tasks, static_cast<unsigned long long>(r.events),
+                 r.sim_makespan,
                  r.wall_seconds, r.events_per_sec, r.peak_rss_mib,
                  static_cast<unsigned long long>(r.heartbeats),
                  static_cast<unsigned long long>(r.select_job_calls),
