@@ -273,9 +273,8 @@ void Fabric::reallocate() {
   // Arm the one event at the earliest projected finish; ties go to the
   // lowest id.  A flow stranded on a down link holds rate 0 and will never
   // deliver another byte; it is due at `now` and fails instead.
-  FlowId due = 0;
+  due_ = 0;
   Seconds due_at = 0.0;
-  bool due_stranded = false;
   for (const auto& [id, flow] : flows_) {
     const Megabytes remaining = std::max(0.0, flow.total - flow.sent);
     const bool stranded = remaining > 0.0 && flow.rate_mbps <= kRateTol;
@@ -284,18 +283,20 @@ void Fabric::reallocate() {
                            : remaining / flow.rate_mbps;
     EANT_CHECK(dt >= 0.0, "delay must be non-negative");
     const Seconds at = sim_.now() + dt;
-    if (due == 0 || at < due_at) {
-      due = id;
+    if (due_ == 0 || at < due_at) {
+      due_ = id;
       due_at = at;
-      due_stranded = stranded;
+      due_fails_ = stranded;
     }
   }
-  event_ = sim_.schedule_at(due_at, [this, due, due_stranded] {
+  // Capturing only `this` keeps the callback inside std::function's inline
+  // buffer, so arming and popping the event allocate nothing.
+  event_ = sim_.schedule_at(due_at, [this] {
     event_ = 0;  // fired; the reallocation it triggers arms the next one
-    if (due_stranded) {
-      fail_flow(due);
+    if (due_fails_) {
+      fail_flow(due_);
     } else {
-      finish_flow(due);
+      finish_flow(due_);
     }
   });
 }

@@ -203,7 +203,9 @@ class Fabric {
   // id order at equal timestamps) regardless of hash seeds.
   std::map<FlowId, Flow> flows_;
   FlowId next_id_ = 1;
-  sim::EventId event_ = 0;  // the one pending finish/fail event (0 = none)
+  sim::EventId event_ = 0;  // the one pending event (0 = none); it ends
+  FlowId due_ = 0;          // this flow, with fail_flow if a down link
+  bool due_fails_ = false;  // stranded it, else with finish_flow
   Seconds last_advance_ = 0.0;
   FabricObserver* observer_ = nullptr;
 

@@ -141,7 +141,7 @@ class Scenario {
   }
 
   /// Every live flow's rate equals the reference allocation.
-  void check_rates() const {
+  void check_rates() {
     ASSERT_EQ(fabric_.active_flows(), live_.size());
     std::vector<double> eff(topo_.num_links());
     for (net::LinkId link = 0; link < eff.size(); ++link)
@@ -232,7 +232,7 @@ class Scenario {
   net::Fabric fabric_;
   std::map<net::FlowId, std::pair<net::NodeId, net::NodeId>> live_;
   std::vector<Ended> ended_;
-  mutable Stats stats_;
+  Stats stats_;
 };
 
 net::TopologySpec random_spec(Rng& rng) {
