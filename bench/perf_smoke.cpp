@@ -7,10 +7,11 @@
 // wall-clock seconds, peak RSS, and the scheduler-work attribution (time
 // inside Scheduler::select_job, per processed heartbeat) against node and
 // task count.  Peak RSS is the process's high-water mark so far, so it
-// never falls from one row to the next.  Future scale/speed PRs diff their numbers against this
-// file's committed trajectory; the absolute values are machine-dependent,
-// the shape (events/sec should stay roughly flat as the fleet grows, and
-// select_job time per heartbeat should not blow up with job count) is not.
+// never falls from one row to the next.  Future scale/speed PRs diff their
+// numbers against this file's committed trajectory; the absolute values are
+// machine-dependent, the shape (events/sec should stay roughly flat as the
+// fleet grows, and select_job time per heartbeat should not blow up with
+// job count) is not.
 //
 // It also times the thread-per-seed sweep driver (exp/sweep.h): an 8-seed
 // audited sweep of a 16-node Terasort batch at 4 workers vs serial, emitted

@@ -203,9 +203,11 @@ class Fabric {
   // id order at equal timestamps) regardless of hash seeds.
   std::map<FlowId, Flow> flows_;
   FlowId next_id_ = 1;
-  sim::EventId event_ = 0;  // the one pending event (0 = none); it ends
-  FlowId due_ = 0;          // this flow, with fail_flow if a down link
-  bool due_fails_ = false;  // stranded it, else with finish_flow
+  // The one pending event (0 = none): it ends flow due_, with fail_flow if
+  // a down link stranded it (due_fails_), else with finish_flow.
+  sim::EventId event_ = 0;
+  FlowId due_ = 0;
+  bool due_fails_ = false;
   Seconds last_advance_ = 0.0;
   FabricObserver* observer_ = nullptr;
 
