@@ -22,7 +22,7 @@ Fabric::Fabric(sim::Simulator& sim, Topology topology)
   link_cap_.resize(topo_.num_links());
   link_load_.resize(topo_.num_links());
   link_active_.resize(topo_.num_links());
-  link_saturated_.resize(topo_.num_links());
+  link_flows_.resize(topo_.num_links());
   link_factor_.assign(topo_.num_links(), 1.0);
 }
 
@@ -63,7 +63,13 @@ FlowId Fabric::start_flow(NodeId src, NodeId dst, Megabytes mb, double cap_mbps,
   }
 
   const FlowId id = next_id_++;
-  flows_.emplace(id, std::move(flow));
+  flow.id = id;
+  Flow& live = flows_.emplace(id, std::move(flow)).first->second;
+  // The new id is the largest, so it goes after every equal cap.
+  cap_order_.insert(std::upper_bound(cap_order_.begin(), cap_order_.end(),
+                                     &live, cap_before),
+                    &live);
+  for (LinkId link : live.path) link_flows_[link].push_back(&live);
   if (observer_) observer_->on_flow_started(id, cls, mb);
   reallocate();
   return id;
@@ -74,10 +80,8 @@ void Fabric::abort_flow(FlowId id) {
   if (it == flows_.end()) return;
   advance_all();  // credit the bytes that did arrive before the abort
   ++aborted_;
-  const Megabytes requested = it->second.total;
-  const Megabytes delivered = it->second.sent;
-  flows_.erase(it);
-  if (observer_) observer_->on_flow_aborted(id, requested, delivered);
+  const Flow flow = take_flow(it);
+  if (observer_) observer_->on_flow_aborted(id, flow.total, flow.sent);
   reallocate();
 }
 
@@ -86,8 +90,7 @@ void Fabric::fail_flow(FlowId id) {
   if (it == flows_.end()) return;
   advance_all();  // credit the bytes that did arrive before the fault hit
   ++failed_;
-  Flow flow = std::move(it->second);
-  flows_.erase(it);
+  const Flow flow = take_flow(it);
   if (observer_) observer_->on_flow_aborted(id, flow.total, flow.sent);
   reallocate();
   if (flow.on_failed)
@@ -210,54 +213,68 @@ void Fabric::reallocate() {
   // Progressive filling: raise every unfrozen flow's rate in lockstep; when
   // a flow hits its cap it freezes, and when a link saturates every flow
   // crossing it freezes at the current (max-min fair) level.  A dead link
-  // binds (at zero); an unlimited healthy/degraded one never does.
-  for (LinkId link = 0; link < link_cap_.size(); ++link)
+  // binds (at zero); an unlimited healthy/degraded one never does, so it
+  // carries no load.
+  live_links_.clear();
+  for (LinkId link = 0; link < link_cap_.size(); ++link) {
     link_cap_[link] = effective_capacity_mbps(link);
-  std::fill(link_load_.begin(), link_load_.end(), 0.0);
-  std::fill(link_active_.begin(), link_active_.end(), std::size_t{0});
-
-  unfrozen_.clear();
-  for (auto& [id, flow] : flows_) {
-    flow.rate_mbps = 0.0;
-    unfrozen_.push_back(&flow);
-    for (LinkId link : flow.path) ++link_active_[link];
+    link_load_[link] = 0.0;
+    link_active_[link] = link_flows_[link].size();
+    if (link_active_[link] > 0 && std::isfinite(link_cap_[link]))
+      live_links_.push_back(link);
   }
+  for (Flow* flow : cap_order_) flow->frozen = false;
 
-  while (!unfrozen_.empty()) {
-    // Largest uniform rate increment the caps and link residuals allow.
-    double inc = kUnlimitedMbps;
-    for (const Flow* flow : unfrozen_)
-      inc = std::min(inc, flow->cap_mbps - flow->rate_mbps);
-    for (LinkId link = 0; link < link_cap_.size(); ++link) {
-      if (link_active_[link] == 0 || std::isinf(link_cap_[link])) continue;
+  // Every flow starts at 0 and every round adds the same increment to each
+  // unfrozen one, so all unfrozen flows hold the one double `level`, and a
+  // frozen flow keeps the level of the round that froze it.
+  double level = 0.0;
+  std::size_t unfrozen = cap_order_.size();
+  std::size_t next_cap = 0;  // every cap_order_ entry before it is frozen
+  const auto freeze = [&](Flow& flow) {
+    flow.frozen = true;
+    flow.rate_mbps = level;
+    --unfrozen;
+    for (LinkId link : flow.path) --link_active_[link];
+  };
+  while (unfrozen > 0) {
+    // Largest uniform increment the caps and link residuals allow.  Rounding
+    // is monotone, so min over unfrozen (cap - level) is the smallest
+    // unfrozen cap minus level; caps are finite, so the increment is too.
+    while (cap_order_[next_cap]->frozen) ++next_cap;
+    double inc = cap_order_[next_cap]->cap_mbps - level;
+    for (LinkId link : live_links_) {
       const double residual = link_cap_[link] - link_load_[link];
       inc = std::min(inc,
                      residual / static_cast<double>(link_active_[link]));
     }
     inc = std::max(inc, 0.0);  // float slack can drive the residual negative
+    EANT_ASSERT(std::isfinite(inc), "filling increment must be finite");
+    level += inc;
 
-    // Apply the increment, then freeze whatever became binding.  Freezing
-    // moves no load, so the links saturated now stay so for the whole pass.
-    for (Flow* flow : unfrozen_) {
-      flow->rate_mbps =
-          std::isinf(inc) ? flow->cap_mbps : flow->rate_mbps + inc;
-      for (LinkId link : flow->path) link_load_[link] += inc;
+    // A link gains `inc` once per unfrozen flow crossing it: k additions of
+    // one value, not one `inc * k`, which would round differently.
+    for (LinkId link : live_links_) {
+      double load = link_load_[link];
+      for (std::size_t k = link_active_[link]; k > 0; --k) load += inc;
+      link_load_[link] = load;
     }
-    for (LinkId link = 0; link < link_cap_.size(); ++link) {
-      link_saturated_[link] = std::isfinite(link_cap_[link]) &&
-                              link_load_[link] >= link_cap_[link] - kRateTol;
+    // Freeze whatever became binding.  Freezing moves no load, so the links
+    // saturated now stay so for the whole round; the cap test is monotone in
+    // the cap, so the capped flows are a prefix of the unfrozen cap order.
+    for (LinkId link : live_links_) {
+      if (link_load_[link] < link_cap_[link] - kRateTol) continue;
+      for (Flow* flow : link_flows_[link])
+        if (!flow->frozen) freeze(*flow);
     }
-    std::size_t kept = 0;
-    for (Flow* flow : unfrozen_) {
-      bool stop = flow->rate_mbps >= flow->cap_mbps - kRateTol;
-      for (LinkId link : flow->path) stop = stop || link_saturated_[link];
-      if (!stop) {
-        unfrozen_[kept++] = flow;
-        continue;
-      }
-      for (LinkId link : flow->path) --link_active_[link];
+    for (; next_cap < cap_order_.size(); ++next_cap) {
+      Flow& flow = *cap_order_[next_cap];
+      if (flow.frozen) continue;
+      if (level < flow.cap_mbps - kRateTol) break;
+      freeze(flow);
     }
-    unfrozen_.resize(kept);
+    std::erase_if(live_links_,
+                  [&](LinkId link) { return link_active_[link] == 0; });
   }
 
   // Peak utilisation over binding links, observed at reallocation instants
@@ -301,12 +318,37 @@ void Fabric::reallocate() {
   });
 }
 
+bool Fabric::cap_before(const Flow* a, const Flow* b) {
+  if (a->cap_mbps != b->cap_mbps) return a->cap_mbps < b->cap_mbps;
+  return a->id < b->id;
+}
+
+Fabric::Flow Fabric::take_flow(std::map<FlowId, Flow>::iterator it) {
+  Flow* flow = &it->second;
+  const auto pos = std::lower_bound(cap_order_.begin(), cap_order_.end(),
+                                    flow, cap_before);
+  EANT_ASSERT(pos != cap_order_.end() && *pos == flow,
+              "live flow missing from the cap order");
+  cap_order_.erase(pos);
+  for (LinkId link : flow->path) {
+    std::vector<Flow*>& crossing = link_flows_[link];
+    const auto at = std::find(crossing.begin(), crossing.end(), flow);
+    EANT_ASSERT(at != crossing.end(), "live flow missing from a link's index");
+    *at = crossing.back();
+    crossing.pop_back();
+  }
+  Flow out = std::move(*flow);
+  flows_.erase(it);
+  return out;
+}
+
 void Fabric::finish_flow(FlowId id) {
   advance_all();
   auto it = flows_.find(id);
   EANT_CHECK(it != flows_.end(), "completion event for unknown flow");
-  Flow flow = std::move(it->second);
-  if (observer_) observer_->on_flow_finished(id, flow.total, flow.sent);
+  if (observer_)
+    observer_->on_flow_finished(id, it->second.total, it->second.sent);
+  const Flow flow = take_flow(it);
   // Float residue: the completion event fired, so the last byte is in.
   account_bytes(flow.cls, std::max(0.0, flow.total - flow.sent));
 
@@ -316,7 +358,6 @@ void Fabric::finish_flow(FlowId id) {
       std::isinf(flow.solo_mbps) ? 0.0 : flow.total / flow.solo_mbps;
   slowdown_sum_ += solo > 0.0 ? std::max(1.0, actual / solo) : 1.0;
 
-  flows_.erase(it);
   reallocate();
   if (flow.on_complete) flow.on_complete(id);
 }

@@ -11,6 +11,14 @@
 // transferred bytes at their previous rates, re-runs the water-filling
 // allocation, and re-arms its one pending Simulator event at the earliest
 // projected finish.  There is no per-tick polling.
+//
+// Water-filling raises one shared fill level instead of one rate per flow.
+// Two indexes kept up to date as flows start and end feed it: the live flows
+// ordered by cap, which give the next cap to bind and the flows it freezes,
+// and each link's crossing flows, which give the flows a saturated link
+// freezes.  A filling round therefore costs the finite links still carrying
+// unfrozen flows, their load additions and the flows it freezes, not a walk
+// over every unfrozen flow's path.
 
 #pragma once
 
@@ -44,12 +52,14 @@ class FabricObserver {
   virtual void on_flow_started(FlowId id, TransferClass cls,
                                Megabytes total_mb) = 0;
   /// `delivered_mb` is the bytes credited to the flow when its completion
-  /// event fired (before the fabric tops up the float residue).
+  /// event fired (before the fabric tops up the float residue).  The flow
+  /// is still active during the call.
   virtual void on_flow_finished(FlowId id, Megabytes requested_mb,
                                 Megabytes delivered_mb) = 0;
   /// Fires for both voluntary aborts and fault-driven kills; `delivered_mb`
   /// is the bytes that arrived before teardown (they stay in the per-class
-  /// byte accounting — partial transfers are real traffic).
+  /// byte accounting — partial transfers are real traffic).  The flow is
+  /// no longer active during the call.
   virtual void on_flow_aborted(FlowId id, Megabytes requested_mb,
                                Megabytes delivered_mb) = 0;
   /// A link's capacity factor changed (fault, degradation or repair).
@@ -169,6 +179,7 @@ class Fabric {
 
  private:
   struct Flow {
+    FlowId id = 0;                  // the flow table's key, for cap_order_
     NodeId src = 0;
     NodeId dst = 0;
     std::vector<LinkId> path;       // every link crossed (faults can make
@@ -177,6 +188,7 @@ class Fabric {
     Megabytes sent = 0.0;
     double cap_mbps = 0.0;
     double rate_mbps = 0.0;         // current max-min share
+    bool frozen = false;            // reached its share in this filling
     double solo_mbps = 0.0;         // rate on an idle network
     Seconds started = 0.0;
     TransferClass cls;
@@ -192,7 +204,19 @@ class Fabric {
   /// Re-armed on every call, even when the due flow is unchanged, so it
   /// keeps the place among same-instant events that a per-flow event
   /// rescheduled here would hold.  With no flows left, no event is pending.
+  ///
+  /// Filling keeps every unfrozen flow at one shared level; a round raises
+  /// it by the largest step the smallest unfrozen cap (the front of
+  /// `cap_order_`) and the finite links' residuals allow, then freezes a
+  /// prefix of the cap order and the unfrozen flows `link_flows_` lists
+  /// under each link that saturated.  It computes every rate bit for bit as
+  /// the per-flow loop kept in tests/fabric_oracle_test.cpp does.
   void reallocate();
+  /// The cap order: ascending cap, ties by id, so every flow has one exact
+  /// place even among the many flows that share a JobTracker cap constant.
+  static bool cap_before(const Flow* a, const Flow* b);
+  /// Removes a live flow from the table and from both indexes.
+  Flow take_flow(std::map<FlowId, Flow>::iterator it);
   void finish_flow(FlowId id);
   void account_bytes(TransferClass cls, Megabytes mb);
   bool link_down(LinkId link) const;
@@ -200,8 +224,11 @@ class Fabric {
   sim::Simulator& sim_;
   Topology topo_;
   // std::map: deterministic iteration order (flows allocate and complete in
-  // id order at equal timestamps) regardless of hash seeds.
+  // id order at equal timestamps) regardless of hash seeds.  Its nodes never
+  // move, so the indexes below hold plain pointers until take_flow.
   std::map<FlowId, Flow> flows_;
+  std::vector<Flow*> cap_order_;                // live flows by (cap, id)
+  std::vector<std::vector<Flow*>> link_flows_;  // live flows crossing a link
   FlowId next_id_ = 1;
   // The one pending event (0 = none): it ends flow due_, with fail_flow if
   // a down link stranded it (due_fails_), else with finish_flow.
@@ -224,10 +251,9 @@ class Fabric {
 
   // scratch buffers reused across reallocations
   std::vector<double> link_cap_;   // effective capacity, +inf if it can't bind
-  std::vector<double> link_load_;
+  std::vector<double> link_load_;  // summed rates; kept on finite links only
   std::vector<std::size_t> link_active_;  // unfrozen flows crossing the link
-  std::vector<char> link_saturated_;      // this round's saturated links
-  std::vector<Flow*> unfrozen_;           // in id order
+  std::vector<LinkId> live_links_;  // finite links with unfrozen flows
 };
 
 }  // namespace eant::net

@@ -307,6 +307,61 @@ TEST(Fabric, DestructionCancelsThePendingEvent) {
   EXPECT_EQ(sim.executed(), 1u);  // only the unrelated event ran
 }
 
+// Observers count the flows a callback's reallocation re-rates from
+// active_flows(): a finishing flow is still in it, an ended one is gone.
+class ActiveAtCallback final : public net::FabricObserver {
+ public:
+  explicit ActiveAtCallback(const net::Fabric& fabric) : fabric_(fabric) {}
+  void on_flow_started(net::FlowId id, net::TransferClass, Megabytes) override {
+    log.push_back({id, fabric_.active(id), fabric_.active_flows()});
+  }
+  void on_flow_finished(net::FlowId id, Megabytes, Megabytes) override {
+    log.push_back({id, fabric_.active(id), fabric_.active_flows()});
+  }
+  void on_flow_aborted(net::FlowId id, Megabytes, Megabytes) override {
+    log.push_back({id, fabric_.active(id), fabric_.active_flows()});
+  }
+
+  struct Seen {
+    net::FlowId id;
+    bool active;
+    std::size_t flows;
+  };
+  std::vector<Seen> log;
+
+ private:
+  const net::Fabric& fabric_;
+};
+
+TEST(Fabric, ObserverSeesAFinishingFlowActiveAndAnEndedOneGone) {
+  sim::Simulator sim;
+  net::Fabric fabric(sim, net::Topology(one_rack(100.0), 4));
+  ActiveAtCallback seen(fabric);
+  fabric.set_observer(&seen);
+  const net::FlowId a = fabric.start_flow(0, 1, 10.0, 100.0,
+                                          net::TransferClass::kShuffle,
+                                          nullptr);
+  const net::FlowId b = fabric.start_flow(2, 3, 500.0, 100.0,
+                                          net::TransferClass::kShuffle,
+                                          nullptr);
+  const net::FlowId c = fabric.start_flow(1, 2, 500.0, 100.0,
+                                          net::TransferClass::kShuffle,
+                                          nullptr);
+  fabric.abort_flow(b);
+  ASSERT_TRUE(sim.step());  // a finishes first
+  fabric.fail_flow(c);
+  fabric.set_observer(nullptr);
+  ASSERT_EQ(seen.log.size(), 6u);
+  const std::size_t flows[] = {1, 2, 3, 2, 2, 0};
+  const net::FlowId ids[] = {a, b, c, b, a, c};
+  const bool active[] = {true, true, true, false, true, false};
+  for (std::size_t i = 0; i < seen.log.size(); ++i) {
+    EXPECT_EQ(seen.log[i].id, ids[i]) << i;
+    EXPECT_EQ(seen.log[i].active, active[i]) << i;
+    EXPECT_EQ(seen.log[i].flows, flows[i]) << i;
+  }
+}
+
 TEST(Fabric, DeterministicUnderIdenticalCallSequences) {
   const auto run_once = [] {
     sim::Simulator sim;
