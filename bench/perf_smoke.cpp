@@ -2,22 +2,30 @@
 //
 // Runs a homogeneous Terasort batch at three fleet sizes under E-Ant and
 // Capacity on the scalar network, and at two sizes over the oversubscribed
-// fabric (the path fig6b, fig_corruption and the chaos mixes run), and
-// emits BENCH_perf_smoke.json: simulated events per wall-clock second,
-// wall-clock seconds, peak RSS, and the scheduler-work attribution (time
-// inside Scheduler::select_job, per processed heartbeat) against node and
-// task count.  Peak RSS is the process's high-water mark so far, so it
+// fabric (the path fig6b, fig_corruption and the chaos mixes run) and over
+// the flat fabric (one rack, unlimited links: the scalar model's timing
+// through the fabric), and emits BENCH_perf_smoke.json: simulated events per
+// wall-clock second, wall-clock seconds, peak RSS, the events scheduled and
+// cancelled besides those executed, and the scheduler-work attribution
+// (time inside Scheduler::select_job, per processed heartbeat) against node
+// and task count.  Peak RSS is the process's high-water mark so far, so it
 // never falls from one row to the next.  Future scale/speed PRs diff their
 // numbers against this file's committed trajectory; the absolute values are
 // machine-dependent, the shape (events/sec should stay roughly flat as the
 // fleet grows, and select_job time per heartbeat should not blow up with
 // job count) is not.
 //
+// The event counts are exact, so they gate on any runner: perf_smoke exits
+// 1 when a row schedules more than kMaxScheduledPerExecuted events per
+// event it executes, the churn a fabric that rescheduled every flow's
+// completion at each reallocation produced.
+//
 // It also times the thread-per-seed sweep driver (exp/sweep.h): an 8-seed
-// audited sweep of a 16-node Terasort batch at 4 workers vs serial, emitted
-// as seeds/min — the wall-clock win every multi-seed bench (chaos_campaign,
-// continuous_traffic) inherits.  On a single-core runner the speedup is ~1;
-// the field still tracks driver overhead.
+// audited sweep of a Terasort batch at 4 workers vs serial, emitted as
+// seeds/min — the wall-clock win every multi-seed bench (chaos_campaign,
+// continuous_traffic) inherits.  Each seed is sized to run for over a
+// second, so the speedup measures the runs rather than thread start-up.  On
+// a single-core runner the speedup is ~1.
 //
 // Usage: perf_smoke [out.json]   (default BENCH_perf_smoke.json)
 
@@ -34,10 +42,53 @@
 #include "exp/runner.h"
 #include "exp/sweep.h"
 #include "net/topology.h"
+#include "sim/simulator.h"
 
 using namespace eant;
 
 namespace {
+
+/// The most events a row may schedule per event it executes.  Periodic
+/// re-arms count as scheduled, so a run that cancels nothing sits at 1; the
+/// rows measured 1.00-1.03 on the scalar network and 1.25-1.57 over the
+/// fabrics (flat at 64 nodes the highest), against 51.6 for perfbench's
+/// fair-oversub-msd when the fabric rescheduled every flow's completion.
+constexpr double kMaxScheduledPerExecuted = 2.0;
+
+enum class Network { kScalar, kOversubscribed, kFlat };
+
+const char* network_name(Network network) {
+  switch (network) {
+    case Network::kScalar:
+      return "scalar";
+    case Network::kOversubscribed:
+      return "oversubscribed";
+    case Network::kFlat:
+      return "flat";
+  }
+  return "?";
+}
+
+/// Counts scheduled events, periodic re-arms included, and forwards every
+/// callback to the observer it displaced (the auditor, when EANT_AUDIT is
+/// set), so an audited run keeps its audit.
+class EventCounter final : public sim::SimObserver {
+ public:
+  void forward_to(sim::SimObserver* next) { next_ = next; }
+  std::uint64_t scheduled() const { return scheduled_; }
+
+  void on_event_scheduled(Seconds t, sim::EventId id) override {
+    ++scheduled_;
+    if (next_ != nullptr) next_->on_event_scheduled(t, id);
+  }
+  void on_event_executed(Seconds t, sim::EventId id) override {
+    if (next_ != nullptr) next_->on_event_executed(t, id);
+  }
+
+ private:
+  sim::SimObserver* next_ = nullptr;
+  std::uint64_t scheduled_ = 0;
+};
 
 /// Peak resident set size in MiB (ru_maxrss is KiB on Linux).
 double peak_rss_mib() {
@@ -48,11 +99,14 @@ double peak_rss_mib() {
 
 struct Row {
   std::string scheduler;
-  std::string network;  ///< "scalar" or "oversubscribed"
+  std::string network;  ///< "scalar", "oversubscribed" or "flat"
   std::size_t nodes = 0;
   std::size_t jobs = 0;
   std::size_t tasks = 0;
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;     ///< executed
+  std::uint64_t scheduled = 0;  ///< periodic re-arms included
+  /// pending at submit + scheduled - executed - pending at the end
+  std::uint64_t cancelled = 0;
   Seconds sim_makespan = 0.0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
@@ -63,16 +117,23 @@ struct Row {
   double select_us_per_heartbeat = 0.0;
 };
 
-Row measure(exp::SchedulerKind kind, std::size_t nodes, bool oversubscribed) {
+Row measure(exp::SchedulerKind kind, std::size_t nodes, Network network) {
   // Work scales with the fleet: jobs proportional to nodes so every size
   // runs at comparable utilisation and the per-event cost is comparable.
   const int jobs = static_cast<int>(nodes / 4);
   exp::RunConfig cfg;
   cfg.seed = 7;
   cfg.job_tracker.measure_scheduler_time = true;
-  if (oversubscribed) cfg.topology = net::TopologySpec::oversubscribed();
+  if (network == Network::kOversubscribed)
+    cfg.topology = net::TopologySpec::oversubscribed();
+  if (network == Network::kFlat) cfg.topology = net::TopologySpec::flat();
+  EventCounter counter;  // declared first: the run's simulator points at it
   exp::Run run(exp::homogeneous(cluster::catalog::xeon_e5(), nodes), kind,
                cfg);
+  sim::Simulator& sim = run.simulator();
+  counter.forward_to(run.auditor());
+  sim.set_observer(&counter);
+  const std::uint64_t pending_at_submit = sim.pending();
   run.submit(exp::job_batch(workload::AppKind::kTerasort, 4000.0, 8, jobs));
 
   const auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
@@ -81,12 +142,14 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes, bool oversubscribed) {
 
   Row r;
   r.scheduler = exp::scheduler_kind_name(kind);
-  r.network = oversubscribed ? "oversubscribed" : "scalar";
+  r.network = network_name(network);
   r.nodes = nodes;
   r.jobs = static_cast<std::size_t>(jobs);
   const exp::RunMetrics m = run.metrics();
   r.tasks = m.total_tasks;
-  r.events = run.simulator().executed();
+  r.events = sim.executed();
+  r.scheduled = counter.scheduled();
+  r.cancelled = pending_at_submit + r.scheduled - r.events - sim.pending();
   r.sim_makespan = m.makespan;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.events_per_sec =
@@ -105,6 +168,8 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes, bool oversubscribed) {
 }
 
 struct SweepRow {
+  std::size_t nodes = 0;
+  std::size_t jobs = 0;
   std::size_t seeds = 0;
   unsigned threads = 0;
   double wall_parallel_s = 0.0;
@@ -116,15 +181,23 @@ struct SweepRow {
 SweepRow measure_sweep() {
   constexpr std::size_t kSeeds = 8;
   constexpr unsigned kThreads = 4;
+  // The scalar rows' shape at 1024 nodes: one audited seed runs for about
+  // 1.3-1.6 s serially in Release on a 4-vCPU Xeon host, so thread start-up
+  // is noise in the speedup.
+  constexpr std::size_t kNodes = 1024;
+  constexpr std::size_t kJobs = kNodes / 4;
   exp::RunConfig cfg;
   cfg.audit.enabled = true;  // digest on: the production sweep configuration
-  const auto jobs = exp::job_batch(workload::AppKind::kTerasort, 3000.0, 8, 3);
-  const auto fleet = exp::homogeneous(cluster::catalog::xeon_e5(), 16);
+  const auto jobs = exp::job_batch(workload::AppKind::kTerasort, 4000.0, 8,
+                                   static_cast<int>(kJobs));
+  const auto fleet = exp::homogeneous(cluster::catalog::xeon_e5(), kNodes);
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 1; s <= kSeeds; ++s) seeds.push_back(s);
 
   exp::SweepConfig sweep;
   SweepRow r;
+  r.nodes = kNodes;
+  r.jobs = kJobs;
   r.seeds = kSeeds;
   r.threads = kThreads;
 
@@ -157,31 +230,38 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   const auto add_row = [&](exp::SchedulerKind kind, std::size_t nodes,
-                           bool oversubscribed) {
-    rows.push_back(measure(kind, nodes, oversubscribed));
+                           Network network) {
+    rows.push_back(measure(kind, nodes, network));
     const Row& r = rows.back();
     std::printf(
         "%-8s %-14s nodes=%3zu jobs=%3zu tasks=%6zu events=%9llu "
-        "wall=%6.2fs events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
+        "scheduled=%9llu cancelled=%7llu wall=%6.2fs events/s=%9.0f "
+        "rss=%6.1f MiB select/hb=%6.2fus\n",
         r.scheduler.c_str(), r.network.c_str(), r.nodes, r.jobs, r.tasks,
-        static_cast<unsigned long long>(r.events), r.wall_seconds,
+        static_cast<unsigned long long>(r.events),
+        static_cast<unsigned long long>(r.scheduled),
+        static_cast<unsigned long long>(r.cancelled), r.wall_seconds,
         r.events_per_sec, r.peak_rss_mib, r.select_us_per_heartbeat);
   };
   const exp::SchedulerKind kinds[] = {exp::SchedulerKind::kEAnt,
                                       exp::SchedulerKind::kCapacity};
   for (const exp::SchedulerKind kind : kinds) {
-    for (std::size_t nodes : {16, 64, 256}) add_row(kind, nodes, false);
+    for (std::size_t nodes : {16, 64, 256})
+      add_row(kind, nodes, Network::kScalar);
   }
-  for (const exp::SchedulerKind kind : kinds) {
-    for (std::size_t nodes : {16, 64}) add_row(kind, nodes, true);
+  for (const Network network : {Network::kOversubscribed, Network::kFlat}) {
+    for (const exp::SchedulerKind kind : kinds) {
+      for (std::size_t nodes : {16, 64}) add_row(kind, nodes, network);
+    }
   }
 
   const SweepRow sweep = measure_sweep();
   std::printf(
-      "sweep    seeds=%3zu threads=%u wall=%6.2fs serial=%6.2fs "
-      "seeds/min=%6.1f speedup=%4.2fx\n",
-      sweep.seeds, sweep.threads, sweep.wall_parallel_s, sweep.wall_serial_s,
-      sweep.seeds_per_min, sweep.speedup);
+      "sweep    nodes=%zu jobs=%zu seeds=%3zu threads=%u wall=%6.2fs "
+      "serial=%6.2fs seeds/min=%6.1f speedup=%4.2fx\n",
+      sweep.nodes, sweep.jobs, sweep.seeds, sweep.threads,
+      sweep.wall_parallel_s, sweep.wall_serial_s, sweep.seeds_per_min,
+      sweep.speedup);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -195,7 +275,8 @@ int main(int argc, char** argv) {
                  "    {\"scheduler\": \"%s\", \"network\": \"%s\", "
                  "\"nodes\": %zu, \"jobs\": %zu, "
                  "\"tasks\": %zu, "
-                 "\"events\": %llu, \"sim_makespan_s\": %.3f, "
+                 "\"events\": %llu, \"scheduled\": %llu, "
+                 "\"cancelled\": %llu, \"sim_makespan_s\": %.3f, "
                  "\"wall_s\": %.3f, \"events_per_s\": %.0f, "
                  "\"peak_rss_mib\": %.1f, "
                  "\"heartbeats\": %llu, \"select_job_calls\": %llu, "
@@ -203,6 +284,8 @@ int main(int argc, char** argv) {
                  "\"select_us_per_heartbeat\": %.3f}%s\n",
                  r.scheduler.c_str(), r.network.c_str(), r.nodes, r.jobs,
                  r.tasks, static_cast<unsigned long long>(r.events),
+                 static_cast<unsigned long long>(r.scheduled),
+                 static_cast<unsigned long long>(r.cancelled),
                  r.sim_makespan,
                  r.wall_seconds, r.events_per_sec, r.peak_rss_mib,
                  static_cast<unsigned long long>(r.heartbeats),
@@ -211,13 +294,30 @@ int main(int argc, char** argv) {
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"sweep\": {\"seeds\": %zu, \"threads\": %u, "
+               "  ],\n  \"sweep\": {\"nodes\": %zu, \"jobs\": %zu, "
+               "\"seeds\": %zu, \"threads\": %u, "
                "\"wall_s\": %.3f, \"serial_wall_s\": %.3f, "
                "\"seeds_per_min_4t\": %.2f, \"speedup\": %.2f}\n",
-               sweep.seeds, sweep.threads, sweep.wall_parallel_s,
-               sweep.wall_serial_s, sweep.seeds_per_min, sweep.speedup);
+               sweep.nodes, sweep.jobs, sweep.seeds, sweep.threads,
+               sweep.wall_parallel_s, sweep.wall_serial_s, sweep.seeds_per_min,
+               sweep.speedup);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+
+  int status = 0;
+  for (const Row& r : rows) {
+    if (static_cast<double>(r.scheduled) <=
+        kMaxScheduledPerExecuted * static_cast<double>(r.events))
+      continue;
+    std::fprintf(stderr,
+                 "event churn: %s %s nodes=%zu scheduled %llu events for "
+                 "%llu executed (limit %.1fx)\n",
+                 r.scheduler.c_str(), r.network.c_str(), r.nodes,
+                 static_cast<unsigned long long>(r.scheduled),
+                 static_cast<unsigned long long>(r.events),
+                 kMaxScheduledPerExecuted);
+    status = 1;
+  }
+  return status;
 }
