@@ -20,9 +20,11 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "audit/digest.h"
 #include "common/rng.h"
 #include "exp/builders.h"
 #include "exp/chaos.h"
@@ -46,24 +48,26 @@ struct GoldenRow {
   std::size_t failed;
   std::size_t dropped;
   double wasted_task_seconds;
+  std::uint64_t counters;
 };
 
 // Columns: cell, determinism digest, makespan (s), total energy (J), local-map
-// fraction, jobs completed / failed / dropped, wasted task-seconds.
+// fraction, jobs completed / failed / dropped, wasted task-seconds, and the
+// counters digest (counters_digest below).
 // clang-format off
 constexpr GoldenRow kGolden[] = {
-    {"fabric/fault-free", 0x6a7cb8be03482243ull, 283.49763601827027, 397929.42109364492, 0.88652482269503541, 3, 0, 0, 0},
-    {"chaos/machine-crashes", 0x291b7a2701b3652dull, 258.62245744575858, 378744.47927224275, 0.89171974522292996, 3, 0, 0, 406.78649889899953},
-    {"chaos/rack-partition", 0x68a8469a3cdf3511ull, 313.84432391590434, 501026.75241335505, 0.75971731448763247, 3, 0, 0, 1415.0453436702971},
-    {"chaos/jobtracker-crash", 0x737674c4e7da19ceull, 277.00398991337045, 397939.45917822438, 0.93617021276595747, 3, 0, 0, 438},
-    {"chaos/corrupt-and-limp", 0x0fe69b54e36f6df8ull, 213.89607839750931, 322348.09678025206, 0.90780141843971629, 3, 0, 0, 8.8107700415993513},
-    {"failover-and-loss", 0x9583ccb569b4eb1dull, 504.31854930439999, 682653.02149274759, 0.78260869565217395, 3, 0, 0, 3470.5851839196216},
-    {"tenant/capacity-admission", 0xd6381f18c244b014ull, 4311.2274804285735, 9998443.8041535839, 0.53094462540716614, 1335, 0, 15, 65.443905341280924},
-    {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666},
-    {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0},
-    {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0},
-    {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0},
-    {"msd/fair-oversub", 0x13eedc9525fa3cbbull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0},
+    {"fabric/fault-free", 0x6a7cb8be03482243ull, 283.49763601827027, 397929.42109364492, 0.88652482269503541, 3, 0, 0, 0, 0x74ff59e7c16e7ccaull},
+    {"chaos/machine-crashes", 0x291b7a2701b3652dull, 258.62245744575858, 378744.47927224275, 0.89171974522292996, 3, 0, 0, 406.78649889899953, 0x62fd36a6a51ad09cull},
+    {"chaos/rack-partition", 0x68a8469a3cdf3511ull, 313.84432391590434, 501026.75241335505, 0.75971731448763247, 3, 0, 0, 1415.0453436702971, 0x7e89f4adc71a492bull},
+    {"chaos/jobtracker-crash", 0x737674c4e7da19ceull, 277.00398991337045, 397939.45917822438, 0.93617021276595747, 3, 0, 0, 438, 0x6c442bcfcf141eaeull},
+    {"chaos/corrupt-and-limp", 0x0fe69b54e36f6df8ull, 213.89607839750931, 322348.09678025206, 0.90780141843971629, 3, 0, 0, 8.8107700415993513, 0xc04b5103481d86c3ull},
+    {"failover-and-loss", 0x9583ccb569b4eb1dull, 504.31854930439999, 682653.02149274759, 0.78260869565217395, 3, 0, 0, 3470.5851839196216, 0x449eb42ce51fe1c7ull},
+    {"tenant/capacity-admission", 0xd6381f18c244b014ull, 4311.2274804285735, 9998443.8041535839, 0.53094462540716614, 1335, 0, 15, 65.443905341280924, 0xf3f5e1807b56be54ull},
+    {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666, 0xe83b8ede234def8eull},
+    {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0, 0xd519d2e35999a355ull},
+    {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0, 0xf35df6176edb75d5ull},
+    {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0, 0x5fade39b7a452ce4ull},
+    {"msd/fair-oversub", 0x13eedc9525fa3cbbull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0, 0xe02c564132dcd119ull},
 };
 // clang-format on
 
@@ -249,6 +253,36 @@ std::size_t completed_jobs(const exp::RunMetrics& m) {
   return n;
 }
 
+/// FNV-1a over the JobTracker counters a run reports, read by name in
+/// RunMetrics' declaration order (integers as uint64_t, doubles by bit
+/// pattern).  The determinism digest hashes the event stream, not these
+/// values, so only this column catches a counter copied from the wrong
+/// source.
+std::uint64_t counters_digest(const exp::RunMetrics& m) {
+  audit::Fnv1a h;
+  const auto mix = [&h](const auto&... values) {
+    const auto one = [&h](auto v) {
+      if constexpr (std::is_floating_point_v<decltype(v)>) {
+        h.mix(static_cast<double>(v));
+      } else {
+        h.mix(static_cast<std::uint64_t>(v));
+      }
+    };
+    (one(values), ...);
+  };
+  mix(m.preempted_attempts, m.speculative_launches, m.killed_attempts,
+      m.failed_attempts, m.lost_map_outputs, m.wasted_task_seconds,
+      m.fetch_failures, m.fetch_reexecuted_maps, m.rereplicated_blocks,
+      m.rereplication_mb, m.data_loss_events, m.quarantine_episodes,
+      m.corruptions_injected, m.corruptions_detected, m.corruptions_repaired,
+      m.corruptions_lost, m.corruptions_latent, m.corrupt_read_failovers,
+      m.shuffle_corruptions, m.task_output_corruptions, m.scrubbed_mb,
+      m.scrub_passes, m.master_crashes, m.checkpoints_written,
+      m.checkpoint_replays, m.fenced_heartbeats, m.fenced_completions,
+      m.orphans_committed, m.orphans_requeued);
+  return h.value();
+}
+
 bool near(double actual, double expected) {
   return std::abs(actual - expected) <=
          1e-9 * std::max(std::abs(expected), 1e-300);
@@ -259,10 +293,11 @@ std::string row_of(const Cell& c) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "    {\"%s\", 0x%016" PRIx64 "ull, %.17g, %.17g, %.17g, %zu, "
-                "%zu, %zu, %.17g},",
+                "%zu, %zu, %.17g, 0x%016" PRIx64 "ull},",
                 c.name.c_str(), m.determinism_digest, m.makespan,
                 m.total_energy, m.locality_fraction(), completed_jobs(m),
-                m.jobs_failed, m.jobs_dropped, m.wasted_task_seconds);
+                m.jobs_failed, m.jobs_dropped, m.wasted_task_seconds,
+                counters_digest(m));
   return buf;
 }
 
@@ -272,7 +307,8 @@ bool matches(const GoldenRow& g, const exp::RunMetrics& m) {
          near(m.locality_fraction(), g.local_map_frac) &&
          completed_jobs(m) == g.completed && m.jobs_failed == g.failed &&
          m.jobs_dropped == g.dropped &&
-         near(m.wasted_task_seconds, g.wasted_task_seconds);
+         near(m.wasted_task_seconds, g.wasted_task_seconds) &&
+         g.counters == counters_digest(m);
 }
 
 TEST(Golden, AuditedCellsReproduceTheirRecordedRows) {
