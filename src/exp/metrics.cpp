@@ -105,6 +105,7 @@ void MetricsCollector::install() {
 
 RunMetrics MetricsCollector::finalize(const std::string& scheduler_name) {
   RunMetrics rm;
+  static_cast<mr::JobTrackerCounters&>(rm) = jt_.counters();
   rm.scheduler_name = scheduler_name;
   rm.makespan = last_finish_;
   rm.jobs = jobs_;
@@ -113,14 +114,8 @@ RunMetrics MetricsCollector::finalize(const std::string& scheduler_name) {
   rm.rack_local_maps = rack_local_maps_;
   rm.total_maps = total_maps_;
   rm.jobs_failed = jt_.jobs_failed();
-  rm.killed_attempts = jt_.killed_attempts();
-  rm.failed_attempts = jt_.failed_attempts();
-  rm.lost_map_outputs = jt_.lost_map_outputs();
-  rm.wasted_task_seconds = jt_.wasted_task_seconds();
   rm.wasted_energy = wasted_energy_;
   rm.recovery_times = jt_.recovery_times();
-  rm.preempted_attempts = jt_.preempted_attempts();
-  rm.speculative_launches = jt_.speculative_launches();
 
   // Per-tenant SLO aggregates (std::map: by_tenant sorted by tenant id).
   // Admission ledgers merge in first: a tenant whose every arrival was
@@ -181,27 +176,11 @@ RunMetrics MetricsCollector::finalize(const std::string& scheduler_name) {
     rm.by_tenant.push_back(t);
   }
 
-  rm.fetch_failures = jt_.fetch_failures();
-  rm.fetch_reexecuted_maps = jt_.fetch_reexecuted_maps();
-  rm.rereplicated_blocks = jt_.rereplicated_blocks();
-  rm.rereplication_mb = jt_.rereplication_mb();
-  rm.data_loss_events = jt_.data_loss_events();
-  rm.corruptions_injected = jt_.corruptions_injected();
-  rm.corruptions_detected = jt_.corruptions_detected();
-  rm.corruptions_repaired = jt_.corruptions_repaired();
-  rm.corruptions_lost = jt_.corruptions_lost();
-  rm.corruptions_latent = jt_.corruptions_latent();
-  rm.corrupt_read_failovers = jt_.corrupt_read_failovers();
-  rm.shuffle_corruptions = jt_.shuffle_corruptions();
-  rm.task_output_corruptions = jt_.task_output_corruptions();
-  rm.scrubbed_mb = jt_.scrubbed_mb();
-  rm.scrub_passes = jt_.scrub_passes();
   if (!jt_.corruption_detection_latencies().empty()) {
     rm.mean_detection_latency = mean_of(jt_.corruption_detection_latencies());
   }
   rm.wasted_energy_corruption = wasted_energy_corruption_;
   const hdfs::NameNode& nn = jt_.namenode();
-  rm.under_replicated_blocks = nn.under_replicated_count();
   if (jt_.rereplication_active() == 0) {
     // With no stream in flight, every short block must be accounted for:
     // recorded lost or sitting in the recovery queue.

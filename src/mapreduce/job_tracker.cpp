@@ -224,10 +224,10 @@ void JobTracker::start_checkpoint_timer() {
             config_.checkpoint_write_cost, [this, started, epoch] {
               if (!master_up_ || master_epoch_ != epoch) return;
               checkpoint_coverage_ = started;
-              ++checkpoints_written_;
+              ++counters_.checkpoints_written;
               if (auditor_) {
                 auditor_->record(audit::Record::kCheckpoint,
-                                 checkpoints_written_);
+                                 counters_.checkpoints_written);
               }
             });
         return true;
@@ -394,7 +394,7 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
   const cluster::MachineId m = tracker.machine_id();
   if (!master_up_) {
     // The master process is dead: nobody hears the heartbeat.
-    ++fenced_heartbeats_;
+    ++counters_.fenced_heartbeats;
     return;
   }
   if (tracker_epoch_[m] != master_epoch_) {
@@ -402,7 +402,7 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
       // Re-registration storm throttle: the restarted master admits the
       // fleet in machine-id order across reregistration_window; reports
       // arriving before a tracker's gate are fenced as stale-epoch.
-      ++fenced_heartbeats_;
+      ++counters_.fenced_heartbeats;
       return;
     }
     reregister_tracker(tracker);
@@ -489,7 +489,7 @@ void JobTracker::resolve_orphans(cluster::MachineId machine) {
                                      audit::TaskEvent::kOrphanCommit, machine);
       }
       note_orphan_outcome(spec, machine, 0);
-      ++orphans_committed_;
+      ++counters_.orphans_committed;
       handle_completion(orphan.report);
       continue;
     }
@@ -504,8 +504,8 @@ void JobTracker::reconcile_running_attempts(TaskTracker& tracker) {
     // The restarted master has no record of this in-flight attempt: kill it
     // (cancel_task audits the kKill) and requeue the task.
     tracker.cancel_task(a.spec.job, a.spec.kind, a.spec.index);
-    ++killed_attempts_;
-    ++orphans_requeued_;
+    ++counters_.killed_attempts;
+    ++counters_.orphans_requeued;
     TaskReport waste;
     waste.spec = a.spec;
     waste.machine = m;
@@ -521,7 +521,7 @@ bool JobTracker::fence_report(const TaskReport& report, bool failed) {
   if (accepts_reports(report.machine)) return false;
   // Master down or stale tracker epoch: the report lands in the orphan
   // buffer for deterministic resolution at the tracker's re-registration.
-  ++fenced_completions_;
+  ++counters_.fenced_completions;
   orphans_[{report.spec.job, report.spec.kind, report.spec.index,
             report.machine}] = Orphan{report, failed};
   return true;
@@ -535,7 +535,7 @@ bool JobTracker::requeue_orphan(const TaskReport& report, int outcome) {
                                  report.machine);
   }
   note_orphan_outcome(spec, report.machine, outcome);
-  ++orphans_requeued_;
+  ++counters_.orphans_requeued;
   report_waste(report, WasteReason::kOrphaned);
   return requeue_task(spec.job, spec.kind, spec.index);
 }
@@ -579,7 +579,7 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
   if (!ts.quarantined && ts.health_samples >= config_.health_min_samples &&
       ts.health < config_.quarantine_threshold) {
     ts.quarantined = true;
-    ++quarantine_episodes_;
+    ++counters_.quarantine_episodes;
     // The node is not dead — its running attempts continue (and may still
     // finish) — but the scheduler must stop feeding it.
     scheduler_.on_tracker_lost(m);
@@ -944,7 +944,7 @@ void JobTracker::on_flow_complete(net::FlowId id, const TransferKey& key) {
   // the shuffle.
   if (of.cls == net::TransferClass::kShuffle && of.mb > 0.0 &&
       shuffle_corruption_hook_ && shuffle_corruption_hook_()) {
-    ++shuffle_corruptions_;
+    ++counters_.shuffle_corruptions;
     if (auditor_) {
       auditor_->record(audit::Record::kCorruptionDetected,
                        audit_key(of.key.job, of.src));
@@ -977,7 +977,7 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
     const TaskSpec& spec = job(of.key.job).task(of.key.kind, of.key.index);
     const auto src = pick_replica_source(spec.block, of.key.machine);
     if (remaining_mb > 0.0 && src.has_value()) {
-      ++retransferred_flows_;
+      ++counters_.retransferred_flows;
       start_owned_flow(of.key, *src, of.key.machine, remaining_mb,
                        of.cap_mbps, of.cls);
       return;
@@ -997,7 +997,7 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
 
 void JobTracker::handle_fetch_failure(const OwnedFlow& of,
                                       Megabytes remaining_mb) {
-  ++fetch_failures_;
+  ++counters_.fetch_failures;
   scheduler_.on_fetch_failed(of.key.job, of.src);
   if (auditor_) {
     auditor_->record(audit::Record::kFetchFailure,
@@ -1071,7 +1071,7 @@ void JobTracker::declare_map_outputs_lost(JobId job, cluster::MachineId source) 
   for (auto it = outputs.begin(); it != outputs.end();) {
     if (it->first.first == job &&
         revert_map_output(it->second, WasteReason::kFetchFailed)) {
-      ++fetch_reexecuted_maps_;
+      ++counters_.fetch_reexecuted_maps;
       it = outputs.erase(it);
     } else {
       ++it;
@@ -1096,7 +1096,7 @@ void JobTracker::kill_fetching_attempt(const TransferKey& key) {
   // abort callback drains any remaining fetch flows.
   trackers_[key.machine]->cancel_task(key.job, key.kind, key.index);
   abort_transfers(key);
-  ++killed_attempts_;
+  ++counters_.killed_attempts;
   requeue_task(key.job, key.kind, key.index);
 }
 
@@ -1105,7 +1105,7 @@ void JobTracker::fail_fetching_attempt(const TransferKey& key) {
   // the attempt FAIL through the normal completion path so it burns budget
   // (four hopeless shuffles end the job loudly instead of livelocking).
   abort_transfers(key);
-  ++fetch_aborted_attempts_;
+  ++counters_.fetch_aborted_attempts;
   TaskTracker& t = *trackers_[key.machine];
   EANT_ASSERT(t.alive() && t.is_running(key.job, key.kind, key.index),
               "fetch-aborting an attempt that is no longer running");
@@ -1216,7 +1216,7 @@ void JobTracker::handle_network_casualties(cluster::MachineId dead) {
     }
 
     if (remaining > 0.0 && source.has_value()) {
-      ++retransferred_flows_;
+      ++counters_.retransferred_flows;
       start_owned_flow(key, *source, dst, remaining, cap, cls);
     } else {
       // No surviving source (or nothing left to move): once the fetch set
@@ -1244,7 +1244,7 @@ void JobTracker::apply_datanode_mark(cluster::MachineId machine, bool dead) {
     namenode_.mark_datanode_dead(machine);
     const auto& lost = namenode_.lost_blocks();
     for (std::size_t i = lost_before; i < lost.size(); ++i) {
-      ++data_loss_events_;
+      ++counters_.data_loss_events;
       if (auditor_) auditor_->record(audit::Record::kDataLoss, lost[i]);
     }
   } else {
@@ -1316,15 +1316,15 @@ void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
   // add_replica then re-queues the block instead of registering the copy.
   namenode_.add_replica(block, target);
   if (namenode_.is_local(block, target)) {
-    ++rereplicated_blocks_;
-    rereplication_mb_ += mb;
+    ++counters_.rereplicated_blocks;
+    counters_.rereplication_mb += mb;
     // A registered copy of a block with confirmed-corrupt history settles
     // one detection in the repair ledger (copies are fungible: whichever
     // under-replication put the block on the queue, the new clean replica
     // restores what the dropped corrupt one cost).
     if (auto cit = corrupt_pending_repair_.find(block);
         cit != corrupt_pending_repair_.end()) {
-      ++corruptions_repaired_;
+      ++counters_.corruptions_repaired;
       if (auditor_) {
         auditor_->record(audit::Record::kRepair, audit_key(block, target));
       }
@@ -1356,7 +1356,7 @@ void JobTracker::inject_corruption(cluster::MachineId machine,
   // Only a live, still-clean replica can newly rot; anything else the strike
   // lands on is a no-op, so the injected counter never double-books.
   if (!namenode_.corrupt_replica(target, machine)) return;
-  ++corruptions_injected_;
+  ++counters_.corruptions_injected;
   corrupt_injected_at_[{target, machine}] = sim_.now();
 }
 
@@ -1375,7 +1375,8 @@ cluster::MachineId JobTracker::preferred_replica(
 }
 
 void JobTracker::verify_read(hdfs::BlockId block, cluster::MachineId reader) {
-  if (corruptions_injected_ == 0) return;  // nothing anywhere can be corrupt
+  // No injection yet: nothing anywhere can be corrupt.
+  if (counters_.corruptions_injected == 0) return;
   // The reader tries replicas in preference order; every checksum mismatch
   // is reported to the NameNode (Hadoop's reportBadBlocks) and the read
   // fails over to the next replica, until a clean one answers or no replica
@@ -1387,12 +1388,12 @@ void JobTracker::verify_read(hdfs::BlockId block, cluster::MachineId reader) {
     failed_over = true;
     confirm_corruption(block, n);
   }
-  if (failed_over) ++corrupt_read_failovers_;
+  if (failed_over) ++counters_.corrupt_read_failovers;
 }
 
 void JobTracker::confirm_corruption(hdfs::BlockId block,
                                     cluster::MachineId node) {
-  ++corruptions_detected_;
+  ++counters_.corruptions_detected;
   if (auto it = corrupt_injected_at_.find({block, node});
       it != corrupt_injected_at_.end()) {
     corruption_detection_latencies_.push_back(sim_.now() - it->second);
@@ -1408,7 +1409,7 @@ void JobTracker::confirm_corruption(hdfs::BlockId block,
     // That was the last replica: loud corrupt-block loss.  Earlier
     // detections of this block still queued for repair can never be
     // satisfied — they are lost with it.
-    ++data_loss_events_;
+    ++counters_.data_loss_events;
     if (auditor_) auditor_->record(audit::Record::kDataLoss, block);
     std::size_t lost = 1;
     if (auto pit = corrupt_pending_repair_.find(block);
@@ -1416,7 +1417,7 @@ void JobTracker::confirm_corruption(hdfs::BlockId block,
       lost += static_cast<std::size_t>(pit->second);
       corrupt_pending_repair_.erase(pit);
     }
-    corruptions_lost_ += lost;
+    counters_.corruptions_lost += lost;
     return;
   }
   // The replica dropped into the under-replication queue; the next finished
@@ -1431,7 +1432,7 @@ void JobTracker::scrub_tick() {
   if (rerep_limit_ <= 0) return;
   const std::size_t total = namenode_.num_blocks();
   if (total == 0) return;
-  ++scrub_passes_;
+  ++counters_.scrub_passes;
   double budget = config_.scrub_mbps * config_.scrub_period;
   std::uint64_t scanned = 0;
   std::size_t visited = 0;
@@ -1448,7 +1449,7 @@ void JobTracker::scrub_tick() {
     const std::vector<cluster::MachineId> locs = namenode_.locations(id);
     for (cluster::MachineId n : locs) {
       budget -= mb;
-      scrubbed_mb_ += mb;
+      counters_.scrubbed_mb += mb;
       ++scanned;
       if (namenode_.replica_corrupt(id, n)) confirm_corruption(id, n);
       if (budget <= 0.0) break;
@@ -1465,7 +1466,7 @@ void JobTracker::finalize_corruption() {
   for (auto it = corrupt_pending_repair_.begin();
        it != corrupt_pending_repair_.end();) {
     if (namenode_.block_lost(it->first)) {
-      corruptions_lost_ += static_cast<std::size_t>(it->second);
+      counters_.corruptions_lost += static_cast<std::size_t>(it->second);
       it = corrupt_pending_repair_.erase(it);
     } else {
       ++it;
@@ -1479,7 +1480,7 @@ void JobTracker::finalize_corruption() {
   // live replica, or the rotten replica evaporated with its node before
   // anything read it.  A live replica whose marker vanished would mean the
   // checksum state was silently cleared — a ledger violation.
-  corruptions_latent_ = corrupt_injected_at_.size();
+  counters_.corruptions_latent = corrupt_injected_at_.size();
   if (auditor_ == nullptr) return;
   for (const auto& [key, t] : corrupt_injected_at_) {
     (void)t;
@@ -1490,13 +1491,14 @@ void JobTracker::finalize_corruption() {
           "latent corrupt replica lost its checksum marker");
     }
   }
-  if (corruptions_detected_ !=
-      corruptions_repaired_ + corruptions_lost_ + pending) {
+  if (counters_.corruptions_detected !=
+      counters_.corruptions_repaired + counters_.corruptions_lost + pending) {
     auditor_->report_violation(
         "corruption-conservation", audit::Severity::kError,
         "detected corruptions must be repaired, lost, or awaiting repair");
   }
-  if (corruptions_injected_ != corruptions_detected_ + corruptions_latent_) {
+  if (counters_.corruptions_injected !=
+      counters_.corruptions_detected + counters_.corruptions_latent) {
     auditor_->report_violation(
         "corruption-conservation", audit::Severity::kError,
         "injected corruptions must be detected or latent at finalize");
@@ -1506,7 +1508,7 @@ void JobTracker::finalize_corruption() {
 void JobTracker::crash_master() {
   EANT_CHECK(master_up_, "JobTracker master crashed while already down");
   master_up_ = false;
-  ++master_crashes_;
+  ++counters_.master_crashes;
   if (auditor_) auditor_->record(audit::Record::kMasterCrash, 0);
 }
 
@@ -1518,7 +1520,7 @@ void JobTracker::recover_master() {
     auditor_->record(audit::Record::kMasterRecover, 0);
     auditor_->on_master_epoch(master_epoch_);
   }
-  if (checkpoint_coverage_ >= 0.0) ++checkpoint_replays_;
+  if (checkpoint_coverage_ >= 0.0) ++counters_.checkpoint_replays;
   const Seconds now = sim_.now();
   const double fleet = std::max<double>(1.0, cluster_.size());
   for (cluster::MachineId m = 0; m < cluster_.size(); ++m) {
@@ -1553,7 +1555,7 @@ void JobTracker::recover_master() {
 void JobTracker::crash_namenode() {
   EANT_CHECK(namenode_up_, "NameNode crashed while already down");
   namenode_up_ = false;
-  ++master_crashes_;
+  ++counters_.master_crashes;
   nn_snapshot_ = namenode_.snapshot();
   if (auditor_) auditor_->record(audit::Record::kMasterCrash, 1);
 }
@@ -1756,7 +1758,7 @@ bool JobTracker::start_speculative(JobId job, TaskKind kind, TaskIndex index,
                                 ? Locality::kNodeLocal
                                 : namenode_.locality(spec.block, m);
   js.mark_speculative(kind, index);
-  ++speculative_launches_;
+  ++counters_.speculative_launches;
   launch(js, kind, index, tracker, locality);
   return true;
 }
@@ -1776,8 +1778,8 @@ std::size_t JobTracker::preempt_attempt(JobId job, TaskKind kind,
     // callback already fired, this drains the transfer bookkeeping.
     abort_transfers(TransferKey{job, kind, index, t->machine_id()});
     ++preempted;
-    ++killed_attempts_;
-    ++preempted_attempts_;
+    ++counters_.killed_attempts;
+    ++counters_.preempted_attempts;
     report_waste(*report, WasteReason::kPreempted);
     if (auditor_) {
       auditor_->record(
@@ -1809,7 +1811,7 @@ void JobTracker::handle_completion(TaskReport report) {
     // of defence before the result commits.  The tracker's finish event is
     // revoked (the auditor sees a revert, so the work never counts twice),
     // the attempt is charged like a failure, and the map re-executes.
-    ++task_output_corruptions_;
+    ++counters_.task_output_corruptions;
     if (auditor_) {
       auditor_->record(audit::Record::kCorruptionDetected,
                        audit_key(report.spec.job, report.spec.index));
@@ -1852,7 +1854,7 @@ void JobTracker::handle_completion(TaskReport report) {
 }
 
 void JobTracker::report_waste(const TaskReport& report, WasteReason reason) {
-  wasted_task_seconds_ += report.duration();
+  counters_.wasted_task_seconds += report.duration();
   if (waste_listener_) waste_listener_(report, reason);
 }
 
@@ -1869,7 +1871,7 @@ void JobTracker::record_crash_casualties(cluster::MachineId machine,
   EANT_CHECK(machine < tracker_states_.size(), "unknown tracker crashed");
   TrackerState& ts = tracker_states_[machine];
   ts.crash_pending = true;
-  killed_attempts_ += killed.size();
+  counters_.killed_attempts += killed.size();
   for (auto& r : killed) {
     report_waste(r, WasteReason::kCrashKilled);
     ts.lost_attempts.push_back(std::move(r));
@@ -1888,7 +1890,7 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
   const cluster::MachineId m = report.machine;
   EANT_CHECK(m < tracker_states_.size(), "failure from unknown tracker");
   TrackerState& ts = tracker_states_[m];
-  ++failed_attempts_;
+  ++counters_.failed_attempts;
   report_waste(report, reason);
   scheduler_.on_task_failed(report.spec, m);
 
@@ -1982,7 +1984,7 @@ void JobTracker::reclaim_lost_work(cluster::MachineId machine,
   // must re-run those maps (reduce outputs are HDFS-replicated and safe).
   for (const auto& [key, r] : ts.map_outputs) {
     if (revert_map_output(r, WasteReason::kLostMapOutput)) {
-      ++lost_map_outputs_;
+      ++counters_.lost_map_outputs;
       rec.outstanding.insert({key.first, TaskKind::kMap, key.second});
     }
   }

@@ -216,6 +216,92 @@ enum class WasteReason {
   kCorruption,     ///< work redone because its input or output was corrupt
 };
 
+/// The JobTracker's run counters.  The JobTracker bumps them in place and
+/// exp::RunMetrics derives from this struct, so adding a counter is one
+/// documented field here plus its increment.
+struct JobTrackerCounters {
+  // --- attempts ---------------------------------------------------------------
+
+  /// Attempts killed rather than failed: with a crashed machine, when their
+  /// input became unreachable, as a restarted master's unrecorded orphans,
+  /// or by preemption.
+  std::size_t killed_attempts = 0;
+  std::size_t failed_attempts = 0;  ///< transient attempt failures
+  /// Attempts killed by scheduler preemption (subset of killed_attempts).
+  std::size_t preempted_attempts = 0;
+  /// Speculative twins launched, by the JobTracker's own straggler scan or
+  /// by a scheduler (LATE) through start_speculative().
+  std::size_t speculative_launches = 0;
+  /// Completed maps re-executed because their output died with a node.
+  std::size_t lost_map_outputs = 0;
+  /// Task-seconds of work thrown away (killed, failed and re-run attempts).
+  double wasted_task_seconds = 0.0;
+  std::size_t quarantine_episodes = 0;  ///< times any node entered quarantine
+
+  // --- degraded mode ----------------------------------------------------------
+
+  /// Flows restarted from a different source because theirs crashed.
+  std::size_t retransferred_flows = 0;
+  /// Shuffle fetches that failed mid-flight (link fault, partition, or
+  /// injected transient fetch error).
+  std::size_t fetch_failures = 0;
+  /// Completed maps re-executed via the fetch-failure mechanism (their
+  /// output was unreachable fetch_failure_threshold times).
+  std::size_t fetch_reexecuted_maps = 0;
+  /// Reduce attempts that FAILED after exhausting their fetch budget — the
+  /// escape hatch that turns a hopeless shuffle into a loud job failure
+  /// instead of a livelock.
+  std::size_t fetch_aborted_attempts = 0;
+  /// Blocks restored to full replication after a datanode loss.
+  std::size_t rereplicated_blocks = 0;
+  Megabytes rereplication_mb = 0.0;  ///< bytes moved by re-replication
+  /// Blocks whose last replica died (each one recorded, never silent).
+  std::size_t data_loss_events = 0;
+
+  // --- data integrity ---------------------------------------------------------
+
+  /// Replica corruptions injected (strikes on a live, still-clean replica).
+  std::size_t corruptions_injected = 0;
+  /// Corrupt replicas confirmed by a checksummed read or the scrubber.
+  std::size_t corruptions_detected = 0;
+  /// Confirmed-corrupt replicas restored through the re-replication queue.
+  std::size_t corruptions_repaired = 0;
+  /// Detections that ended in corrupt-block loss (no clean replica left, or
+  /// the block died before its repair could run).
+  std::size_t corruptions_lost = 0;
+  /// Injected corruptions never detected (set by finalize_corruption).
+  std::size_t corruptions_latent = 0;
+  /// Reads that failed over past at least one corrupt replica.
+  std::size_t corrupt_read_failovers = 0;
+  /// Shuffle fetches whose payload failed verification (each one also counts
+  /// as a fetch failure).
+  std::size_t shuffle_corruptions = 0;
+  /// Map completions rejected by end-to-end output verification.
+  std::size_t task_output_corruptions = 0;
+  Megabytes scrubbed_mb = 0.0;  ///< bytes scanned by the background scrubber
+  /// Scrub ticks that actually scanned (master + NameNode up, not browned
+  /// out).
+  std::size_t scrub_passes = 0;
+
+  // --- control plane ----------------------------------------------------------
+
+  /// Control-plane (JobTracker + NameNode) process deaths observed.
+  std::size_t master_crashes = 0;
+  std::size_t checkpoints_written = 0;  ///< committed edit-log checkpoints
+  /// Recoveries that replayed a non-empty checkpointed attempt table.
+  std::size_t checkpoint_replays = 0;
+  /// Heartbeats rejected for a down master, a stale epoch or a closed
+  /// re-registration gate.
+  std::size_t fenced_heartbeats = 0;
+  /// Completion/failure reports buffered as orphans instead of applied.
+  std::size_t fenced_completions = 0;
+  /// Orphaned attempts committed from checkpoint coverage at re-registration.
+  std::size_t orphans_committed = 0;
+  /// Orphaned attempts discarded and requeued (uncovered, or their node
+  /// died before re-registering).
+  std::size_t orphans_requeued = 0;
+};
+
 /// Master node: job admission, heartbeat-driven assignment, lifecycle.
 class JobTracker {
  public:
@@ -239,9 +325,6 @@ class JobTracker {
 
   /// Non-null once attach_fabric() was called.
   net::Fabric* fabric() { return fabric_; }
-
-  /// Flows restarted from a different source because theirs crashed.
-  std::size_t retransferred_flows() const { return retransferred_flows_; }
 
   TaskTracker& tracker(cluster::MachineId id);
 
@@ -356,6 +439,9 @@ class JobTracker {
   /// backoff retries (they never received a JobId).
   std::size_t jobs_dropped() const { return jobs_dropped_; }
 
+  /// Attempt, fault, integrity and failover counters of the run so far.
+  const JobTrackerCounters& counters() const { return counters_; }
+
   // --- overload protection ------------------------------------------------------
 
   /// The admission engine; null unless JobTrackerConfig::admission.enabled.
@@ -387,23 +473,9 @@ class JobTracker {
   /// The node's progress-rate health EWMA (exactly 1.0 when never degraded).
   double node_health(cluster::MachineId id) const;
 
-  /// Times any node entered quarantine.
-  std::size_t quarantine_episodes() const { return quarantine_episodes_; }
-
   /// Progress fraction of the task's live attempt in [0, 1] (max over its
   /// attempts when a speculative twin runs); -1 when no tracker runs it.
   double running_progress(JobId job, TaskKind kind, TaskIndex index) const;
-
-  /// Attempts killed by machine crashes / transient failures so far.
-  std::size_t killed_attempts() const { return killed_attempts_; }
-  std::size_t failed_attempts() const { return failed_attempts_; }
-
-  /// Attempts killed by scheduler preemption (subset of killed_attempts).
-  std::size_t preempted_attempts() const { return preempted_attempts_; }
-
-  /// Speculative twins launched so far, by the JobTracker's own straggler
-  /// scan or by a scheduler (LATE) through start_speculative().
-  std::size_t speculative_launches() const { return speculative_launches_; }
 
   // --- scheduler-cost attribution ----------------------------------------------
 
@@ -417,32 +489,7 @@ class JobTracker {
   /// JobTrackerConfig::measure_scheduler_time is set.
   double select_job_wall_seconds() const { return select_job_wall_seconds_; }
 
-  /// Completed maps re-executed because their output died with a node.
-  std::size_t lost_map_outputs() const { return lost_map_outputs_; }
-
   // --- degraded-mode queries --------------------------------------------------
-
-  /// Shuffle fetches that failed mid-flight (link fault, partition, or
-  /// injected transient fetch error).
-  std::size_t fetch_failures() const { return fetch_failures_; }
-
-  /// Completed maps re-executed via the fetch-failure mechanism (their
-  /// output was unreachable fetch_failure_threshold times).
-  std::size_t fetch_reexecuted_maps() const { return fetch_reexecuted_maps_; }
-
-  /// Reduce attempts that FAILED after exhausting their fetch budget — the
-  /// escape hatch that turns a hopeless shuffle into a loud job failure
-  /// instead of a livelock.
-  std::size_t fetch_aborted_attempts() const { return fetch_aborted_attempts_; }
-
-  /// Blocks restored to full replication after a datanode loss.
-  std::size_t rereplicated_blocks() const { return rereplicated_blocks_; }
-
-  /// Bytes moved by re-replication traffic.
-  Megabytes rereplication_mb() const { return rereplication_mb_; }
-
-  /// Blocks whose last replica died (each one recorded, never silent).
-  std::size_t data_loss_events() const { return data_loss_events_; }
 
   /// Re-replication streams currently in flight (experiments drain this to
   /// zero before reading HDFS invariants).
@@ -478,43 +525,6 @@ class JobTracker {
   /// and every undetected injection must still carry its latent checksum
   /// marker.  Idempotent; called by the Run harness before reading metrics.
   void finalize_corruption();
-
-  /// Replica corruptions injected (strikes on a live, still-clean replica).
-  std::size_t corruptions_injected() const { return corruptions_injected_; }
-
-  /// Corrupt replicas confirmed by a checksummed read or the scrubber.
-  std::size_t corruptions_detected() const { return corruptions_detected_; }
-
-  /// Confirmed-corrupt replicas restored through the re-replication queue.
-  std::size_t corruptions_repaired() const { return corruptions_repaired_; }
-
-  /// Detections that ended in corrupt-block loss (no clean replica left, or
-  /// the block died before its repair could run).
-  std::size_t corruptions_lost() const { return corruptions_lost_; }
-
-  /// Injected corruptions never detected (set by finalize_corruption).
-  std::size_t corruptions_latent() const { return corruptions_latent_; }
-
-  /// Reads that failed over past at least one corrupt replica.
-  std::size_t corrupt_read_failovers() const {
-    return corrupt_read_failovers_;
-  }
-
-  /// Shuffle fetches whose payload failed verification (each one also counts
-  /// as a fetch failure).
-  std::size_t shuffle_corruptions() const { return shuffle_corruptions_; }
-
-  /// Map completions rejected by end-to-end output verification.
-  std::size_t task_output_corruptions() const {
-    return task_output_corruptions_;
-  }
-
-  /// Bytes scanned by the background scrubber.
-  Megabytes scrubbed_mb() const { return scrubbed_mb_; }
-
-  /// Scrub ticks that actually scanned (master + NameNode up, not browned
-  /// out).
-  std::size_t scrub_passes() const { return scrub_passes_; }
 
   /// Seconds from injection to detection, one entry per detected corruption.
   const std::vector<Seconds>& corruption_detection_latencies() const {
@@ -559,35 +569,11 @@ class JobTracker {
   /// registered under an older epoch are buffered until re-registration.
   std::uint64_t master_epoch() const { return master_epoch_; }
 
-  /// Control-plane (JobTracker + NameNode) process deaths observed.
-  std::size_t master_crashes() const { return master_crashes_; }
-  std::size_t checkpoints_written() const { return checkpoints_written_; }
-
-  /// Recoveries that replayed a non-empty checkpointed attempt table.
-  std::size_t checkpoint_replays() const { return checkpoint_replays_; }
-
-  /// Heartbeats rejected for a down master, a stale epoch or a closed
-  /// re-registration gate.
-  std::size_t fenced_heartbeats() const { return fenced_heartbeats_; }
-
-  /// Completion/failure reports buffered as orphans instead of applied.
-  std::size_t fenced_completions() const { return fenced_completions_; }
-
-  /// Orphaned attempts committed from checkpoint coverage at re-registration.
-  std::size_t orphans_committed() const { return orphans_committed_; }
-
-  /// Orphaned attempts discarded and requeued (uncovered, or their node
-  /// died before re-registering).
-  std::size_t orphans_requeued() const { return orphans_requeued_; }
-
   /// Order-independent digest over every orphan resolution this run:
   /// (job, kind, index, machine) -> outcome sequence, no timestamps.  Two
   /// runs resolving the same orphans the same way hash identically even if
   /// re-registration order differs (the storm-throttle invariance test).
   std::uint64_t orphan_resolution_digest() const;
-
-  /// Task-seconds of work thrown away (killed, failed and re-run attempts).
-  double wasted_task_seconds() const { return wasted_task_seconds_; }
 
   /// One entry per node-loss episode that orphaned work: seconds from loss
   /// detection until every re-queued task had completed again.
@@ -834,11 +820,11 @@ class JobTracker {
   JobTrackerConfig config_;
   net::Fabric* fabric_ = nullptr;
   audit::InvariantAuditor* auditor_ = nullptr;
+  JobTrackerCounters counters_;
 
   std::map<TransferKey, PendingTransfer> transfers_;
   std::map<net::FlowId, OwnedFlow> flow_owner_;
   std::uint64_t transfer_generation_ = 0;
-  std::size_t retransferred_flows_ = 0;
 
   // --- degraded-mode state ----------------------------------------------------
 
@@ -850,26 +836,10 @@ class JobTracker {
   /// In-flight re-replication flows: flow id -> the block being copied.
   std::map<net::FlowId, hdfs::BlockId> rerep_flows_;
   int rerep_active_ = 0;
-  std::size_t fetch_failures_ = 0;
-  std::size_t fetch_reexecuted_maps_ = 0;
-  std::size_t fetch_aborted_attempts_ = 0;
-  std::size_t rereplicated_blocks_ = 0;
-  Megabytes rereplication_mb_ = 0.0;
-  std::size_t data_loss_events_ = 0;
   Seconds last_fault_decay_ = 0.0;
 
   // --- data-integrity state ---------------------------------------------------
 
-  std::size_t corruptions_injected_ = 0;
-  std::size_t corruptions_detected_ = 0;
-  std::size_t corruptions_repaired_ = 0;
-  std::size_t corruptions_lost_ = 0;
-  std::size_t corruptions_latent_ = 0;
-  std::size_t corrupt_read_failovers_ = 0;
-  std::size_t shuffle_corruptions_ = 0;
-  std::size_t task_output_corruptions_ = 0;
-  Megabytes scrubbed_mb_ = 0.0;
-  std::size_t scrub_passes_ = 0;
   /// Injection time per still-undetected corrupt replica — erased at
   /// detection (feeding the latency histogram); what survives to finalize is
   /// the latent set.
@@ -906,16 +876,9 @@ class JobTracker {
   std::vector<TrackerState> tracker_states_;
   std::vector<RecoveryRecord> recoveries_;
   std::vector<Seconds> recovery_times_;
-  std::size_t killed_attempts_ = 0;
-  std::size_t failed_attempts_ = 0;
-  std::size_t preempted_attempts_ = 0;
-  std::size_t speculative_launches_ = 0;
   std::uint64_t heartbeats_ = 0;
   std::uint64_t select_job_calls_ = 0;
   double select_job_wall_seconds_ = 0.0;
-  std::size_t lost_map_outputs_ = 0;
-  double wasted_task_seconds_ = 0.0;
-  std::size_t quarantine_episodes_ = 0;
   Seconds last_quarantine_decay_ = 0.0;
   sim::EventId expiry_event_ = 0;
   sim::EventId detector_event_ = 0;
@@ -951,13 +914,6 @@ class JobTracker {
   std::vector<std::pair<cluster::MachineId, bool>> pending_datanode_marks_;
   /// fsimage pinned at NameNode crash, restored at its recovery.
   std::optional<hdfs::NameNode::Snapshot> nn_snapshot_;
-  std::size_t master_crashes_ = 0;
-  std::size_t checkpoints_written_ = 0;
-  std::size_t checkpoint_replays_ = 0;
-  std::size_t fenced_heartbeats_ = 0;
-  std::size_t fenced_completions_ = 0;
-  std::size_t orphans_committed_ = 0;
-  std::size_t orphans_requeued_ = 0;
   sim::EventId checkpoint_event_ = 0;
 
   std::function<void(const TaskReport&)> report_listener_;

@@ -71,7 +71,7 @@ TEST(DegradedNet, RemoteReadsFailOverOrRequeueWhenTheirLinkDies) {
   EXPECT_EQ(m.jobs_failed, 0u);
   EXPECT_EQ(m.jobs.size(), 3u);
   // No machine crashes, so every re-sourced flow is a remote-read failover.
-  EXPECT_GT(run.job_tracker().retransferred_flows(), 0u);
+  EXPECT_GT(run.job_tracker().counters().retransferred_flows, 0u);
   EXPECT_GT(m.killed_attempts, 0u);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
@@ -127,7 +127,7 @@ TEST(DegradedShuffle, FetchNoiseRetriesAndRecovers) {
 
   EXPECT_EQ(m.jobs_failed, 0u);
   EXPECT_GT(m.fetch_failures, 0u);
-  EXPECT_EQ(run.job_tracker().fetch_failures(), m.fetch_failures);
+  EXPECT_EQ(run.job_tracker().counters().fetch_failures, m.fetch_failures);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
 
@@ -146,7 +146,7 @@ TEST(DegradedShuffle, PersistentFetchFailureReExecutesSourceMaps) {
 
   EXPECT_EQ(m.jobs_failed, 0u);
   EXPECT_GT(m.fetch_failures, 0u);
-  EXPECT_GT(run.job_tracker().fetch_reexecuted_maps(), 0u);
+  EXPECT_GT(run.job_tracker().counters().fetch_reexecuted_maps, 0u);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
 
@@ -167,7 +167,7 @@ TEST(DegradedShuffle, FetchStormFailsJobsLoudlyInsteadOfLivelocking) {
   const auto m = run.metrics();
 
   EXPECT_GT(m.jobs_failed, 0u);
-  EXPECT_GT(run.job_tracker().fetch_aborted_attempts(), 0u);
+  EXPECT_GT(run.job_tracker().counters().fetch_aborted_attempts, 0u);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
 

@@ -146,8 +146,8 @@ TEST(Failover, StaleHeartbeatsAreFencedWhileMasterDown) {
   const Seconds down_until = sim.now() + 45.0;
   while (sim.now() < down_until) ASSERT_TRUE(sim.step());
   // Every heartbeat of the outage was fenced, none assigned work.
-  EXPECT_GT(jt.fenced_heartbeats(), 0u);
-  const std::size_t fenced_during_outage = jt.fenced_heartbeats();
+  EXPECT_GT(jt.counters().fenced_heartbeats, 0u);
+  const std::size_t fenced_during_outage = jt.counters().fenced_heartbeats;
 
   jt.recover_master();
   EXPECT_TRUE(jt.master_up());
@@ -156,10 +156,10 @@ TEST(Failover, StaleHeartbeatsAreFencedWhileMasterDown) {
   // Heartbeats arriving before a tracker's re-registration gate still fence;
   // once the storm drains, fencing stops for good in a single-crash run.
   while (!jt.all_done()) ASSERT_TRUE(sim.step());
-  const std::size_t fenced_total = jt.fenced_heartbeats();
+  const std::size_t fenced_total = jt.counters().fenced_heartbeats;
   EXPECT_GE(fenced_total, fenced_during_outage);
   EXPECT_EQ(jt.jobs_failed(), 0u);
-  EXPECT_EQ(jt.master_crashes(), 1u);
+  EXPECT_EQ(jt.counters().master_crashes, 1u);
 
   const exp::RunMetrics m = run.metrics();
   EXPECT_TRUE(m.audit.clean());
@@ -428,7 +428,7 @@ TEST(Failover, CapacityRebuildsQueueMapAfterFailover) {
   while (run.simulator().now() < 155.0 && !run.job_tracker().all_done()) {
     ASSERT_TRUE(run.simulator().step());
   }
-  EXPECT_EQ(run.job_tracker().master_crashes(), 1u);
+  EXPECT_EQ(run.job_tracker().counters().master_crashes, 1u);
   EXPECT_TRUE(run.job_tracker().master_up());
   const auto active = run.job_tracker().active_jobs();
   EXPECT_FALSE(active.empty());

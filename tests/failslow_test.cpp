@@ -290,11 +290,11 @@ TEST(FailSlowRun, QuarantineLifecycleDetectsAndReleasesLimper) {
   }
   EXPECT_TRUE(ever_quarantined) << "limping node was never quarantined";
   EXPECT_TRUE(ever_released) << "quarantine never released the healed node";
-  EXPECT_GE(jt.quarantine_episodes(), 1u);
+  EXPECT_GE(jt.counters().quarantine_episodes, 1u);
   EXPECT_EQ(jt.jobs_failed(), 0u);
 
   const exp::RunMetrics m = run.metrics();
-  EXPECT_EQ(m.quarantine_episodes, jt.quarantine_episodes());
+  EXPECT_EQ(m.quarantine_episodes, jt.counters().quarantine_episodes);
   EXPECT_EQ(m.perf_faults, 1u);
 }
 

@@ -222,8 +222,8 @@ TEST(FaultRecovery, EAntCompletesAllJobsThroughMidRunCrash) {
     EXPECT_TRUE(jt.job(id).complete());
   }
   // The crash orphaned running attempts (and usually finished map outputs).
-  EXPECT_GT(jt.killed_attempts(), 0u);
-  EXPECT_GT(jt.wasted_task_seconds(), 0.0);
+  EXPECT_GT(jt.counters().killed_attempts, 0u);
+  EXPECT_GT(jt.counters().wasted_task_seconds, 0.0);
   ASSERT_FALSE(jt.recovery_times().empty());
   for (Seconds r : jt.recovery_times()) EXPECT_GT(r, 0.0);
 
@@ -324,7 +324,7 @@ TEST(FaultRecovery, FastRestartBeforeExpiryStillReclaimsLostWork) {
     ever_lost = ever_lost || jt.tracker_lost(0);
   }
   EXPECT_FALSE(ever_lost);
-  EXPECT_GT(jt.killed_attempts(), 0u);
+  EXPECT_GT(jt.counters().killed_attempts, 0u);
   EXPECT_EQ(jt.jobs_failed(), 0u);
   EXPECT_EQ(jt.jobs_completed(), 3u);
 }
@@ -344,7 +344,7 @@ TEST(FaultRecovery, TransientFailuresEverywhereFailEveryJob) {
   EXPECT_EQ(jt.jobs_failed(), 1u);
   EXPECT_EQ(jt.jobs_completed(), 0u);
   EXPECT_TRUE(jt.job(0).failed());
-  EXPECT_GE(jt.failed_attempts(),
+  EXPECT_GE(jt.counters().failed_attempts,
             static_cast<std::size_t>(cfg.job_tracker.max_attempts));
   const auto m = run.metrics();
   ASSERT_EQ(m.jobs.size(), 1u);

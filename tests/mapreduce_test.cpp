@@ -526,8 +526,8 @@ TEST(JobTracker, FailedAttemptRequeuesAndJobStillCompletes) {
   h.run_to_completion();
   EXPECT_EQ(faults_left, 0);
   EXPECT_TRUE(h.jt->job(id).complete());
-  EXPECT_EQ(h.jt->failed_attempts(), 2u);
-  EXPECT_GT(h.jt->wasted_task_seconds(), 0.0);
+  EXPECT_EQ(h.jt->counters().failed_attempts, 2u);
+  EXPECT_GT(h.jt->counters().wasted_task_seconds, 0.0);
   // The transient failures counted toward their tasks' attempt budgets.
   std::size_t budget_used = 0;
   for (TaskIndex i = 0; i < h.jt->job(id).num_maps(); ++i) {
@@ -603,7 +603,7 @@ TEST(JobTracker, SpeculativeTwinSurvivesLoserFailure) {
   EXPECT_TRUE(speculated);
   EXPECT_TRUE(h.jt->job(id).complete());
   EXPECT_FALSE(h.jt->job(id).is_speculative(TaskKind::kMap, 0));
-  EXPECT_EQ(h.jt->failed_attempts(), 1u);
+  EXPECT_EQ(h.jt->counters().failed_attempts, 1u);
   // Exactly one attempt completed the map: the surviving twin.
   EXPECT_EQ(h.jt->tracker(0).completed(TaskKind::kMap) +
                 h.jt->tracker(1).completed(TaskKind::kMap),

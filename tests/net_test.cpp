@@ -455,7 +455,9 @@ TEST(FabricIntegration, CrashedServerFlowsAbortAndWorkRetransfers) {
   EXPECT_EQ(m.jobs.size(), 4u);
   EXPECT_GT(m.killed_attempts, 0u);
   EXPECT_GT(m.network.flows_aborted, 0u);
-  EXPECT_GT(run.job_tracker().retransferred_flows() + m.lost_map_outputs, 0u);
+  EXPECT_GT(
+      run.job_tracker().counters().retransferred_flows + m.lost_map_outputs,
+      0u);
 }
 
 }  // namespace
