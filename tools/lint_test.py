@@ -414,7 +414,7 @@ class ObserverCompleteness(LintV2Base):
         bare = self.v2("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::confirm_corruption(hdfs::BlockId block,
                                                 cluster::MachineId node) {
-              ++corruptions_detected_;
+              ++counters_.corruptions_detected;
             }
             """, "observer-completeness")
         self.assertEqual(len(bare), 1)
@@ -422,7 +422,7 @@ class ObserverCompleteness(LintV2Base):
         with_record = self.v2("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::confirm_corruption(hdfs::BlockId block,
                                                 cluster::MachineId node) {
-              ++corruptions_detected_;
+              ++counters_.corruptions_detected;
               if (auditor_) {
                 auditor_->record(audit::Record::kCorruptionDetected,
                                  (block << 32) ^ node);
@@ -434,7 +434,7 @@ class ObserverCompleteness(LintV2Base):
         # same obligation.
         shuffle = self.v2("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::on_flow_complete(net::FlowId id) {
-              ++shuffle_corruptions_;
+              ++counters_.shuffle_corruptions;
             }
             """, "observer-completeness")
         self.assertEqual(len(shuffle), 1)
@@ -442,17 +442,18 @@ class ObserverCompleteness(LintV2Base):
     def test_scrub_and_repair_need_records(self) -> None:
         bare = self.v2("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::scrub_tick() {
-              scrubbed_mb_ += mb;
-              ++corruptions_repaired_;
+              counters_.scrubbed_mb += mb;
+              ++counters_.corruptions_repaired;
             }
             """, "observer-completeness")
         self.assertEqual({h.symbol for h in bare},
-                         {"scrubbed_mb_", "corruptions_repaired_"})
+                         {"counters_.scrubbed_mb",
+                          "counters_.corruptions_repaired"})
         with_records = self.v2("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::scrub_tick() {
-              scrubbed_mb_ += mb;
+              counters_.scrubbed_mb += mb;
               if (auditor_) auditor_->record(audit::Record::kScrub, scanned);
-              ++corruptions_repaired_;
+              ++counters_.corruptions_repaired;
               auditor_->record(audit::Record::kRepair, (block << 32) ^ target);
             }
             """, "observer-completeness")
@@ -461,12 +462,33 @@ class ObserverCompleteness(LintV2Base):
         # counters — comparisons and additions are not mutations.
         self.assertEqual(self.v2("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::finalize_corruption() {
-              if (corruptions_detected_ !=
-                  corruptions_repaired_ + corruptions_lost_ + pending) {
+              if (counters_.corruptions_detected !=
+                  counters_.corruptions_repaired + counters_.corruptions_lost +
+                      pending) {
                 report();
               }
             }
             """, "observer-completeness"), [])
+
+    def test_integrity_patterns_match_the_committed_job_tracker(self) -> None:
+        # The three patterns name the counters as spelled in
+        # job_tracker.cpp; a rename they miss would turn the check into a
+        # silent no-op, so each counter must still have a matching bump.
+        sf = source.load(REPO / "src" / "mapreduce" / "job_tracker.cpp",
+                         REPO)
+        for pat, counters in (
+                (text_checks._CORRUPT_DETECT_MUT,
+                 ("corruptions_detected", "shuffle_corruptions",
+                  "task_output_corruptions")),
+                (text_checks._SCRUB_MUT, ("scrubbed_mb",)),
+                (text_checks._REPAIR_MUT, ("corruptions_repaired",))):
+            for counter in counters:
+                with self.subTest(counter=counter):
+                    self.assertTrue(
+                        any(pat.search(code) and counter in code
+                            for code in sf.code),
+                        f"no {counter} mutation in job_tracker.cpp matches "
+                        f"{pat.pattern}")
 
     def test_admission_state_mutation_needs_record(self) -> None:
         bare = self.v2("src/mapreduce/admission.cpp", """\
