@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "audit/auditor.h"
 #include "audit/digest.h"
@@ -181,6 +184,23 @@ TEST(SeededViolation, IllegalTransitionIsCaught) {
   const AuditReport report = fx.auditor.finalize();
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].check, "task-state-machine");
+}
+
+TEST(SeededViolation, SecondCommitWithoutRevertIsDoubleCounted) {
+  SeededFixture fx;
+  fx.auditor.on_task_transition(0, true, 0, TaskEvent::kLaunch, 0);
+  fx.auditor.on_task_transition(0, true, 0, TaskEvent::kFinish, 0);
+  // A stale completion of the same task, with no revert in between.
+  fx.auditor.on_task_transition(0, true, 0, TaskEvent::kFinish, 0);
+  const AuditReport report = fx.auditor.finalize();
+  std::vector<std::string> checks;
+  for (const auto& v : report.violations) checks.push_back(v.check);
+  EXPECT_NE(std::find(checks.begin(), checks.end(), "task-state-machine"),
+            checks.end())
+      << report.summary();
+  EXPECT_NE(std::find(checks.begin(), checks.end(), "double-counted-energy"),
+            checks.end())
+      << report.summary();
 }
 
 TEST(SeededViolation, LegalLifecycleIncludingRetryAndRevertIsClean) {

@@ -261,8 +261,14 @@ TEST(Capacity, AssignsJobsToQueuesRoundRobin) {
   EXPECT_EQ(ptr->queue_of(j0), 0u);
   EXPECT_EQ(ptr->queue_of(j1), 1u);
   EXPECT_EQ(ptr->queue_of(j2), 0u);
+  EXPECT_THROW(ptr->queue_of(j2 + 1), PreconditionError);
   h.run();
   EXPECT_EQ(h.jt->jobs_completed(), 3u);
+  // A master recovery rebuilds the map from the active jobs only, so the
+  // finished ones drop out of it.
+  ptr->on_master_recovered();
+  EXPECT_THROW(ptr->queue_of(j0), PreconditionError);
+  EXPECT_THROW(ptr->queue_of(j2), PreconditionError);
 }
 
 TEST(Capacity, StarvedQueueGetsSlotsFirst) {
