@@ -1,16 +1,27 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
 namespace eant::sim {
+namespace {
+
+/// Heap order for std::push_heap/pop_heap: the earliest (time, seq) on top.
+struct Later {
+  template <typename Node>
+  bool operator()(const Node& a, const Node& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
 
 EventId Simulator::schedule_at(Seconds t, std::function<void()> fn) {
   EANT_CHECK(t >= now_, "cannot schedule in the past");
   EANT_CHECK(static_cast<bool>(fn), "event callback must be set");
-  const EventId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id, std::move(fn), 0.0, nullptr});
-  queued_.insert(id);
+  const EventId id = push_new(t, 0.0, std::move(fn), nullptr);
   if (observer_) observer_->on_event_scheduled(t, id);
   return id;
 }
@@ -21,67 +32,103 @@ EventId Simulator::schedule_periodic(Seconds interval,
   EANT_CHECK(interval > 0.0, "periodic interval must be positive");
   EANT_CHECK(static_cast<bool>(fn), "event callback must be set");
   if (first_delay < 0.0) first_delay = interval;
-  const EventId id = next_id_++;
-  queue_.push(Entry{now_ + first_delay, next_seq_++, id, nullptr, interval,
-                    std::move(fn)});
-  queued_.insert(id);
+  const EventId id =
+      push_new(now_ + first_delay, interval, nullptr, std::move(fn));
   if (observer_) observer_->on_event_scheduled(now_ + first_delay, id);
   return id;
 }
 
-std::optional<Simulator::Entry> Simulator::pop_live(Seconds limit) {
-  while (!queue_.empty() && queue_.top().time <= limit) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    queued_.erase(entry.id);
-    if (auto it = cancelled_.find(entry.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    return entry;
+EventId Simulator::push_new(Seconds t, Seconds repeat_interval,
+                            std::function<void()> fn,
+                            std::function<bool()> repeat_fn) {
+  // Ids are issued in sequence from 1; each owns the next state byte.
+  const EventId id = state_.size();
+  state_.push_back(State::kPending);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    EANT_ASSERT(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                "too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.id = id;
+  s.repeat_interval = repeat_interval;
+  s.fn = std::move(fn);
+  s.repeat_fn = std::move(repeat_fn);
+  push_node(t, slot);
+  return id;
+}
+
+void Simulator::push_node(Seconds t, std::uint32_t slot) {
+  heap_.push_back(Node{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+std::optional<Simulator::Node> Simulator::pop_live(Seconds limit) {
+  while (!heap_.empty() && heap_.front().time <= limit) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Node node = heap_.back();
+    heap_.pop_back();
+    State& state = state_[slots_[node.slot].id];
+    if (state != State::kCancelled) return node;
+    state = State::kDone;
+    --cancelled_queued_;
+    // Release the captures now, not when the slot is reused.
+    slots_[node.slot].fn = nullptr;
+    slots_[node.slot].repeat_fn = nullptr;
+    free_slots_.push_back(node.slot);
   }
   return std::nullopt;
 }
 
 bool Simulator::step() {
-  std::optional<Entry> entry =
+  const std::optional<Node> node =
       pop_live(std::numeric_limits<Seconds>::infinity());
-  if (!entry) return false;
-  execute(std::move(*entry));
+  if (!node) return false;
+  execute(*node);
   return true;
 }
 
-void Simulator::execute(Entry entry) {
-  EANT_ASSERT(entry.time >= now_, "event queue went backwards");
-  now_ = entry.time;
+void Simulator::execute(const Node& node) {
+  EANT_ASSERT(node.time >= now_, "event queue went backwards");
+  now_ = node.time;
   ++executed_;
-  executing_id_ = entry.id;
-  if (observer_) observer_->on_event_executed(now_, entry.id);
-  if (entry.repeat_fn) {
-    const bool keep = entry.repeat_fn();
-    if (keep && !cancelled_.contains(entry.id)) {
-      entry.time = now_ + entry.repeat_interval;
-      entry.seq = next_seq_++;
-      const Seconds next_time = entry.time;
-      const EventId id = entry.id;
-      queued_.insert(id);
-      queue_.push(std::move(entry));
+  // The callback may schedule events and grow slots_, so it is moved out of
+  // its slot before it runs and the slot is indexed afresh afterwards.
+  Slot& slot = slots_[node.slot];
+  const EventId id = slot.id;
+  executing_id_ = id;
+  if (observer_) observer_->on_event_executed(now_, id);
+  if (slot.repeat_interval > 0.0) {
+    std::function<bool()> fn = std::exchange(slot.repeat_fn, nullptr);
+    const bool keep = fn();
+    if (keep && state_[id] == State::kPending) {
+      Slot& again = slots_[node.slot];
+      again.repeat_fn = std::move(fn);
+      const Seconds next_time = now_ + again.repeat_interval;
+      push_node(next_time, node.slot);
       if (observer_) observer_->on_event_scheduled(next_time, id);
     } else {
-      cancelled_.erase(entry.id);
+      state_[id] = State::kDone;
+      free_slots_.push_back(node.slot);
     }
   } else {
-    entry.fn();
-    // A one-shot callback may have cancelled its own (already-fired) id;
-    // drop the tombstone so it cannot skew pending().
-    cancelled_.erase(entry.id);
+    // Done before it runs: cancelling its own id from inside is a no-op.
+    std::function<void()> fn = std::exchange(slot.fn, nullptr);
+    state_[id] = State::kDone;
+    free_slots_.push_back(node.slot);
+    fn();
   }
   executing_id_ = 0;
 }
 
 void Simulator::run_until(Seconds t) {
   EANT_CHECK(t >= now_, "cannot run to the past");
-  while (std::optional<Entry> entry = pop_live(t)) execute(std::move(*entry));
+  while (const std::optional<Node> node = pop_live(t)) execute(*node);
   now_ = t;
 }
 

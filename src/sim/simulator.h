@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.h"
@@ -68,11 +66,12 @@ class Simulator {
   /// Cancelling the event currently executing (a periodic callback cancelling
   /// itself) stops its repetition.
   void cancel(EventId id) {
-    // Only ids that are actually live may enter cancelled_, otherwise a
-    // stale id would sit in the set forever and skew pending().  Id 0 means
-    // "no event", and outside an event executing_id_ is 0 as well.
-    if (id == 0) return;
-    if (queued_.contains(id) || id == executing_id_) cancelled_.insert(id);
+    // Id 0 (kept kDone) and ids not issued yet fall out here; so does a
+    // one-shot's own id during its callback, which is marked done first.
+    if (id >= state_.size() || state_[id] != State::kPending) return;
+    state_[id] = State::kCancelled;
+    // The executing periodic event has no heap node to skip later.
+    if (id != executing_id_) ++cancelled_queued_;
   }
 
   /// Executes the next pending event; returns false when the queue is empty.
@@ -85,7 +84,7 @@ class Simulator {
   void run();
 
   /// Number of live (not-yet-cancelled) pending events.
-  std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+  std::size_t pending() const { return heap_.size() - cancelled_queued_; }
 
   /// Total number of events executed so far (for perf reporting and tests).
   std::uint64_t executed() const { return executed_; }
@@ -96,32 +95,46 @@ class Simulator {
   void set_observer(SimObserver* observer) { observer_ = observer; }
 
  private:
-  struct Entry {
+  /// Heap node: the (time, seq) key plus the slot holding the callbacks.
+  /// seq is unique, so the key orders nodes strictly.
+  struct Node {
     Seconds time;
     std::uint64_t seq;  // tie-break: equal-time events fire in schedule order
-    EventId id;
-    std::function<void()> fn;
-    Seconds repeat_interval;          // 0 when one-shot
-    std::function<bool()> repeat_fn;  // set for periodic entries
-
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
+    std::uint32_t slot;
   };
 
-  /// Pops entries up to time `limit`, dropping cancelled ones, and returns
-  /// the first live entry (nothing when none is due by `limit`).
-  std::optional<Entry> pop_live(Seconds limit);
+  /// An event's callbacks; recycled through free_slots_ once it is done.  A
+  /// periodic event keeps its slot across re-arms.
+  struct Slot {
+    EventId id = 0;
+    Seconds repeat_interval = 0.0;    // 0 when one-shot
+    std::function<void()> fn;         // set for one-shot events
+    std::function<bool()> repeat_fn;  // set for periodic events
+  };
 
-  void execute(Entry entry);
+  enum class State : std::uint8_t { kPending, kCancelled, kDone };
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_set<EventId> queued_;     // ids currently in the queue
-  std::unordered_set<EventId> cancelled_;  // always a subset of live ids
+  /// Stores a new event's callbacks in a free slot and queues it at t.
+  EventId push_new(Seconds t, Seconds repeat_interval,
+                   std::function<void()> fn, std::function<bool()> repeat_fn);
+
+  void push_node(Seconds t, std::uint32_t slot);
+
+  /// Pops nodes up to time `limit`, dropping cancelled ones, and returns the
+  /// first live one (nothing when none is due by `limit`).
+  std::optional<Node> pop_live(Seconds limit);
+
+  void execute(const Node& node);
+
+  std::vector<Node> heap_;  // binary min-heap on (time, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  // Indexed by id: live ids are kPending, or kCancelled until their node
+  // pops.  Id 0 never names an event and stays kDone.
+  std::vector<State> state_{State::kDone};
+  std::size_t cancelled_queued_ = 0;  // kCancelled ids that still have a node
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   EventId executing_id_ = 0;  // id of the event being executed (0 = none)
   std::uint64_t executed_ = 0;
   SimObserver* observer_ = nullptr;

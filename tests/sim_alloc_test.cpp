@@ -1,0 +1,106 @@
+// Allocation gate for the simulator's event queue.  Once its containers
+// have grown to the working set, scheduling, stepping and cancelling events
+// whose callbacks fit std::function's inline buffer (captures of at most 16
+// bytes) must not touch the heap.  This binary replaces the global operator
+// new/delete with counting versions, so it counts every allocation the
+// process makes; the test reads the count around its steady-state loop only.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "sim/simulator.h"
+
+namespace {
+
+std::uint64_t g_allocs = 0;
+
+void* counted(std::size_t size) {
+  ++g_allocs;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* or_throw(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// The aligned forms are left to the library: they pair with its own
+// aligned deletes, and nothing here over-aligns.
+void* operator new(std::size_t size) { return or_throw(counted(size)); }
+void* operator new[](std::size_t size) { return or_throw(counted(size)); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace eant::sim {
+namespace {
+
+TEST(SimulatorAllocations, SteadyStateEventsDoNotAllocate) {
+  constexpr int kLive = 1000;        // one-shots pending at any time
+  constexpr int kWarmRounds = 20000;
+  constexpr int kRounds = 100000;
+  Simulator sim;
+  std::uint64_t fires = 0;
+  std::uint64_t* counter = &fires;
+  std::uint64_t lcg = 12345;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  // A 16-byte capture: std::function keeps it inline.
+  const auto schedule = [&](std::uint64_t tag) {
+    return sim.schedule_after(0.25 * static_cast<double>(next() % 16),
+                              [counter, tag] { *counter += tag & 1; });
+  };
+  std::vector<EventId> recent(64, 0);
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_periodic(1.0 + i, [counter] {
+      ++*counter;
+      return true;
+    });
+  }
+  for (int i = 0; i < kLive; ++i) recent[i % recent.size()] = schedule(i);
+  // Each round schedules two events, cancels one scheduled a while ago
+  // (usually still pending) and steps once, so the queue holds steady.
+  const auto round = [&](int i) {
+    recent[static_cast<std::size_t>(i) % recent.size()] = schedule(next());
+    schedule(next());
+    sim.cancel(recent[next() % recent.size()]);
+    sim.step();
+  };
+  for (int i = 0; i < kWarmRounds; ++i) round(i);
+
+  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t executed_before = sim.executed();
+  for (int i = 0; i < kRounds; ++i) round(i);
+  const std::uint64_t allocs = g_allocs - allocs_before;
+  const std::uint64_t events = sim.executed() - executed_before;
+
+  std::printf("%llu allocations over %llu executed events (%d rounds)\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(events), kRounds);
+  ASSERT_GT(events, static_cast<std::uint64_t>(kRounds) / 2);
+  EXPECT_LE(static_cast<double>(allocs),
+            0.001 * static_cast<double>(events));
+}
+
+}  // namespace
+}  // namespace eant::sim

@@ -119,6 +119,42 @@ TEST(Simulator, OneShotSelfCancelDuringCallbackDoesNotLeak) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(Simulator, PendingInsideOneShotThatCancelsItself) {
+  // Regression: the cancelled set took the executing one-shot's id while the
+  // queue no longer held it, so pending() read SIZE_MAX here.
+  Simulator sim;
+  EventId id = 0;
+  std::size_t inside = 99;
+  id = sim.schedule_at(1.0, [&] {
+    sim.cancel(id);
+    inside = sim.pending();
+  });
+  sim.run();
+  EXPECT_EQ(inside, 0u);
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
+TEST(Simulator, PendingInsidePeriodicThatCancelsItself) {
+  // Cancelling the executing periodic event stops its re-arm; it has no
+  // queued entry, so pending() still counts the one other event.
+  Simulator sim;
+  sim.schedule_at(10.0, [] {});
+  int fires = 0;
+  EventId id = 0;
+  std::size_t inside = 99;
+  id = sim.schedule_periodic(1.0, [&] {
+    if (++fires == 2) {
+      sim.cancel(id);
+      inside = sim.pending();
+    }
+    return true;
+  });
+  sim.run_until(5.0);
+  EXPECT_EQ(inside, 1u);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
 TEST(Simulator, CancelledThenFiredSlotKeepsPendingConsistent) {
   Simulator sim;
   // Cancel a pending event, let its tombstone be consumed, then make sure
