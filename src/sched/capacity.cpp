@@ -61,7 +61,8 @@ std::size_t CapacityScheduler::queue_for_tenant(workload::TenantId tenant) {
   return queues_.size() - 1;
 }
 
-void CapacityScheduler::on_job_submitted(mr::JobId job) {
+void CapacityScheduler::assign_queue(mr::JobId job) {
+  if (job >= job_queue_.size()) job_queue_.resize(job + 1, kNoQueue);
   if (tenant_mode_) {
     // submit_now registers the job before notifying the scheduler, so the
     // spec (and its tenant tag) is already readable.
@@ -72,33 +73,28 @@ void CapacityScheduler::on_job_submitted(mr::JobId job) {
   next_queue_ = (next_queue_ + 1) % capacities_.size();
 }
 
+void CapacityScheduler::on_job_submitted(mr::JobId job) { assign_queue(job); }
+
 void CapacityScheduler::on_master_recovered() {
   // The job->queue map lived in the dead master's memory.  Rebuild it from
   // the replayed job table in submission order — recover_master replays
   // buffered submissions (which re-enter via on_job_submitted) before this
   // hook runs, so active_jobs() is the complete post-recovery picture.
-  job_queue_.clear();
+  std::fill(job_queue_.begin(), job_queue_.end(), kNoQueue);
   next_queue_ = 0;
-  for (mr::JobId id : jt_->active_jobs()) {
-    if (tenant_mode_) {
-      job_queue_[id] = queue_for_tenant(jt_->job(id).spec().tenant);
-    } else {
-      job_queue_[id] = next_queue_;
-      next_queue_ = (next_queue_ + 1) % capacities_.size();
-    }
-  }
+  for (mr::JobId id : jt_->active_jobs()) assign_queue(id);
 }
 
 std::size_t CapacityScheduler::queue_of(mr::JobId job) const {
-  const auto it = job_queue_.find(job);
-  EANT_CHECK(it != job_queue_.end(), "unknown job");
-  return it->second;
+  EANT_CHECK(job < job_queue_.size() && job_queue_[job] != kNoQueue,
+             "unknown job");
+  return job_queue_[job];
 }
 
 std::vector<int> CapacityScheduler::occupancy_by_queue() const {
   std::vector<int> occ(num_queues(), 0);
   for (mr::JobId id : jt_->active_jobs()) {
-    occ[job_queue_.at(id)] += jt_->job(id).occupied_slots();
+    occ[queue_of(id)] += jt_->job(id).occupied_slots();
   }
   return occ;
 }
@@ -130,7 +126,7 @@ std::optional<mr::JobId> CapacityScheduler::select_legacy(
   for (std::size_t q : order) {
     // FIFO within the queue: runnable_jobs() is in submission order.
     for (mr::JobId id : runnable) {
-      if (job_queue_.at(id) == q) return id;
+      if (queue_of(id) == q) return id;
     }
   }
   return std::nullopt;
@@ -145,12 +141,12 @@ std::optional<mr::JobId> CapacityScheduler::select_tenant(
   // the runnable jobs: earliest runnable deadline per queue.
   std::vector<int> occ(queues_.size(), 0);
   for (mr::JobId id : jt_->active_jobs()) {
-    occ[job_queue_.at(id)] += static_cast<int>(jt_->job(id).running(kind));
+    occ[queue_of(id)] += static_cast<int>(jt_->job(id).running(kind));
   }
   std::vector<double> earliest_deadline(queues_.size(), kInf);
   std::vector<bool> has_runnable(queues_.size(), false);
   for (mr::JobId id : runnable) {
-    const std::size_t q = job_queue_.at(id);
+    const std::size_t q = queue_of(id);
     has_runnable[q] = true;
     const workload::JobSpec& spec = jt_->job(id).spec();
     if (spec.has_deadline() && spec.deadline < earliest_deadline[q]) {
@@ -195,7 +191,7 @@ std::optional<mr::JobId> CapacityScheduler::select_tenant(
     double edf_deadline = kInf;
     std::optional<mr::JobId> fifo;
     for (mr::JobId id : runnable) {
-      if (job_queue_.at(id) != q) continue;
+      if (queue_of(id) != q) continue;
       const workload::JobSpec& spec = jt_->job(id).spec();
       if (spec.has_deadline()) {
         if (spec.deadline < edf_deadline) {
@@ -231,7 +227,7 @@ void CapacityScheduler::rebalance_kind(mr::TaskKind kind) {
   std::vector<int> pending(nq, 0);
   for (mr::JobId id : jt_->active_jobs()) {
     const mr::JobState& js = jt_->job(id);
-    const std::size_t q = job_queue_.at(id);
+    const std::size_t q = queue_of(id);
     occ[q] += static_cast<int>(js.running(kind));
     pending[q] += static_cast<int>(js.pending(kind));
   }
@@ -272,7 +268,7 @@ void CapacityScheduler::rebalance_kind(mr::TaskKind kind) {
   };
   std::vector<Victim> victims;
   for (mr::JobId id : jt_->active_jobs()) {
-    const std::size_t q = job_queue_.at(id);
+    const std::size_t q = queue_of(id);
     if (!above_share_after_kill(q)) continue;
     const mr::JobState& js = jt_->job(id);
     const std::size_t total =

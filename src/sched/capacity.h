@@ -93,7 +93,9 @@ class CapacityScheduler final : public mr::Scheduler {
     return tenant_mode_ ? queues_.size() : capacities_.size();
   }
 
-  /// Queue a job was assigned to (for tests/observability).
+  /// Queue a job was assigned to; throws PreconditionError for a job with
+  /// none (never submitted, or gone from the job table a master recovery
+  /// replayed).
   std::size_t queue_of(mr::JobId job) const;
 
   /// Successful preemptions this scheduler initiated (tenant mode only).
@@ -109,6 +111,8 @@ class CapacityScheduler final : public mr::Scheduler {
   std::optional<mr::JobId> select_tenant(const std::vector<mr::JobId>& runnable,
                                          mr::TaskKind kind);
   std::size_t queue_for_tenant(workload::TenantId tenant);
+  /// Maps a job to its tenant's queue, or round-robin in legacy mode.
+  void assign_queue(mr::JobId job);
   void preemption_sweep();
   void rebalance_kind(mr::TaskKind kind);
 
@@ -124,7 +128,10 @@ class CapacityScheduler final : public mr::Scheduler {
   std::size_t preemptions_ = 0;
   bool overload_paused_ = false;
 
-  std::map<mr::JobId, std::size_t> job_queue_;
+  /// Queue of each job, indexed by its dense JobId; kNoQueue for a job a
+  /// master recovery dropped.
+  static constexpr std::size_t kNoQueue = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> job_queue_;
   mr::JobTracker* jt_ = nullptr;
 };
 
