@@ -270,17 +270,17 @@ void InvariantAuditor::on_task_transition(std::uint64_t job, bool is_map,
                          context(event == TaskEvent::kFinish
                                      ? "finish without a running attempt"
                                      : "orphan commit without a running attempt"));
-      if (task.done)
+      if (task.done) {
         report_violation("task-state-machine", Severity::kError,
                          context(event == TaskEvent::kFinish
                                      ? "second finish of a completed task"
                                      : "orphan commit of a completed task"));
-      // A second commit without an intervening revert would credit the
-      // task's work (and the energy attributed to it) twice — the classic
-      // failover double-count when a stale completion slips past fencing.
-      if (!committed_.insert({job, is_map, index}).second)
+        // A second commit without an intervening revert would credit the
+        // task's work (and the energy attributed to it) twice — the classic
+        // failover double-count when a stale completion slips past fencing.
         report_violation("double-counted-energy", Severity::kError,
                          context("task committed twice across epochs"));
+      }
       task.done = true;
       task.attempts_running = std::max(0, task.attempts_running - 1);
       if (m != nullptr) {
@@ -320,9 +320,8 @@ void InvariantAuditor::on_task_transition(std::uint64_t job, bool is_map,
       if (!task.done)
         report_violation("task-state-machine", Severity::kError,
                          context("revert of a task that is not done"));
-      task.done = false;
       // The work no longer counts, so a later re-commit is legitimate.
-      committed_.erase({job, is_map, index});
+      task.done = false;
       record(Record::kTaskRevert,
              (job << 20) ^ (index << 1) ^ (is_map ? 1 : 0));
       break;

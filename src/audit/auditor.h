@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -227,6 +226,8 @@ class InvariantAuditor final : public sim::SimObserver,
   };
 
   struct TaskAudit {
+    /// Committed (kFinish or kOrphanCommit) and not reverted since: a second
+    /// commit would count the task's work, and energy, twice.
     bool done = false;
     int attempts_running = 0;
   };
@@ -256,10 +257,6 @@ class InvariantAuditor final : public sim::SimObserver,
   std::map<std::tuple<std::uint64_t, bool, std::uint64_t>, TaskAudit> tasks_;
   std::map<net::FlowId, Megabytes> open_flows_;
 
-  // Tasks whose completion was committed (kFinish or kOrphanCommit).  A
-  // second commit without an intervening kRevertDone would count the same
-  // task's work — and energy — twice across master epochs.
-  std::set<std::tuple<std::uint64_t, bool, std::uint64_t>> committed_;
   std::uint64_t last_epoch_ = 0;
 
   std::map<std::string, Violation> violations_;
