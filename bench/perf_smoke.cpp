@@ -20,12 +20,15 @@
 // event it executes, the churn a fabric that rescheduled every flow's
 // completion at each reallocation produced.
 //
-// It also times the thread-per-seed sweep driver (exp/sweep.h): an 8-seed
+// It also times the thread-per-seed sweep driver (exp/sweep.h): a 4-seed
 // audited sweep of a Terasort batch at 4 workers vs serial, emitted as
 // seeds/min — the wall-clock win every multi-seed bench (chaos_campaign,
 // continuous_traffic) inherits.  Each seed is sized to run for over a
-// second, so the speedup measures the runs rather than thread start-up.  On
-// a single-core runner the speedup is ~1.
+// second, so the speedup measures the runs rather than thread start-up.
+// The two sweeps run as three back-to-back pairs, alternating which goes
+// first, and the speedup is the median of the per-pair ratios with their
+// min and max: on a shared host one pair alone moved the ratio from 2.4x to
+// 3.9x on the same source.  On a single-core runner the speedup is ~1.
 //
 // Usage: perf_smoke [out.json]   (default BENCH_perf_smoke.json)
 
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "cluster/catalog.h"
+#include "common/stats.h"
 #include "exp/builders.h"
 #include "exp/cli.h"
 #include "exp/runner.h"
@@ -172,17 +176,21 @@ struct SweepRow {
   std::size_t jobs = 0;
   std::size_t seeds = 0;
   unsigned threads = 0;
-  double wall_parallel_s = 0.0;
-  double wall_serial_s = 0.0;
-  double seeds_per_min = 0.0;  ///< at `threads` workers
-  double speedup = 0.0;        ///< serial wall / parallel wall
+  std::size_t pairs = 0;         ///< parallel/serial pairs timed
+  double wall_parallel_s = 0.0;  ///< median over the pairs
+  double wall_serial_s = 0.0;    ///< median over the pairs
+  double seeds_per_min = 0.0;    ///< at `threads` workers, median wall
+  double speedup = 0.0;      ///< median per-pair serial / parallel wall
+  double speedup_min = 0.0;  ///< lowest per-pair ratio
+  double speedup_max = 0.0;  ///< highest per-pair ratio
 };
 
 SweepRow measure_sweep() {
-  constexpr std::size_t kSeeds = 8;
+  constexpr std::size_t kSeeds = 4;
   constexpr unsigned kThreads = 4;
+  constexpr std::size_t kPairs = 3;
   // The scalar rows' shape at 1024 nodes: one audited seed runs for about
-  // 1.3-1.6 s serially in Release on a 4-vCPU Xeon host, so thread start-up
+  // 1.1-2 s serially in Release on a 4-vCPU Xeon host, so thread start-up
   // is noise in the speedup.
   constexpr std::size_t kNodes = 1024;
   constexpr std::size_t kJobs = kNodes / 4;
@@ -194,30 +202,47 @@ SweepRow measure_sweep() {
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 1; s <= kSeeds; ++s) seeds.push_back(s);
 
-  exp::SweepConfig sweep;
+  const auto time_sweep = [&](unsigned threads) {
+    exp::SweepConfig sweep;
+    sweep.threads = threads;
+    const auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
+    exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, cfg, jobs, seeds,
+                     sweep);
+    const auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  std::vector<double> parallel, serial, ratio;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    // Alternate the order, so a host that speeds up or slows down during
+    // the pairs does not favour one side.
+    double par = 0.0;
+    double ser = 0.0;
+    if (p % 2 == 0) {
+      par = time_sweep(kThreads);
+      ser = time_sweep(1);
+    } else {
+      ser = time_sweep(1);
+      par = time_sweep(kThreads);
+    }
+    parallel.push_back(par);
+    serial.push_back(ser);
+    ratio.push_back(par > 0.0 ? ser / par : 0.0);
+  }
+
   SweepRow r;
   r.nodes = kNodes;
   r.jobs = kJobs;
   r.seeds = kSeeds;
   r.threads = kThreads;
-
-  sweep.threads = kThreads;
-  auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, cfg, jobs, seeds, sweep);
-  auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  r.wall_parallel_s = std::chrono::duration<double>(t1 - t0).count();
-
-  sweep.threads = 1;
-  t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, cfg, jobs, seeds, sweep);
-  t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  r.wall_serial_s = std::chrono::duration<double>(t1 - t0).count();
-
+  r.pairs = kPairs;
+  r.wall_parallel_s = percentile(parallel, 50.0);
+  r.wall_serial_s = percentile(serial, 50.0);
   r.seeds_per_min = r.wall_parallel_s > 0.0
                         ? 60.0 * static_cast<double>(kSeeds) / r.wall_parallel_s
                         : 0.0;
-  r.speedup =
-      r.wall_parallel_s > 0.0 ? r.wall_serial_s / r.wall_parallel_s : 0.0;
+  r.speedup = percentile(ratio, 50.0);
+  r.speedup_min = percentile(ratio, 0.0);
+  r.speedup_max = percentile(ratio, 100.0);
   return r;
 }
 
@@ -257,11 +282,12 @@ int main(int argc, char** argv) {
 
   const SweepRow sweep = measure_sweep();
   std::printf(
-      "sweep    nodes=%zu jobs=%zu seeds=%3zu threads=%u wall=%6.2fs "
-      "serial=%6.2fs seeds/min=%6.1f speedup=%4.2fx\n",
-      sweep.nodes, sweep.jobs, sweep.seeds, sweep.threads,
+      "sweep    nodes=%zu jobs=%zu seeds=%3zu threads=%u pairs=%zu "
+      "wall=%6.2fs serial=%6.2fs seeds/min=%6.1f speedup=%4.2fx "
+      "(%4.2f-%4.2f)\n",
+      sweep.nodes, sweep.jobs, sweep.seeds, sweep.threads, sweep.pairs,
       sweep.wall_parallel_s, sweep.wall_serial_s, sweep.seeds_per_min,
-      sweep.speedup);
+      sweep.speedup, sweep.speedup_min, sweep.speedup_max);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -295,12 +321,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  ],\n  \"sweep\": {\"nodes\": %zu, \"jobs\": %zu, "
-               "\"seeds\": %zu, \"threads\": %u, "
+               "\"seeds\": %zu, \"threads\": %u, \"pairs\": %zu, "
                "\"wall_s\": %.3f, \"serial_wall_s\": %.3f, "
-               "\"seeds_per_min_4t\": %.2f, \"speedup\": %.2f}\n",
+               "\"seeds_per_min_4t\": %.2f, \"speedup\": %.2f, "
+               "\"speedup_min\": %.2f, \"speedup_max\": %.2f}\n",
                sweep.nodes, sweep.jobs, sweep.seeds, sweep.threads,
-               sweep.wall_parallel_s, sweep.wall_serial_s, sweep.seeds_per_min,
-               sweep.speedup);
+               sweep.pairs, sweep.wall_parallel_s, sweep.wall_serial_s,
+               sweep.seeds_per_min, sweep.speedup, sweep.speedup_min,
+               sweep.speedup_max);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
