@@ -1,10 +1,10 @@
 // perf_smoke — the simulator-throughput baseline for the scale arc.
 //
-// Runs a homogeneous Terasort batch at three fleet sizes under E-Ant and
-// Capacity on the scalar network, and at two sizes over the oversubscribed
-// fabric (the path fig6b, fig_corruption and the chaos mixes run) and over
-// the flat fabric (one rack, unlimited links: the scalar model's timing
-// through the fabric), and emits BENCH_perf_smoke.json: simulated events per
+// Runs a homogeneous Terasort batch at four fleet sizes (16 to 1024 nodes)
+// under E-Ant and Capacity on the scalar network, and at two sizes over the
+// oversubscribed fabric (the path fig6b, fig_corruption and the chaos mixes
+// run) and over the flat fabric (one rack, unlimited links: the scalar
+// model's timing through the fabric), and emits BENCH_perf_smoke.json: simulated events per
 // wall-clock second, wall-clock seconds, peak RSS, the events scheduled and
 // cancelled besides those executed, and the scheduler-work attribution
 // (time inside Scheduler::select_job, per processed heartbeat) against node
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     rows.push_back(measure(kind, nodes, network));
     const Row& r = rows.back();
     std::printf(
-        "%-8s %-14s nodes=%3zu jobs=%3zu tasks=%6zu events=%9llu "
+        "%-8s %-14s nodes=%4zu jobs=%3zu tasks=%6zu events=%9llu "
         "scheduled=%9llu cancelled=%7llu wall=%6.2fs events/s=%9.0f "
         "rss=%6.1f MiB select/hb=%6.2fus\n",
         r.scheduler.c_str(), r.network.c_str(), r.nodes, r.jobs, r.tasks,
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   const exp::SchedulerKind kinds[] = {exp::SchedulerKind::kEAnt,
                                       exp::SchedulerKind::kCapacity};
   for (const exp::SchedulerKind kind : kinds) {
-    for (std::size_t nodes : {16, 64, 256})
+    for (std::size_t nodes : {16, 64, 256, 1024})
       add_row(kind, nodes, Network::kScalar);
   }
   for (const Network network : {Network::kOversubscribed, Network::kFlat}) {

@@ -252,8 +252,8 @@ double EAntScheduler::eta_for(mr::JobId job) const {
 std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
                                                    mr::TaskKind kind) {
   EANT_CHECK(jt_ != nullptr, "scheduler not attached");
-  const std::vector<mr::JobId> runnable = jt_->runnable_jobs(kind);
-  if (runnable.empty()) return std::nullopt;
+  jt_->runnable_jobs(kind, candidates_);
+  if (candidates_.empty()) return std::nullopt;
 
   // Eq. 7: a job with a node-local pending split on this machine takes the
   // "infinite" eta branch — realised as the eta cap, so after the beta
@@ -301,10 +301,9 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
   const double occupancy =
       1.0 - static_cast<double>(jt_->total_free_slots(kind)) /
                 std::max(total_kind_slots, 1.0);
-  std::vector<mr::JobId> candidates = runnable;
-  while (!candidates.empty()) {
-    const auto choice =
-        sample_job(*table_, rng_, candidates, kind, machine, eta, config_.beta);
+  while (!candidates_.empty()) {
+    const auto choice = sample_job(*table_, rng_, candidates_, kind, machine,
+                                   eta, config_.beta);
     EANT_ASSERT(choice.has_value(), "sampler returned nothing for candidates");
     // Brownout: declining slots to steer energy is shed load we cannot
     // afford while saturated — take the sampled job and keep the slot busy.
@@ -315,7 +314,7 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
     // steep-slope machine for an IO-heavy one still lowers the fleet's
     // power draw), or a better machine has a free slot to pick the task up
     // within a heartbeat.
-    const bool has_trade = candidates.size() > 1;
+    const bool has_trade = candidates_.size() > 1;
     const bool has_better = better_machine_free(*choice, kind, machine);
     if (!has_trade && !has_better) return choice;
     // Acceptance is proportional to this machine's standing against the
@@ -343,7 +342,8 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
     const double steered = std::clamp(
         std::pow(normalized, kAcceptanceSharpness), floor, 1.0);
     if (rng_.uniform() <= steered) return choice;
-    candidates.erase(std::find(candidates.begin(), candidates.end(), *choice));
+    candidates_.erase(
+        std::find(candidates_.begin(), candidates_.end(), *choice));
   }
   return std::nullopt;
 }
@@ -352,12 +352,9 @@ bool EAntScheduler::better_machine_free(mr::JobId job, mr::TaskKind kind,
                                         cluster::MachineId machine) const {
   const std::vector<double>& tau = table_->row(job, kind).tau;
   const double own_tau = tau[machine];
-  const std::size_t n = jt_->cluster().size();
-  for (cluster::MachineId m = 0; m < n; ++m) {
-    if (m == machine) continue;
-    if (!jt_->tracker_available(m)) continue;
-    if (jt_->tracker(m).free_slots(kind) <= 0) continue;
-    if (tau[m] > kBetterMachineMargin * own_tau) return true;
+  // Only available machines with a free slot of the kind are in the set.
+  for (cluster::MachineId m : jt_->free_machines(kind)) {
+    if (m != machine && tau[m] > kBetterMachineMargin * own_tau) return true;
   }
   return false;
 }

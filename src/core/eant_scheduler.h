@@ -123,6 +123,9 @@ class EAntScheduler final : public mr::Scheduler {
 
   mr::JobTracker* jt_ = nullptr;
   audit::InvariantAuditor* auditor_ = nullptr;
+  /// select_job's runnable jobs, sampled from and erased in place; kept so
+  /// a slot offer allocates no vector.
+  std::vector<mr::JobId> candidates_;
   std::unique_ptr<PheromoneTable> table_;  // sized at attach time
   ConvergenceTracker convergence_;
 

@@ -20,49 +20,52 @@ PheromoneTable::PheromoneTable(std::size_t num_machines, double rho,
 }
 
 void PheromoneTable::add_job(mr::JobId job, const std::string& class_key) {
+  EANT_CHECK(!has_job(job), "colony already registered");
+  if (job >= trails_.size()) trails_.resize(job + 1);
   for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
-    const TrailKey key{job, kind};
-    EANT_CHECK(!trails_.contains(key), "colony already registered");
     const auto* prior =
         class_key.empty() ? nullptr : class_prior(class_key, kind);
-    Trail& trail = trails_[key];
+    Trail& trail = trails_[job][mr::kind_index(kind)];
     if (prior != nullptr) {
       trail.tau = *prior;
     } else {
       trail.tau.assign(num_machines_, tau_init_);
     }
     refresh(trail);
-    if (!class_key.empty()) classes_[key] = class_key;
+    if (!class_key.empty()) classes_[{job, kind}] = class_key;
   }
 }
 
 void PheromoneTable::remove_job(mr::JobId job) {
+  if (!has_job(job)) return;
   for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
-    const TrailKey key{job, kind};
+    Trail& trail = trails_[job][mr::kind_index(kind)];
     // Remember the departing colony's learning for future same-class jobs.
     // The classes_ entry is retained: the colony's final task reports are
     // still buffered in the scheduler and their deposits must reach the
     // class prior at the next control tick (a short job often finishes
     // before a single tick — without this, small jobs would never learn,
     // the pathology Sec. VI-C warns about).
-    if (auto cit = classes_.find(key); cit != classes_.end()) {
-      if (auto tit = trails_.find(key); tit != trails_.end()) {
-        priors_[{cit->second, kind}] = tit->second.tau;
-      }
+    if (auto cit = classes_.find({job, kind}); cit != classes_.end()) {
+      priors_[{cit->second, kind}] = std::move(trail.tau);
     }
-    trails_.erase(key);
+    trail = Trail{};
   }
 }
 
 bool PheromoneTable::has_job(mr::JobId job) const {
-  return trails_.contains(TrailKey{job, mr::TaskKind::kMap});
+  return job < trails_.size() && !trails_[job][0].tau.empty();
+}
+
+PheromoneTable::Trail* PheromoneTable::find(const TrailKey& key) {
+  if (!has_job(key.first)) return nullptr;
+  return &trails_[key.first][mr::kind_index(key.second)];
 }
 
 const PheromoneTable::Trail& PheromoneTable::row(mr::JobId job,
                                                  mr::TaskKind kind) const {
-  const auto it = trails_.find(TrailKey{job, kind});
-  EANT_CHECK(it != trails_.end(), "unknown colony");
-  return it->second;
+  EANT_CHECK(has_job(job), "unknown colony");
+  return trails_[job][mr::kind_index(kind)];
 }
 
 double PheromoneTable::tau(mr::JobId job, mr::TaskKind kind,
@@ -87,9 +90,9 @@ void PheromoneTable::apply(const DeltaMap& deposits) {
     EANT_CHECK(per_machine.size() == num_machines_,
                "deposit vector has wrong machine count");
     std::vector<double>* target = nullptr;
-    auto it = trails_.find(key);
-    if (it != trails_.end()) {
-      target = &it->second.tau;
+    Trail* live = find(key);
+    if (live != nullptr) {
+      target = &live->tau;
     } else if (auto cit = classes_.find(key); cit != classes_.end()) {
       // Colony finished mid-interval: its final deposits update the class
       // prior directly so the learning is inherited by the next same-class
@@ -107,8 +110,8 @@ void PheromoneTable::apply(const DeltaMap& deposits) {
     }
     // Keep the class memory fresh while colonies are alive, so a colony
     // that finishes between ticks still leaves its latest learning behind.
-    if (it != trails_.end()) {
-      refresh(it->second);
+    if (live != nullptr) {
+      refresh(*live);
       if (auto cit = classes_.find(key); cit != classes_.end()) {
         priors_[{cit->second, key.second}] = *target;
       }
@@ -118,9 +121,12 @@ void PheromoneTable::apply(const DeltaMap& deposits) {
 
 void PheromoneTable::evaporate_machine(cluster::MachineId machine) {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
-  for (auto& [key, trail] : trails_) {
-    trail.tau[machine] = tau_min_;
-    refresh(trail);
+  for (auto& pair : trails_) {
+    for (Trail& trail : pair) {
+      if (trail.tau.empty()) continue;
+      trail.tau[machine] = tau_min_;
+      refresh(trail);
+    }
   }
   for (auto& [key, row] : priors_) row[machine] = tau_min_;
 }
@@ -139,9 +145,12 @@ void PheromoneTable::reseed_machine(cluster::MachineId machine) {
     row[machine] =
         std::max(tau_min_, sum / static_cast<double>(num_machines_ - 1));
   };
-  for (auto& [key, trail] : trails_) {
-    reseed(trail.tau);
-    refresh(trail);
+  for (auto& pair : trails_) {
+    for (Trail& trail : pair) {
+      if (trail.tau.empty()) continue;
+      reseed(trail.tau);
+      refresh(trail);
+    }
   }
   for (auto& [key, row] : priors_) reseed(row);
 }
@@ -150,11 +159,11 @@ void PheromoneTable::penalize(mr::JobId job, mr::TaskKind kind,
                               cluster::MachineId machine, double factor) {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
   EANT_CHECK(factor >= 0.0 && factor <= 1.0, "penalty factor must be in [0,1]");
-  const auto it = trails_.find(TrailKey{job, kind});
-  if (it == trails_.end()) return;
-  std::vector<double>& tau = it->second.tau;
+  Trail* trail = find(TrailKey{job, kind});
+  if (trail == nullptr) return;
+  std::vector<double>& tau = trail->tau;
   tau[machine] = std::max(tau_min_, tau[machine] * factor);
-  refresh(it->second);
+  refresh(*trail);
 }
 
 const std::vector<double>* PheromoneTable::class_prior(
@@ -170,8 +179,12 @@ std::vector<double> PheromoneTable::trail(mr::JobId job,
 
 PheromoneTable::Snapshot PheromoneTable::snapshot() const {
   Snapshot snap{{}, classes_, priors_};
-  for (const auto& [key, trail] : trails_) {
-    snap.trails.emplace_hint(snap.trails.end(), key, trail.tau);
+  for (mr::JobId job = 0; job < trails_.size(); ++job) {
+    if (!has_job(job)) continue;
+    for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
+      snap.trails.emplace_hint(snap.trails.end(), TrailKey{job, kind},
+                               trails_[job][mr::kind_index(kind)].tau);
+    }
   }
   return snap;
 }
@@ -183,7 +196,8 @@ void PheromoneTable::restore(const Snapshot& snap) {
   }
   trails_.clear();
   for (const auto& [key, tau] : snap.trails) {
-    Trail& trail = trails_.emplace_hint(trails_.end(), key, Trail{})->second;
+    if (key.first >= trails_.size()) trails_.resize(key.first + 1);
+    Trail& trail = trails_[key.first][mr::kind_index(key.second)];
     trail.tau = tau;
     refresh(trail);
   }

@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 #include <utility>
@@ -59,7 +60,8 @@ class PheromoneTable {
     double max = 0.0;  ///< the colony's best-ranked machine's tau
   };
 
-  /// The live trail of a colony: tau, sum and max in one lookup.
+  /// The live trail of a colony: tau, sum and max in one lookup (an index
+  /// into a vector by JobId).
   const Trail& row(mr::JobId job, mr::TaskKind kind) const;
 
   double tau(mr::JobId job, mr::TaskKind kind,
@@ -126,11 +128,18 @@ class PheromoneTable {
   /// Recomputes a trail's cached sum and max after a write to its tau.
   static void refresh(Trail& trail);
 
+  /// The live trail of the key, or null (never added, or removed).
+  Trail* find(const TrailKey& key);
+
   std::size_t num_machines_;
   double rho_;
   double tau_init_;
   double tau_min_;
-  std::map<TrailKey, Trail> trails_;
+  /// Trails indexed by JobId, map trail first.  A job without a live colony
+  /// holds two trails with an empty tau (a live tau has num_machines_
+  /// entries), so iterating in index order visits live trails in TrailKey
+  /// order.
+  std::vector<std::array<Trail, 2>> trails_;
   std::map<TrailKey, std::string> classes_;
   std::map<std::pair<std::string, mr::TaskKind>, std::vector<double>> priors_;
 };

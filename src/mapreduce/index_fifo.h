@@ -1,5 +1,5 @@
 // IndexFifo: the vector-backed FIFO of task indices behind JobState's
-// pending queues and per-machine / per-rack locality queues.
+// pending queues.
 
 #pragma once
 
@@ -13,10 +13,9 @@ namespace eant::mr {
 
 /// First-in first-out queue of task indices: one vector plus a head offset.
 /// A queue that never held an entry owns no heap, unlike a std::deque, which
-/// allocates its map and first block on construction (~576 B) — a cost paid
-/// by every one of the (job x machine) locality queues, most of them empty.
-/// Popped slots are reclaimed when the queue drains, or once they outnumber
-/// the live entries, so pops stay amortised O(1).
+/// allocates its map and first block on construction (~576 B).  Popped
+/// slots are reclaimed when the queue drains, or once they outnumber the
+/// live entries, so pops stay amortised O(1).
 class IndexFifo {
  public:
   using const_iterator = std::vector<TaskIndex>::const_iterator;

@@ -15,14 +15,29 @@ JobState::JobState(JobId id, workload::JobSpec spec, std::size_t num_machines)
   map_state_.completed_per_machine.assign(num_machines_, 0);
   reduce_state_.started_per_machine.assign(num_machines_, 0);
   reduce_state_.completed_per_machine.assign(num_machines_, 0);
-  local_maps_.resize(num_machines_);
 }
 
 void JobState::init_maps(const std::vector<hdfs::BlockId>& blocks,
                          const hdfs::NameNode& namenode) {
   EANT_CHECK(maps_.empty(), "maps already initialised");
   EANT_CHECK(!blocks.empty(), "job input has no blocks");
+  EANT_CHECK(blocks.size() < kNone, "job has more maps than the index holds");
   const auto& p = profile();
+  // Rack queues only under a multi-rack NameNode.
+  const bool racked = namenode.num_racks() > 1;
+  if (racked) {
+    machine_rack_.resize(num_machines_);
+    for (cluster::MachineId m = 0; m < num_machines_; ++m)
+      machine_rack_[m] = namenode.rack_of(m);
+  }
+  queues_.resize(num_machines_ + (racked ? namenode.num_racks() : 0));
+  first_holder_.assign(blocks.size(), kNone);
+  std::size_t replicas = 0;
+  for (hdfs::BlockId b : blocks) replicas += namenode.locations(b).size();
+  entries_.reserve(racked ? 2 * replicas : replicas);
+  holders_.reserve(racked ? 2 * replicas : replicas);
+  map_state_.status.assign(blocks.size(), TaskStatus::kPending);
+
   maps_.reserve(blocks.size());
   for (TaskIndex i = 0; i < blocks.size(); ++i) {
     const Megabytes split = namenode.block_size(blocks[i]);
@@ -40,22 +55,10 @@ void JobState::init_maps(const std::vector<hdfs::BlockId>& blocks,
     map_state_.pending_queue.push_back(i);
     for (cluster::MachineId m : namenode.locations(blocks[i])) {
       EANT_ASSERT(m < num_machines_, "block replica on unknown machine");
-      local_maps_[m].push_back(i);
+      push_entry(static_cast<std::uint32_t>(m), i);
+      if (racked) push_entry(rack_queue(m), i);
     }
   }
-
-  // Rack-level index, active only under a multi-rack NameNode; duplicate
-  // entries (two replicas in one rack) are harmless under lazy cleanup.
-  if (namenode.num_racks() > 1) {
-    machine_rack_.resize(num_machines_);
-    for (cluster::MachineId m = 0; m < num_machines_; ++m)
-      machine_rack_[m] = namenode.rack_of(m);
-    rack_maps_.resize(namenode.num_racks());
-    for (TaskIndex i = 0; i < blocks.size(); ++i)
-      for (cluster::MachineId m : namenode.locations(blocks[i]))
-        rack_maps_[namenode.rack_of(m)].push_back(i);
-  }
-  map_state_.status.assign(maps_.size(), TaskStatus::kPending);
   map_state_.speculative.assign(maps_.size(), false);
   map_state_.start_time.assign(maps_.size(), 0.0);
   map_state_.start_machine.assign(maps_.size(), 0);
@@ -96,21 +99,21 @@ std::size_t JobState::running(TaskKind kind) const { return state(kind).running;
 
 std::size_t JobState::done(TaskKind kind) const { return state(kind).done; }
 
+void JobState::check_locality() const {
+  EANT_CHECK(!locality_released_, "locality state of a retired job");
+}
+
 bool JobState::has_local_pending_map(cluster::MachineId machine) const {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
-  for (TaskIndex i : local_maps_[machine]) {
-    if (map_state_.status[i] == TaskStatus::kPending) return true;
-  }
-  return false;
+  check_locality();
+  return queues_[machine].pending > 0;
 }
 
 bool JobState::has_rack_local_pending_map(cluster::MachineId machine) const {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
-  if (rack_maps_.empty()) return false;
-  for (TaskIndex i : rack_maps_[machine_rack_[machine]]) {
-    if (map_state_.status[i] == TaskStatus::kPending) return true;
-  }
-  return false;
+  check_locality();
+  if (machine_rack_.empty()) return false;
+  return queues_[rack_queue(machine)].pending > 0;
 }
 
 int JobState::occupied_slots() const {
@@ -150,38 +153,84 @@ void JobState::index_erase(KindState& ks, TaskIndex index) {
   ks.by_start.erase(it);
 }
 
+JobState::Holder& JobState::holder(std::uint32_t queue, TaskIndex map) {
+  for (std::uint32_t h = first_holder_[map]; h != kNone;
+       h = holders_[h].next) {
+    if (holders_[h].queue == queue) return holders_[h];
+  }
+  holders_.push_back(Holder{queue, 0, first_holder_[map]});
+  first_holder_[map] = static_cast<std::uint32_t>(holders_.size() - 1);
+  return holders_.back();
+}
+
+void JobState::push_entry(std::uint32_t queue, TaskIndex map) {
+  const auto e = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back(QueueEntry{static_cast<std::uint32_t>(map), kNone});
+  LocalityQueue& q = queues_[queue];
+  (q.tail == kNone ? q.head : entries_[q.tail].next) = e;
+  q.tail = e;
+  ++holder(queue, map).entries;
+  if (map_state_.status[map] == TaskStatus::kPending) ++q.pending;
+}
+
+void JobState::count_entries(TaskIndex map, bool pending) {
+  for (std::uint32_t h = first_holder_[map]; h != kNone;
+       h = holders_[h].next) {
+    const Holder& e = holders_[h];
+    std::uint32_t& count = queues_[e.queue].pending;
+    if (pending) {
+      count += e.entries;
+    } else {
+      EANT_ASSERT(count >= e.entries, "pending-entry count underflow");
+      count -= e.entries;
+    }
+  }
+}
+
+void JobState::claim_map_index(TaskIndex index) {
+  claim(map_state_, index);
+  count_entries(index, false);
+}
+
+std::optional<TaskIndex> JobState::pop_local(std::uint32_t queue) {
+  LocalityQueue& q = queues_[queue];
+  while (q.head != kNone) {
+    const QueueEntry e = entries_[q.head];
+    q.head = e.next;
+    if (q.head == kNone) q.tail = kNone;
+    Holder& h = holder(queue, e.map);
+    EANT_ASSERT(h.entries > 0, "popped entry missing from the reverse index");
+    --h.entries;
+    if (map_state_.status[e.map] == TaskStatus::kPending) {
+      --q.pending;
+      claim_map_index(e.map);
+      return TaskIndex{e.map};
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
                                              Locality& level_out) {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
+  check_locality();
   // Node-local split first (lazy cleanup of stale queue entries).
-  auto& locals = local_maps_[machine];
-  while (!locals.empty()) {
-    const TaskIndex i = locals.front();
-    locals.pop_front();
-    if (map_state_.status[i] == TaskStatus::kPending) {
-      claim(map_state_, i);
-      level_out = Locality::kNodeLocal;
-      return i;
-    }
+  if (auto i = pop_local(static_cast<std::uint32_t>(machine))) {
+    level_out = Locality::kNodeLocal;
+    return i;
   }
   // Then a split with a replica in this machine's rack.  (Exhausting the
   // node queue above proves no pending split is node-local here, so a hit
   // in the rack queue is genuinely rack-local.)
-  if (!rack_maps_.empty()) {
-    auto& rack = rack_maps_[machine_rack_[machine]];
-    while (!rack.empty()) {
-      const TaskIndex i = rack.front();
-      rack.pop_front();
-      if (map_state_.status[i] == TaskStatus::kPending) {
-        claim(map_state_, i);
-        level_out = Locality::kRackLocal;
-        return i;
-      }
+  if (!machine_rack_.empty()) {
+    if (auto i = pop_local(rack_queue(machine))) {
+      level_out = Locality::kRackLocal;
+      return i;
     }
   }
   // Otherwise any pending split (remote read; off-rack when racks exist).
   if (auto i = pop_pending(map_state_)) {
-    claim(map_state_, *i);
+    claim_map_index(*i);
     level_out = Locality::kOffRack;
     return i;
   }
@@ -210,11 +259,15 @@ void JobState::unclaim(TaskKind kind, TaskIndex index) {
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   EANT_CHECK(ks.status[index] == TaskStatus::kRunning,
              "only a running task can be unclaimed");
+  if (kind == TaskKind::kMap) check_locality();
   if (!ks.speculative[index]) index_erase(ks, index);
   ks.status[index] = TaskStatus::kPending;
   EANT_ASSERT(ks.running > 0, "running-count underflow");
   --ks.running;
   ks.pending_queue.push_back(index);
+  // Entries other machines' queues still hold become live again; the one a
+  // node or rack claim popped stays gone.
+  if (kind == TaskKind::kMap) count_entries(index, true);
 }
 
 void JobState::mark_started(TaskKind kind, TaskIndex index,
@@ -336,6 +389,7 @@ void JobState::revert_done_map(TaskIndex index, Seconds duration,
   EANT_CHECK(ks.status[index] == TaskStatus::kDone,
              "only a completed map can be reverted");
   EANT_CHECK(machine < num_machines_, "machine id out of range");
+  check_locality();
   ks.status[index] = TaskStatus::kPending;
   EANT_ASSERT(ks.done > 0, "done-count underflow");
   --ks.done;
@@ -346,11 +400,22 @@ void JobState::revert_done_map(TaskIndex index, Seconds duration,
   ks.speculative[index] = false;
   ks.start_time[index] = 0.0;
   ks.pending_queue.push_back(index);
+  count_entries(index, true);  // stale entries of the map are live again
   for (cluster::MachineId m : replicas) {
     EANT_ASSERT(m < num_machines_, "block replica on unknown machine");
-    local_maps_[m].push_back(index);
-    if (!rack_maps_.empty()) rack_maps_[machine_rack_[m]].push_back(index);
+    push_entry(static_cast<std::uint32_t>(m), index);
+    if (!machine_rack_.empty()) push_entry(rack_queue(m), index);
   }
+}
+
+void JobState::release_locality() {
+  // Swap with empties: clear() would keep the capacity.
+  std::vector<LocalityQueue>().swap(queues_);
+  std::vector<std::size_t>().swap(machine_rack_);
+  std::vector<QueueEntry>().swap(entries_);
+  std::vector<Holder>().swap(holders_);
+  std::vector<std::uint32_t>().swap(first_holder_);
+  locality_released_ = true;
 }
 
 const TaskSpec& JobState::task(TaskKind kind, TaskIndex index) const {

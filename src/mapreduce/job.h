@@ -1,11 +1,13 @@
 // Per-job runtime state tracked by the JobTracker: task specs, pending
-// queues with per-machine locality indexes, the start-ordered straggler
-// index, progress counters and the per-machine assignment histogram used by
-// Fig. 9, Tarazu and E-Ant's convergence tracking.
+// queues with per-machine locality queues and their pending-entry counts,
+// the start-ordered straggler index, progress counters and the per-machine
+// assignment histogram used by Fig. 9, Tarazu and E-Ant's convergence
+// tracking.
 
 #pragma once
 
 #include <compare>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -62,11 +64,14 @@ class JobState {
 
   bool has_pending(TaskKind kind) const { return pending(kind) > 0; }
 
-  /// True iff a pending map's input block has a replica on `machine`.
+  /// True iff `machine`'s locality queue holds an entry of a pending map
+  /// (one array read).  Throws PreconditionError once release_locality()
+  /// ran.
   bool has_local_pending_map(cluster::MachineId machine) const;
 
-  /// True iff a pending map's input block has a replica in `machine`'s rack
-  /// (always false when the NameNode had a single flat rack).
+  /// True iff the locality queue of `machine`'s rack holds an entry of a
+  /// pending map (always false when the NameNode had a single flat rack).
+  /// Throws PreconditionError once release_locality() ran.
   bool has_rack_local_pending_map(cluster::MachineId machine) const;
 
   /// Slots the job currently occupies (S_occ of Eq. 7).
@@ -121,6 +126,11 @@ class JobState {
   void revert_done_map(TaskIndex index, Seconds duration,
                        const std::vector<cluster::MachineId>& replicas,
                        cluster::MachineId machine);
+
+  /// Frees the locality queues, their counts and the reverse index once the
+  /// job retired: no map of it is claimed again.  Later locality queries,
+  /// map claims, map unclaims and reverts throw PreconditionError.
+  void release_locality();
 
   /// Marks the whole job failed (a task ran out of attempts).  A failed job
   /// never completes; the JobTracker retires it.
@@ -196,9 +206,51 @@ class JobState {
     std::vector<RunningTask> by_start;  ///< sorted; see running_by_start()
   };
 
+  /// Ends a chain in entries_ or holders_.
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// A locality queue: a FIFO of map indices linked through entries_, and
+  /// the number of its live entries whose map is Pending.
+  struct LocalityQueue {
+    std::uint32_t head = kNone;  ///< oldest live entry
+    std::uint32_t tail = kNone;  ///< newest live entry
+    std::uint32_t pending = 0;
+  };
+
+  /// One queued map index and the next entry of its queue.
+  struct QueueEntry {
+    std::uint32_t map = 0;
+    std::uint32_t next = kNone;
+  };
+
+  /// One record of a map's chain in the reverse index: `entries` live
+  /// entries of the map sit in locality queue `queue`.
+  struct Holder {
+    std::uint32_t queue = 0;
+    std::uint32_t entries = 0;
+    std::uint32_t next = kNone;  ///< the map's next record
+  };
+
   KindState& state(TaskKind kind);
   const KindState& state(TaskKind kind) const;
   std::optional<TaskIndex> pop_pending(KindState& ks);
+
+  void check_locality() const;
+  std::uint32_t rack_queue(cluster::MachineId machine) const {
+    return static_cast<std::uint32_t>(num_machines_ + machine_rack_[machine]);
+  }
+  /// Pops locality queue `queue` until it yields a pending map, which it
+  /// claims (stale entries are dropped, as the lazy cleanup always did).
+  std::optional<TaskIndex> pop_local(std::uint32_t queue);
+  /// Pending -> Running for a map, taking its entries out of the counts.
+  void claim_map_index(TaskIndex index);
+  /// Appends an entry of `map` to locality queue `queue`.
+  void push_entry(std::uint32_t queue, TaskIndex map);
+  /// The reverse-index record of (map, queue), created empty if missing.
+  Holder& holder(std::uint32_t queue, TaskIndex map);
+  /// Adds every live queue entry of the map to the pending counts (it just
+  /// became Pending) or removes them (it just left Pending).
+  void count_entries(TaskIndex map, bool pending);
 
   /// Pending -> Running, entering the straggler index unless speculative.
   static void claim(KindState& ks, TaskIndex index);
@@ -216,14 +268,23 @@ class JobState {
   KindState map_state_;
   KindState reduce_state_;
 
-  /// Per-machine queues of map indices whose split is local to the machine
-  /// (lazily cleaned: entries may be stale once a task leaves Pending).
-  std::vector<IndexFifo> local_maps_;
-
-  /// Per-rack queues of map indices with a replica in the rack; only built
-  /// when the NameNode reports more than one rack (same lazy cleanup).
-  std::vector<IndexFifo> rack_maps_;
+  /// Locality queues: queue m < num_machines_ holds the maps with a replica
+  /// on machine m, queue num_machines_ + r those with one in rack r.  Rack
+  /// queues exist only when the NameNode reports more than one rack.  Lazily
+  /// cleaned: entries may be stale once a map leaves Pending, and a rack
+  /// queue holds a map once per replica in the rack.  Each queue's pending
+  /// count is the answer the lazy scan gives, kept current by every pop,
+  /// push and status change.
+  std::vector<LocalityQueue> queues_;
   std::vector<std::size_t> machine_rack_;  ///< empty when racks are inactive
+  /// Every entry ever queued, all queues in one arena (popped ones stay
+  /// behind until release_locality), so a queue owns no heap of its own.
+  std::vector<QueueEntry> entries_;
+  /// Reverse index: each map's chain of Holder records in one flat vector
+  /// (no per-map allocation), headed by first_holder_[map].
+  std::vector<Holder> holders_;
+  std::vector<std::uint32_t> first_holder_;
+  bool locality_released_ = false;
 
   bool failed_ = false;
   Seconds finish_time_ = 0.0;

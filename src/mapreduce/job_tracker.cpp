@@ -163,6 +163,12 @@ void JobTracker::start_trackers() {
     capability_share_[id] = type.cores * type.cpu_factor / total_capability;
   }
   tracker_states_.resize(cluster_.size());
+  for (FreeSlotIndex& index : free_slots_) {
+    index.machines.reserve(cluster_.size());
+  }
+  for (cluster::MachineId id = 0; id < cluster_.size(); ++id) {
+    refresh_free_slots(id);
+  }
   tracker_epoch_.assign(cluster_.size(), master_epoch_);
   reregistration_gate_.assign(cluster_.size(), 0.0);
   if (config_.tracker_expiry_window > 0.0 ||
@@ -254,6 +260,7 @@ JobId JobTracker::submit_now(workload::JobSpec spec) {
   auto js = std::make_unique<JobState>(id, spec, cluster_.size());
   const auto blocks = namenode_.create_file(spec.input_mb);
   js->init_maps(blocks, namenode_);
+  pending_tasks_[kind_index(TaskKind::kMap)] += js->pending(TaskKind::kMap);
   jobs_.push_back(std::move(js));
   active_.push_back(id);
   ++jobs_expected_;
@@ -416,6 +423,7 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
     // empty re-replication target — the declared loss already dropped its
     // replicas.
     ts.lost = false;
+    refresh_free_slots(m);
     maybe_rejoin(m);
     if (!namenode_.datanode_alive(m)) {
       apply_datanode_mark(m, /*dead=*/false);
@@ -579,6 +587,7 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
   if (!ts.quarantined && ts.health_samples >= config_.health_min_samples &&
       ts.health < config_.quarantine_threshold) {
     ts.quarantined = true;
+    refresh_free_slots(m);
     ++counters_.quarantine_episodes;
     // The node is not dead — its running attempts continue (and may still
     // finish) — but the scheduler must stop feeding it.
@@ -586,6 +595,7 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
   } else if (ts.quarantined && ts.health > kHealthRecoveryThreshold) {
     ts.quarantined = false;
     ts.health_samples = 0;
+    refresh_free_slots(m);
     maybe_rejoin(m);
   }
 }
@@ -609,6 +619,7 @@ void JobTracker::decay_quarantine() {
     if (ts.health > kHealthRecoveryThreshold) {
       ts.quarantined = false;
       ts.health_samples = 0;
+      refresh_free_slots(m);
       maybe_rejoin(m);
     }
   }
@@ -733,6 +744,7 @@ void JobTracker::try_assign(TaskTracker& tracker, TaskKind kind) {
       index = js.claim_reduce();
     }
     EANT_ASSERT(index.has_value(), "claim failed despite pending work");
+    --pending_tasks_[kind_index(kind)];
 
     if (kind == TaskKind::kMap && config_.locality_override) {
       locality = config_.locality_override(js.task(kind, *index), m)
@@ -1536,6 +1548,7 @@ void JobTracker::recover_master() {
     ts.health_samples = 0;
     if (ts.quarantined) {
       ts.quarantined = false;
+      refresh_free_slots(m);
       maybe_rejoin(m);
     }
     // Stagger re-registration in machine-id order so a thousand trackers do
@@ -1589,6 +1602,7 @@ void JobTracker::decay_blacklist_counters() {
     if (ts.blacklisted && ts.failures < config_.blacklist_threshold) {
       // The decayed record no longer justifies the blacklist: forgive early.
       ts.blacklisted = false;
+      refresh_free_slots(m);
       maybe_rejoin(m);
     }
   }
@@ -1714,6 +1728,8 @@ void JobTracker::maybe_build_reduces(JobState& js) {
     reduces.push_back(t);
   }
   js.init_reduces(std::move(reduces));
+  pending_tasks_[kind_index(TaskKind::kReduce)] +=
+      js.pending(TaskKind::kReduce);
 }
 
 bool JobTracker::start_speculative(JobId job, TaskKind kind, TaskIndex index,
@@ -1898,6 +1914,7 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
   if (config_.blacklist_threshold > 0 && !ts.blacklisted &&
       ts.failures >= config_.blacklist_threshold) {
     ts.blacklisted = true;
+    refresh_free_slots(m);
     scheduler_.on_tracker_lost(m);
     sim_.schedule_after(config_.blacklist_duration, [this, m] {
       TrackerState& s = tracker_states_[m];
@@ -1908,6 +1925,7 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
       if (!master_up_) return;
       s.blacklisted = false;
       s.failures = 0;
+      refresh_free_slots(m);
       maybe_rejoin(m);
     });
   }
@@ -1937,6 +1955,7 @@ void JobTracker::check_tracker_expiry() {
     if (ts.lost) continue;
     if (now - ts.last_heartbeat <= config_.tracker_expiry_window) continue;
     ts.lost = true;
+    refresh_free_slots(m);
     // Expiry declares the whole node gone — datanode included: its replicas
     // drop and under-replicated blocks queue for recovery.  (A fast restart
     // never reaches here and keeps its disk.)
@@ -2012,6 +2031,7 @@ bool JobTracker::requeue_task(JobId job, TaskKind kind, TaskIndex index) {
   js.clear_speculative(kind, index);
   if (running_elsewhere(job, kind, index)) return false;
   js.unclaim(kind, index);
+  ++pending_tasks_[kind_index(kind)];
   return true;
 }
 
@@ -2023,6 +2043,7 @@ bool JobTracker::revert_map_output(const TaskReport& report,
   if (js.status(TaskKind::kMap, spec.index) != TaskStatus::kDone) return false;
   js.revert_done_map(spec.index, report.duration(),
                      namenode_.locations(spec.block), report.machine);
+  ++pending_tasks_[kind_index(TaskKind::kMap)];
   if (auditor_) {
     auditor_->on_task_transition(spec.job, true, spec.index,
                                  audit::TaskEvent::kRevertDone, report.machine);
@@ -2037,6 +2058,10 @@ void JobTracker::retire_job(JobState& js) {
   ++(js.failed() ? jobs_failed_ : jobs_completed_);
   active_.erase(std::remove(active_.begin(), active_.end(), job),
                 active_.end());
+  // A failed job retires with tasks still pending.
+  for (TaskKind kind : {TaskKind::kMap, TaskKind::kReduce}) {
+    pending_tasks_[kind_index(kind)] -= js.pending(kind);
+  }
   std::erase_if(fetch_state_,
                 [job](const auto& kv) { return kv.first.first == job; });
   std::erase_if(reduce_fetch_strikes_,
@@ -2060,6 +2085,9 @@ void JobTracker::retire_job(JobState& js) {
   if (admission_) admission_->note_job_finished(job, js.spec(), sim_.now());
   if (auditor_) auditor_->record(audit::Record::kJobFinish, job);
   if (job_finished_listener_) job_finished_listener_(js);
+  // No map of a retired job is claimed again, so its locality queues,
+  // counts and reverse index would only hold memory.
+  js.release_locality();
 }
 
 void JobTracker::fail_job(JobState& js) {
@@ -2122,31 +2150,57 @@ JobState& JobTracker::job_mutable(JobId id) {
   return *jobs_[id];
 }
 
-std::vector<JobId> JobTracker::runnable_jobs(TaskKind kind) const {
-  std::vector<JobId> out;
+void JobTracker::runnable_jobs(TaskKind kind, std::vector<JobId>& out) const {
+  out.clear();
+  if (total_pending(kind) == 0) return;
   for (JobId id : active_) {
     if (jobs_[id]->has_pending(kind)) out.push_back(id);
   }
-  return out;
 }
 
 int JobTracker::total_slots() const {
   return cluster_.total_map_slots() + cluster_.total_reduce_slots();
 }
 
-int JobTracker::total_free_slots(TaskKind kind) const {
-  int total = 0;
-  for (cluster::MachineId m = 0; m < trackers_.size(); ++m) {
-    if (!tracker_available(m)) continue;
-    total += trackers_[m]->free_slots(kind);
+void JobTracker::refresh_free_slots(cluster::MachineId machine) {
+  const bool available = tracker_available(machine);
+  TrackerState& ts = tracker_states_[machine];
+  for (TaskKind kind : {TaskKind::kMap, TaskKind::kReduce}) {
+    const std::size_t k = kind_index(kind);
+    FreeSlotIndex& index = free_slots_[k];
+    const int now = available ? trackers_[machine]->free_slots(kind) : 0;
+    int& counted = ts.counted_free[k];
+    if (now == counted) continue;
+    index.total += now - counted;
+    const bool was_free = counted > 0;
+    counted = now;
+    if (was_free == (now > 0)) continue;
+    std::size_t& pos = ts.free_position[k];
+    if (now > 0) {
+      pos = index.machines.size();
+      index.machines.push_back(machine);
+    } else {
+      // Swap-remove: the set has no order to keep.
+      const cluster::MachineId last = index.machines.back();
+      index.machines[pos] = last;
+      tracker_states_[last].free_position[k] = pos;
+      index.machines.pop_back();
+      pos = kNotFree;
+    }
   }
-  return total;
+}
+
+int JobTracker::total_free_slots(TaskKind kind) const {
+  return free_slots_[kind_index(kind)].total;
+}
+
+const std::vector<cluster::MachineId>& JobTracker::free_machines(
+    TaskKind kind) const {
+  return free_slots_[kind_index(kind)].machines;
 }
 
 std::size_t JobTracker::total_pending(TaskKind kind) const {
-  std::size_t total = 0;
-  for (JobId id : active_) total += jobs_[id]->pending(kind);
-  return total;
+  return pending_tasks_[kind_index(kind)];
 }
 
 double JobTracker::capability_share(cluster::MachineId id) const {

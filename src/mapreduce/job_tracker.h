@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -342,6 +343,12 @@ class JobTracker {
   void handle_heartbeat(TaskTracker& tracker);
   void handle_completion(TaskReport report);
 
+  /// Re-reads one machine's free slots into the fleet-wide free-slot totals
+  /// and the free-machine sets (0 while the tracker is unavailable).  Called
+  /// wherever a slot count, a tracker's liveness or its lost, blacklisted or
+  /// quarantined flag changes.
+  void refresh_free_slots(cluster::MachineId machine);
+
   /// True iff a report from this tracker would be applied live rather than
   /// fenced into the orphan buffer (master up + current registration epoch).
   /// The TaskTracker consults this to decide whether its completion/failure
@@ -407,17 +414,25 @@ class JobTracker {
   /// Jobs that are submitted and not yet complete, in submission order.
   const std::vector<JobId>& active_jobs() const { return active_; }
 
-  /// Active jobs with at least one pending task of the kind.
-  std::vector<JobId> runnable_jobs(TaskKind kind) const;
+  /// Writes the active jobs with at least one pending task of the kind to
+  /// `out` (cleared first), in submission order.  Returns at once when no
+  /// task of the kind is pending.  Schedulers pass a buffer they keep, so a
+  /// heartbeat allocates nothing here.
+  void runnable_jobs(TaskKind kind, std::vector<JobId>& out) const;
 
   /// Total slots in the cluster (S_pool of Eq. 7, single-user system).
   int total_slots() const;
 
-  /// Currently free slots of the kind, fleet-wide.
+  /// Currently free slots of the kind over available trackers, fleet-wide
+  /// (a kept total).
   int total_free_slots(TaskKind kind) const;
 
+  /// The available machines with a free slot of the kind, in no particular
+  /// order (a kept set).
+  const std::vector<cluster::MachineId>& free_machines(TaskKind kind) const;
+
   /// Pending tasks of the kind across active jobs (reduces only counted
-  /// once schedulable).
+  /// once schedulable; a kept total).
   std::size_t total_pending(TaskKind kind) const;
 
   /// Fraction of total cluster compute capability (cores x speed) on the
@@ -627,6 +642,8 @@ class JobTracker {
   audit::InvariantAuditor* auditor() { return auditor_; }
 
  private:
+  static constexpr std::size_t kNotFree = static_cast<std::size_t>(-1);
+
   /// Per-tracker master-side bookkeeping (heartbeat freshness, loss state,
   /// blacklist, and the work that dies if the node does).
   struct TrackerState {
@@ -645,6 +662,11 @@ class JobTracker {
     std::vector<TaskReport> lost_attempts;
     /// Completed map outputs on the node's local disk, lost with it.
     std::map<std::pair<JobId, TaskIndex>, TaskReport> map_outputs;
+    /// Per kind (map first): the free slots the node counts in free_slots_
+    /// (0 while unavailable), and its place in that kind's free-machine
+    /// set (kNotFree when not a member).
+    std::array<int, 2> counted_free{};
+    std::array<std::size_t, 2> free_position{kNotFree, kNotFree};
   };
 
   /// One node-loss episode: tasks re-queued at detection, drained as they
@@ -857,6 +879,18 @@ class JobTracker {
   std::vector<std::unique_ptr<TaskTracker>> trackers_;
   std::vector<std::unique_ptr<JobState>> jobs_;
   std::vector<JobId> active_;
+  /// Pending tasks per kind (map first) over active_: updated where a claim,
+  /// unclaim, revert, reduce build, submission or retirement changes them.
+  std::array<std::size_t, 2> pending_tasks_{};
+
+  /// One kind's free slots over available trackers: their total, and the
+  /// machines with any, unordered (each one's place is in its
+  /// TrackerState).
+  struct FreeSlotIndex {
+    int total = 0;
+    std::vector<cluster::MachineId> machines;
+  };
+  std::array<FreeSlotIndex, 2> free_slots_;  ///< map first
   std::vector<double> capability_share_;
   std::size_t jobs_expected_ = 0;
   std::size_t jobs_completed_ = 0;

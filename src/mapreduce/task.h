@@ -28,6 +28,11 @@ enum class TaskKind { kMap, kReduce };
 /// "map" / "reduce".
 std::string kind_name(TaskKind kind);
 
+/// The kind's slot in a per-kind array: map 0, reduce 1.
+constexpr std::size_t kind_index(TaskKind kind) {
+  return kind == TaskKind::kMap ? 0 : 1;
+}
+
 /// Immutable description of one task's work.
 struct TaskSpec {
   JobId job = 0;

@@ -49,15 +49,6 @@ void TaskTracker::start_heartbeat(Seconds first_delay) {
       heartbeat_, [this] { return heartbeat(); }, first_delay);
 }
 
-int TaskTracker::running(TaskKind kind) const {
-  return kind == TaskKind::kMap ? running_maps_ : running_reduces_;
-}
-
-int TaskTracker::free_slots(TaskKind kind) const {
-  if (!alive_) return 0;
-  return (kind == TaskKind::kMap ? map_slots_ : reduce_slots_) - running(kind);
-}
-
 std::size_t TaskTracker::completed(TaskKind kind) const {
   return kind == TaskKind::kMap ? completed_maps_ : completed_reduces_;
 }
@@ -81,6 +72,7 @@ TaskTracker::Running& TaskTracker::occupy_slot(const TaskSpec& spec,
   } else {
     ++running_reduces_;
   }
+  job_tracker_.refresh_free_slots(machine_.id());
   audit_transition(job_tracker_, spec, machine_.id(), audit::TaskEvent::kLaunch);
   return it->second;
 }
@@ -269,6 +261,7 @@ void TaskTracker::release_slot(TaskKind kind) {
   } else {
     --running_reduces_;
   }
+  job_tracker_.refresh_free_slots(machine_.id());
 }
 
 // Audit: when the scheduled compute event fires, the nominal work
@@ -398,6 +391,7 @@ std::vector<TaskReport> TaskTracker::cancel_job(JobId job) {
 void TaskTracker::crash() {
   EANT_CHECK(alive_, "TaskTracker is already down");
   alive_ = false;
+  job_tracker_.refresh_free_slots(machine_.id());
   sim_.cancel(heartbeat_event_);
 
   // Every running attempt dies with the machine; releasing their demand lets
@@ -416,6 +410,7 @@ void TaskTracker::crash() {
 void TaskTracker::restart() {
   EANT_CHECK(!alive_, "TaskTracker is already up");
   alive_ = true;
+  job_tracker_.refresh_free_slots(machine_.id());
   machine_.set_up(true);
   start_heartbeat(heartbeat_);
 }

@@ -53,10 +53,16 @@ class TaskTracker {
 
   int map_slots() const { return map_slots_; }
   int reduce_slots() const { return reduce_slots_; }
-  int running(TaskKind kind) const;
+  int running(TaskKind kind) const {
+    return kind == TaskKind::kMap ? running_maps_ : running_reduces_;
+  }
 
   /// Free slots of the kind; 0 while the daemon is down.
-  int free_slots(TaskKind kind) const;
+  int free_slots(TaskKind kind) const {
+    if (!alive_) return 0;
+    return (kind == TaskKind::kMap ? map_slots_ : reduce_slots_) -
+           running(kind);
+  }
 
   /// True while the daemon is running (heartbeating, accepting tasks).
   bool alive() const { return alive_; }

@@ -8,6 +8,22 @@
 #include "common/error.h"
 
 namespace eant::sched {
+namespace {
+
+/// Stable insertion sort of a queue ranking: the order std::stable_sort
+/// gives, without the temporary buffer it allocates on every call.  A
+/// ranking holds one entry per queue, a handful.
+template <class Less>
+void rank_queues(std::vector<std::size_t>& order, Less less) {
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::size_t q = order[i];
+    std::size_t j = i;
+    for (; j > 0 && less(q, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = q;
+  }
+}
+
+}  // namespace
 
 CapacityScheduler::CapacityScheduler(std::vector<double> capacities)
     : capacities_(std::move(capacities)) {
@@ -91,106 +107,97 @@ std::size_t CapacityScheduler::queue_of(mr::JobId job) const {
   return job_queue_[job];
 }
 
-std::vector<int> CapacityScheduler::occupancy_by_queue() const {
-  std::vector<int> occ(num_queues(), 0);
+void CapacityScheduler::occupancy_by_queue() {
+  occ_.assign(num_queues(), 0);
   for (mr::JobId id : jt_->active_jobs()) {
-    occ[queue_of(id)] += jt_->job(id).occupied_slots();
+    occ_[queue_of(id)] += jt_->job(id).occupied_slots();
   }
-  return occ;
 }
 
 std::optional<mr::JobId> CapacityScheduler::select_job(
     cluster::MachineId /*machine*/, mr::TaskKind kind) {
   EANT_CHECK(jt_ != nullptr, "scheduler not attached");
-  const auto runnable = jt_->runnable_jobs(kind);
-  if (runnable.empty()) return std::nullopt;
-  return tenant_mode_ ? select_tenant(runnable, kind) : select_legacy(runnable);
+  jt_->runnable_jobs(kind, runnable_);
+  if (runnable_.empty()) return std::nullopt;
+  return tenant_mode_ ? select_tenant(kind) : select_legacy();
 }
 
-std::optional<mr::JobId> CapacityScheduler::select_legacy(
-    const std::vector<mr::JobId>& runnable) {
+std::optional<mr::JobId> CapacityScheduler::select_legacy() {
   // Rank queues by occupancy relative to their guaranteed capacity, most
   // starved first; spill-over is automatic because a queue with no runnable
   // jobs simply never matches, letting the next-ranked queue take the slot.
   const double total_slots = static_cast<double>(jt_->total_slots());
-  const std::vector<int> occ = occupancy_by_queue();
-  std::vector<std::size_t> order(capacities_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const double ra = occ[a] / (capacities_[a] * total_slots);
-                     const double rb = occ[b] / (capacities_[b] * total_slots);
-                     return ra < rb;
-                   });
+  occupancy_by_queue();
+  order_.resize(capacities_.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  rank_queues(order_, [&](std::size_t a, std::size_t b) {
+    const double ra = occ_[a] / (capacities_[a] * total_slots);
+    const double rb = occ_[b] / (capacities_[b] * total_slots);
+    return ra < rb;
+  });
 
-  for (std::size_t q : order) {
+  for (std::size_t q : order_) {
     // FIFO within the queue: runnable_jobs() is in submission order.
-    for (mr::JobId id : runnable) {
+    for (mr::JobId id : runnable_) {
       if (queue_of(id) == q) return id;
     }
   }
   return std::nullopt;
 }
 
-std::optional<mr::JobId> CapacityScheduler::select_tenant(
-    const std::vector<mr::JobId>& runnable, mr::TaskKind kind) {
+std::optional<mr::JobId> CapacityScheduler::select_tenant(mr::TaskKind kind) {
   const Seconds now = jt_->simulator().now();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   // One pass over the active jobs: per-queue kind occupancy; one pass over
   // the runnable jobs: earliest runnable deadline per queue.
-  std::vector<int> occ(queues_.size(), 0);
+  occ_.assign(queues_.size(), 0);
   for (mr::JobId id : jt_->active_jobs()) {
-    occ[queue_of(id)] += static_cast<int>(jt_->job(id).running(kind));
+    occ_[queue_of(id)] += static_cast<int>(jt_->job(id).running(kind));
   }
-  std::vector<double> earliest_deadline(queues_.size(), kInf);
-  std::vector<bool> has_runnable(queues_.size(), false);
-  for (mr::JobId id : runnable) {
+  earliest_deadline_.assign(queues_.size(), kInf);
+  has_runnable_.assign(queues_.size(), 0);
+  for (mr::JobId id : runnable_) {
     const std::size_t q = queue_of(id);
-    has_runnable[q] = true;
+    has_runnable_[q] = 1;
     const workload::JobSpec& spec = jt_->job(id).spec();
-    if (spec.has_deadline() && spec.deadline < earliest_deadline[q]) {
-      earliest_deadline[q] = spec.deadline;
+    if (spec.has_deadline() && spec.deadline < earliest_deadline_[q]) {
+      earliest_deadline_[q] = spec.deadline;
     }
   }
 
   // Weighted max-min ranking: most starved queue (lowest occupied slots per
   // unit weight) first; a queue with an imminent deadline jumps the whole
   // ranking, earlier deadline first.
-  std::vector<std::size_t> order;
+  order_.clear();
   for (std::size_t q = 0; q < queues_.size(); ++q) {
-    if (has_runnable[q]) order.push_back(q);
+    if (has_runnable_[q]) order_.push_back(q);
   }
   const auto urgent = [&](std::size_t q) {
-    return earliest_deadline[q] < now + share_.deadline_boost_window;
+    return earliest_deadline_[q] < now + share_.deadline_boost_window;
   };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool ua = urgent(a);
-                     const bool ub = urgent(b);
-                     if (ua && !ub) return true;
-                     if (ub && !ua) return false;
-                     if (ua && ub) {
-                       if (earliest_deadline[a] < earliest_deadline[b]) {
-                         return true;
-                       }
-                       if (earliest_deadline[b] < earliest_deadline[a]) {
-                         return false;
-                       }
-                     }
-                     const double ra = occ[a] / queues_[a].weight;
-                     const double rb = occ[b] / queues_[b].weight;
-                     return ra < rb;
-                   });
+  rank_queues(order_, [&](std::size_t a, std::size_t b) {
+    const bool ua = urgent(a);
+    const bool ub = urgent(b);
+    if (ua && !ub) return true;
+    if (ub && !ua) return false;
+    if (ua && ub) {
+      if (earliest_deadline_[a] < earliest_deadline_[b]) return true;
+      if (earliest_deadline_[b] < earliest_deadline_[a]) return false;
+    }
+    const double ra = occ_[a] / queues_[a].weight;
+    const double rb = occ_[b] / queues_[b].weight;
+    return ra < rb;
+  });
 
-  for (std::size_t q : order) {
+  for (std::size_t q : order_) {
     // EDF ahead of the queue's FIFO backlog: the earliest-deadline runnable
     // job wins; without deadline candidates, submission order (runnable
     // order) decides.
     std::optional<mr::JobId> edf;
     double edf_deadline = kInf;
     std::optional<mr::JobId> fifo;
-    for (mr::JobId id : runnable) {
+    for (mr::JobId id : runnable_) {
       if (queue_of(id) != q) continue;
       const workload::JobSpec& spec = jt_->job(id).spec();
       if (spec.has_deadline()) {

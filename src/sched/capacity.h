@@ -102,14 +102,13 @@ class CapacityScheduler final : public mr::Scheduler {
   std::size_t preemptions() const { return preemptions_; }
 
  private:
-  /// Slots currently occupied by each queue's jobs, in one pass over the
-  /// active jobs (select_job used to recount per comparator evaluation —
-  /// quadratic in jobs for no change in ranking).
-  std::vector<int> occupancy_by_queue() const;
+  /// Fills occ_ with the slots each queue's jobs occupy, in one pass over
+  /// the active jobs (select_job used to recount per comparator evaluation
+  /// — quadratic in jobs for no change in ranking).
+  void occupancy_by_queue();
 
-  std::optional<mr::JobId> select_legacy(const std::vector<mr::JobId>& runnable);
-  std::optional<mr::JobId> select_tenant(const std::vector<mr::JobId>& runnable,
-                                         mr::TaskKind kind);
+  std::optional<mr::JobId> select_legacy();
+  std::optional<mr::JobId> select_tenant(mr::TaskKind kind);
   std::size_t queue_for_tenant(workload::TenantId tenant);
   /// Maps a job to its tenant's queue, or round-robin in legacy mode.
   void assign_queue(mr::JobId job);
@@ -133,6 +132,15 @@ class CapacityScheduler final : public mr::Scheduler {
   static constexpr std::size_t kNoQueue = static_cast<std::size_t>(-1);
   std::vector<std::size_t> job_queue_;
   mr::JobTracker* jt_ = nullptr;
+
+  /// select_job's scratch, kept so a slot offer allocates nothing: the
+  /// runnable jobs, per-queue occupancy, earliest runnable deadline and
+  /// has-runnable flag, and the queue ranking.
+  std::vector<mr::JobId> runnable_;
+  std::vector<int> occ_;
+  std::vector<double> earliest_deadline_;
+  std::vector<char> has_runnable_;
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace eant::sched

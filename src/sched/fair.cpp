@@ -11,10 +11,10 @@ FairScheduler::FairScheduler(int locality_delay)
   EANT_CHECK(locality_delay >= 0, "locality delay must be non-negative");
 }
 
-std::vector<mr::JobId> FairScheduler::fair_order(mr::TaskKind kind) const {
+const std::vector<mr::JobId>& FairScheduler::fair_order(mr::TaskKind kind) {
   EANT_CHECK(jt_ != nullptr, "scheduler not attached");
-  std::vector<mr::JobId> runnable = jt_->runnable_jobs(kind);
-  if (runnable.empty()) return runnable;
+  jt_->runnable_jobs(kind, order_);
+  if (order_.empty()) return order_;
 
   const std::size_t active = jt_->active_jobs().size();
   const double share =
@@ -23,19 +23,19 @@ std::vector<mr::JobId> FairScheduler::fair_order(mr::TaskKind kind) const {
 
   // Sort most-starved-first by occupied/share; ties resolved by submission
   // order (earlier job first), matching the Hadoop Fair Scheduler.
-  std::stable_sort(runnable.begin(), runnable.end(),
+  std::stable_sort(order_.begin(), order_.end(),
                    [&](mr::JobId a, mr::JobId b) {
                      const double ra = jt_->job(a).occupied_slots() / share;
                      const double rb = jt_->job(b).occupied_slots() / share;
                      if (ra != rb) return ra < rb;
                      return a < b;
                    });
-  return runnable;
+  return order_;
 }
 
 std::optional<mr::JobId> FairScheduler::select_job(
     cluster::MachineId machine, mr::TaskKind kind) {
-  const auto order = fair_order(kind);
+  const auto& order = fair_order(kind);
   if (order.empty()) return std::nullopt;
   if (locality_delay_ == 0 || overload_relaxed_ ||
       kind != mr::TaskKind::kMap) {

@@ -45,7 +45,8 @@ class FairScheduler : public mr::Scheduler {
  protected:
   /// Runnable jobs ordered most-starved-first (the fair-share ordering);
   /// shared with the schedulers that refine Fair's choice (Tarazu, LATE).
-  std::vector<mr::JobId> fair_order(mr::TaskKind kind) const;
+  /// The result lives in a buffer the next call overwrites.
+  const std::vector<mr::JobId>& fair_order(mr::TaskKind kind);
 
   mr::JobTracker* jt_ = nullptr;
 
@@ -54,6 +55,7 @@ class FairScheduler : public mr::Scheduler {
   std::map<mr::JobId, int> skip_counts_;
   std::size_t locality_waits_ = 0;
   bool overload_relaxed_ = false;
+  std::vector<mr::JobId> order_;  ///< fair_order's buffer
 };
 
 }  // namespace eant::sched

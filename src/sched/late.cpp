@@ -60,7 +60,7 @@ bool LateScheduler::try_speculate(cluster::MachineId machine,
 
 std::optional<mr::JobId> LateScheduler::select_job(cluster::MachineId machine,
                                                    mr::TaskKind kind) {
-  const auto order = fair_order(kind);
+  const auto& order = fair_order(kind);
   if (!order.empty()) return order.front();
   // No pending work anywhere: consider speculating on a straggler.  The
   // speculative attempt is launched directly (consuming the free slot), so

@@ -40,7 +40,7 @@ bool TarazuScheduler::over_quota(const mr::JobState& job,
 
 std::optional<mr::JobId> TarazuScheduler::select_job(cluster::MachineId machine,
                                                      mr::TaskKind kind) {
-  const auto order = fair_order(kind);
+  const auto& order = fair_order(kind);
   if (order.empty()) return std::nullopt;
   if (kind == mr::TaskKind::kReduce) return order.front();
 
