@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <tuple>
 #include <vector>
 
+#include "audit/digest.h"
 #include "cluster/catalog.h"
 #include "cluster/machine.h"
 #include "common/error.h"
@@ -697,6 +700,290 @@ TEST(FaultInjector, RestartResamplesCrashDrawCausally) {
   // The scripted outages themselves are in the log at their exact times.
   EXPECT_DOUBLE_EQ(inj.log()[0].time, 50.0);
   EXPECT_FALSE(inj.log()[0].up);
+}
+
+// --- transition-stream pin ---------------------------------------------------
+
+// FNV-1a over everything a FaultInjector does: every event it schedules and
+// every event that executes (id and time), every handler call together with
+// the injector's own view at that instant, every transition log and the
+// per-attempt draws.
+struct StreamDigest : sim::SimObserver {
+  audit::Fnv1a fnv;
+  std::size_t scheduled = 0;
+  std::size_t executed = 0;
+
+  void word(std::uint64_t w) { fnv.mix(w); }
+  void time(Seconds t) { fnv.mix(t); }
+  void on_event_scheduled(Seconds t, sim::EventId id) override {
+    ++scheduled;
+    word(1);
+    time(t);
+    word(id);
+  }
+  void on_event_executed(Seconds t, sim::EventId id) override {
+    ++executed;
+    word(2);
+    time(t);
+    word(id);
+  }
+};
+
+// A random plan over every fault family.  Scripted times sit on a 10 s grid
+// so scripted transitions tie with each other; a quarter of the stochastic
+// processes have no repair (mttr = 0).  Each draw is its own statement: the
+// order in which function arguments are evaluated is unspecified.
+sim::FaultPlan random_fault_plan(Rng& g, std::size_t machines,
+                                 std::size_t racks) {
+  sim::FaultPlan plan;
+  const auto when = [&] {
+    return 10.0 * static_cast<double>(g.uniform_int(0, 300));
+  };
+  const auto repair = [&](double lo, double hi) {
+    return g.bernoulli(0.25) ? 0.0 : g.uniform(lo, hi);
+  };
+  const auto machine = [&] {
+    return static_cast<std::size_t>(
+        g.uniform_int(0, static_cast<std::int64_t>(machines) - 1));
+  };
+  const auto count = [&](int hi) { return g.uniform_int(0, hi); };
+
+  if (g.bernoulli(0.7)) {
+    plan.mtbf = g.uniform(200.0, 1500.0);
+    plan.mttr = repair(20.0, 200.0);
+  }
+  for (auto i = count(4); i > 0; --i) {
+    const std::size_t m = machine();
+    const Seconds t = when();
+    plan.crash_for(m, t, g.uniform(10.0, 300.0));
+  }
+  if (g.bernoulli(0.3)) {
+    const std::size_t m = machine();
+    plan.crash_at(m, when());
+  }
+  if (g.bernoulli(0.3)) {
+    const std::size_t m = machine();
+    plan.recover_at(m, when());
+  }
+
+  if (g.bernoulli(0.6)) {
+    plan.link_mtbf = g.uniform(150.0, 1000.0);
+    plan.link_mttr = repair(10.0, 120.0);
+    plan.link_fault_factor = g.bernoulli(0.5) ? 0.0 : 0.25;
+  }
+  for (auto i = count(3); i > 0; --i) {
+    const std::size_t m = machine();
+    const Seconds t = when();
+    const Seconds d = g.uniform(10.0, 200.0);
+    plan.degrade_link_for(m, t, d, g.bernoulli(0.5) ? 0.0 : 0.5);
+  }
+  for (auto i = count(2); i > 0; --i) {
+    const auto rack = static_cast<std::size_t>(
+        g.uniform_int(0, static_cast<std::int64_t>(racks) - 1));
+    const Seconds t = when();
+    const Seconds d = g.uniform(10.0, 200.0);
+    plan.degrade_trunk_for(rack, t, d, g.bernoulli(0.5) ? 0.0 : 0.5);
+  }
+
+  if (g.bernoulli(0.6)) {
+    plan.slow_mtbf = g.uniform(150.0, 1000.0);
+    plan.slow_mttr = repair(20.0, 200.0);
+    plan.slow_cpu_factor = 0.5;
+    plan.slow_io_factor = g.bernoulli(0.5) ? 0.7 : 1.0;
+  }
+  for (auto i = count(3); i > 0; --i) {
+    const std::size_t m = machine();
+    const Seconds t = when();
+    const Seconds d = g.uniform(10.0, 200.0);
+    plan.slow_for(m, t, d, 0.4, g.bernoulli(0.5) ? 0.8 : 1.0);
+  }
+  if (g.bernoulli(0.3)) {
+    const std::size_t m = machine();
+    const Seconds t = when();
+    const Seconds d = g.uniform(50.0, 400.0);
+    plan.rot(m, t, d, 0.3, static_cast<int>(g.uniform_int(1, 4)));
+  }
+
+  if (g.bernoulli(0.5)) {
+    plan.jt_mtbf = g.uniform(300.0, 2000.0);
+    plan.jt_mttr = repair(10.0, 100.0);
+  }
+  if (g.bernoulli(0.5)) {
+    plan.nn_mtbf = g.uniform(300.0, 2000.0);
+    plan.nn_mttr = repair(10.0, 100.0);
+  }
+  for (auto i = count(2); i > 0; --i) {
+    const Seconds t = when();
+    plan.crash_jobtracker_for(t, g.uniform(10.0, 200.0));
+  }
+  for (auto i = count(2); i > 0; --i) {
+    const Seconds t = when();
+    plan.crash_namenode_for(t, g.uniform(10.0, 200.0));
+  }
+  if (g.bernoulli(0.3)) {
+    // A lone recovery: redundant unless a stochastic crash left it down.
+    const auto target = g.bernoulli(0.5)
+                            ? sim::MasterFaultEvent::Target::kJobTracker
+                            : sim::MasterFaultEvent::Target::kNameNode;
+    plan.master_events.push_back(sim::MasterFaultEvent{
+        when(), target, sim::MasterFaultEvent::Kind::kRecover});
+  }
+
+  if (g.bernoulli(0.5)) plan.corruption_mtbf = g.uniform(100.0, 800.0);
+  for (auto i = count(2); i > 0; --i) {
+    const std::size_t m = machine();
+    const Seconds t = when();
+    if (g.bernoulli(0.5)) {
+      plan.corrupt_machine_at(m, t);
+    } else {
+      plan.corrupt_replica_at(m, g.uniform_int(0, 50), t);
+    }
+  }
+
+  if (g.bernoulli(0.5)) plan.task_failure_prob = g.uniform(0.0, 0.5);
+  if (g.bernoulli(0.5)) plan.fetch_failure_prob = g.uniform(0.0, 0.5);
+  if (g.bernoulli(0.5)) plan.shuffle_corruption_prob = g.uniform(0.0, 0.5);
+  if (g.bernoulli(0.5)) plan.task_output_corruption_prob = g.uniform(0.0, 0.5);
+  return plan;
+}
+
+TEST(FaultInjector, TransitionStreamsMatchTheRecordedDigest) {
+  // Pins the exact event and transition streams of 60 random plans that mix
+  // every fault family, processes without repair, and scripted faults
+  // overlapping the stochastic ones.  A refactor of the injector that keeps
+  // its behaviour keeps this digest; an intended behaviour change re-records
+  // it.  The digest depends on libstdc++'s distributions, like the golden
+  // rows.
+  constexpr int kPlans = 60;
+  constexpr Seconds kHorizon = 3500.0;
+  StreamDigest d;
+  std::size_t stochastic_crash_no_repair = 0, crashes = 0, link_faults = 0,
+              slow_faults = 0, master_crashes = 0, corruptions = 0;
+  for (int p = 0; p < kPlans; ++p) {
+    Rng g(1000 + static_cast<std::uint64_t>(p));
+    const auto machines = static_cast<std::size_t>(g.uniform_int(1, 5));
+    const auto racks = static_cast<std::size_t>(g.uniform_int(1, 3));
+    const sim::FaultPlan plan = random_fault_plan(g, machines, racks);
+    if ((plan.mtbf > 0.0 && plan.mttr == 0.0) ||  // lint-ok: float-eq
+        (plan.jt_mtbf > 0.0 && plan.jt_mttr == 0.0)) {  // lint-ok: float-eq
+      ++stochastic_crash_no_repair;
+    }
+
+    sim::Simulator sim;
+    sim.set_observer(&d);
+    sim::FaultInjector inj(sim, plan, Rng(77 + static_cast<std::uint64_t>(p)),
+                           machines, racks);
+    const auto machine_call = [&](std::uint64_t tag, std::size_t m) {
+      d.word(tag);
+      d.time(sim.now());
+      d.word(m);
+      d.word(inj.is_up(m) ? 1 : 0);
+      d.word(inj.log().size());
+    };
+    inj.set_handlers([&](std::size_t m) { machine_call(3, m); },
+                     [&](std::size_t m) { machine_call(4, m); });
+    inj.set_net_handler(
+        [&](sim::NetFaultEvent::Target target, std::size_t i, double f) {
+          d.word(5);
+          d.time(sim.now());
+          d.word(target == sim::NetFaultEvent::Target::kNodeLink ? 0 : 1);
+          d.word(i);
+          d.time(f);
+          d.time(target == sim::NetFaultEvent::Target::kNodeLink
+                     ? inj.node_link_factor(i)
+                     : inj.trunk_factor(i));
+          d.word(inj.link_faults());
+        });
+    inj.set_slow_handler([&](std::size_t m, double cpu, double io) {
+      d.word(6);
+      d.time(sim.now());
+      d.word(m);
+      d.time(cpu);
+      d.time(io);
+      d.time(inj.cpu_factor(m));
+      d.time(inj.io_factor(m));
+      d.word(inj.slow_log().size());
+    });
+    inj.set_master_handler([&](sim::MasterFaultEvent::Target target, bool up) {
+      d.word(7);
+      d.time(sim.now());
+      d.word(target == sim::MasterFaultEvent::Target::kJobTracker ? 0 : 1);
+      d.word(up ? 1 : 0);
+      d.word(inj.jobtracker_up() ? 1 : 0);
+      d.word(inj.namenode_up() ? 1 : 0);
+      d.word(inj.master_log().size());
+    });
+    inj.set_corruption_handler(
+        [&](std::size_t m, std::int64_t block, double pick) {
+          d.word(8);
+          d.time(sim.now());
+          d.word(m);
+          d.word(static_cast<std::uint64_t>(block));
+          d.time(pick);
+          d.word(inj.corruptions());
+        });
+    inj.start();
+    run_until(sim, kHorizon);
+
+    for (const auto& t : inj.log()) {
+      d.time(t.time);
+      d.word(t.machine);
+      d.word(t.up ? 1 : 0);
+    }
+    for (const auto& t : inj.slow_log()) {
+      d.time(t.time);
+      d.word(t.machine);
+      d.time(t.cpu_factor);
+      d.time(t.io_factor);
+    }
+    for (const auto& t : inj.master_log()) {
+      d.time(t.time);
+      d.word(t.target == sim::MasterFaultEvent::Target::kJobTracker ? 0 : 1);
+      d.word(t.up ? 1 : 0);
+    }
+    for (const auto& t : inj.corrupt_log()) {
+      d.time(t.time);
+      d.word(t.machine);
+      d.word(static_cast<std::uint64_t>(t.block));
+    }
+    for (std::size_t m = 0; m < machines; ++m) {
+      d.word(inj.is_up(m) ? 1 : 0);
+      d.time(inj.node_link_factor(m));
+      d.time(inj.cpu_factor(m));
+      d.time(inj.io_factor(m));
+    }
+    for (std::size_t r = 0; r < racks; ++r) d.time(inj.trunk_factor(r));
+    d.word(inj.jobtracker_up() ? 1 : 0);
+    d.word(inj.namenode_up() ? 1 : 0);
+    for (int i = 0; i < 10; ++i) {
+      d.time(inj.draw_attempt_failure().value_or(-1.0));
+      d.time(inj.draw_fetch_failure().value_or(-1.0));
+      d.word(inj.draw_shuffle_corruption() ? 1 : 0);
+      d.word(inj.draw_task_output_corruption() ? 1 : 0);
+    }
+    sim.set_observer(nullptr);
+
+    crashes += inj.crashes();
+    link_faults += inj.link_faults();
+    slow_faults += inj.slow_faults();
+    master_crashes += inj.master_crashes();
+    corruptions += inj.corruptions();
+  }
+  std::printf(
+      "transition streams: %d plans, %zu events scheduled, %zu executed; "
+      "%zu crashes, %zu link faults, %zu slow faults, %zu master crashes, "
+      "%zu corruptions; %zu plans without crash repair\n",
+      kPlans, d.scheduled, d.executed, crashes, link_faults, slow_faults,
+      master_crashes, corruptions, stochastic_crash_no_repair);
+  // The plans must keep exercising every family, or the pin proves little.
+  EXPECT_GT(crashes, 0u);
+  EXPECT_GT(link_faults, 0u);
+  EXPECT_GT(slow_faults, 0u);
+  EXPECT_GT(master_crashes, 0u);
+  EXPECT_GT(corruptions, 0u);
+  EXPECT_GT(stochastic_crash_no_repair, 0u);
+  EXPECT_EQ(d.fnv.value(), 0x9d658e4685bfd52fULL)
+      << "transition-stream digest moved: 0x" << std::hex << d.fnv.value();
 }
 
 }  // namespace
