@@ -237,14 +237,6 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
   return std::nullopt;
 }
 
-std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
-                                             bool& local_out) {
-  Locality level = Locality::kOffRack;
-  const auto index = claim_map(machine, level);
-  local_out = level == Locality::kNodeLocal;
-  return index;
-}
-
 std::optional<TaskIndex> JobState::claim_reduce() {
   if (!reduces_built_) return std::nullopt;
   if (auto i = pop_pending(reduce_state_)) {

@@ -84,10 +84,6 @@ class JobState {
   std::optional<TaskIndex> claim_map(cluster::MachineId machine,
                                      Locality& level_out);
 
-  /// Boolean-locality convenience wrapper (local == node-local).
-  std::optional<TaskIndex> claim_map(cluster::MachineId machine,
-                                     bool& local_out);
-
   /// Picks any pending reduce; the task transitions to Running.
   std::optional<TaskIndex> claim_reduce();
 

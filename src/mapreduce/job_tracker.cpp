@@ -417,14 +417,12 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
   ++heartbeats_;
   TrackerState& ts = tracker_states_[m];
   ts.last_heartbeat = sim_.now();
-  if (ts.lost) {
+  if (ts.suspended.test(kLost)) {
     // A declared-lost tracker heartbeating again has rejoined (its lost work
     // was already re-queued at expiry time).  Its datanode re-registers as an
     // empty re-replication target — the declared loss already dropped its
     // replicas.
-    ts.lost = false;
-    refresh_free_slots(m);
-    maybe_rejoin(m);
+    lift(m, kLost);
     if (!namenode_.datanode_alive(m)) {
       apply_datanode_mark(m, /*dead=*/false);
     }
@@ -441,7 +439,7 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
   update_node_health(tracker);
   // No new work while blacklisted (fail-stop suspicion) or quarantined
   // (fail-slow suspicion).
-  if (ts.blacklisted || ts.quarantined) return;
+  if (ts.suspended.any()) return;
   // Placement decisions and split-locality answers need a live NameNode.
   if (!namenode_up_) return;
   try_assign(tracker, TaskKind::kMap);
@@ -457,7 +455,7 @@ void JobTracker::reregister_tracker(TaskTracker& tracker) {
   // Its orphans are dropped by reclaim_lost_work, which the heartbeat body
   // reaches through the lost / crash_pending paths (or already ran at
   // expiry detection).
-  if (ts.lost || ts.crash_pending) return;
+  if (ts.suspended.test(kLost) || ts.crash_pending) return;
   resolve_orphans(m);
   reconcile_running_attempts(tracker);
 }
@@ -574,29 +572,23 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
   if (config_.quarantine_threshold <= 0.0) return;
   const cluster::MachineId m = tracker.machine_id();
   TrackerState& ts = tracker_states_[m];
-  const auto rates = tracker.progress_rate_samples();
-  if (rates.empty()) return;
-  double mean = 0.0;
-  for (double r : rates) mean += r;
-  mean /= static_cast<double>(rates.size());
+  const std::optional<double> mean = tracker.mean_progress_rate();
+  if (!mean) return;
   // On a healthy machine every rate is exactly 1.0, so the EWMA update adds
   // alpha * 0 and the score stays bit-identical to its 1.0 initial value —
   // fail-slow detection is inert until a limp actually happens.
-  ts.health += config_.health_ewma_alpha * (mean - ts.health);
+  ts.health += config_.health_ewma_alpha * (*mean - ts.health);
   ++ts.health_samples;
-  if (!ts.quarantined && ts.health_samples >= config_.health_min_samples &&
+  const bool quarantined = ts.suspended.test(kQuarantined);
+  if (!quarantined && ts.health_samples >= config_.health_min_samples &&
       ts.health < config_.quarantine_threshold) {
-    ts.quarantined = true;
-    refresh_free_slots(m);
     ++counters_.quarantine_episodes;
     // The node is not dead — its running attempts continue (and may still
     // finish) — but the scheduler must stop feeding it.
-    scheduler_.on_tracker_lost(m);
-  } else if (ts.quarantined && ts.health > kHealthRecoveryThreshold) {
-    ts.quarantined = false;
+    suspend(m, kQuarantined);
+  } else if (quarantined && ts.health > kHealthRecoveryThreshold) {
     ts.health_samples = 0;
-    refresh_free_slots(m);
-    maybe_rejoin(m);
+    lift(m, kQuarantined);
   }
 }
 
@@ -610,29 +602,34 @@ void JobTracker::decay_quarantine() {
   last_quarantine_decay_ = now;
   for (cluster::MachineId m = 0; m < tracker_states_.size(); ++m) {
     TrackerState& ts = tracker_states_[m];
-    if (!ts.quarantined) continue;
+    if (!ts.suspended.test(kQuarantined)) continue;
     // A quarantined node runs nothing, so its health can never recover from
     // progress samples alone; heal it halfway toward 1.0 per window (the
     // quarantine analogue of blacklist-counter halving) so the node is
     // eventually retried.  A still-limping node re-quarantines quickly.
     ts.health += 0.5 * (1.0 - ts.health);
     if (ts.health > kHealthRecoveryThreshold) {
-      ts.quarantined = false;
       ts.health_samples = 0;
-      refresh_free_slots(m);
-      maybe_rejoin(m);
+      lift(m, kQuarantined);
     }
   }
 }
 
-void JobTracker::maybe_rejoin(cluster::MachineId machine) {
+void JobTracker::suspend(cluster::MachineId machine, Suspension why) {
+  tracker_states_[machine].suspended.set(why);
+  refresh_free_slots(machine);
+  scheduler_.on_tracker_lost(machine);
+}
+
+void JobTracker::lift(cluster::MachineId machine, Suspension why) {
+  TrackerState& ts = tracker_states_[machine];
+  ts.suspended.reset(why);
+  refresh_free_slots(machine);
   // State-priority rule: a node may hold several suspensions at once (lost,
   // blacklisted, quarantined).  It re-earns work only when the LAST of them
-  // clears — every clearing path funnels through here so no single decay can
+  // clears — every clearing path comes through here, so no single decay can
   // hand work to a node another mechanism still distrusts.
-  const TrackerState& ts = tracker_states_[machine];
-  if (trackers_[machine]->alive() && !ts.lost && !ts.blacklisted &&
-      !ts.quarantined) {
+  if (trackers_[machine]->alive() && ts.suspended.none()) {
     scheduler_.on_tracker_rejoined(machine);
   }
 }
@@ -658,12 +655,8 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
         const Seconds here =
             base_duration(spec, cluster_.machine(m), locality);
         if (config_.speculative_progress_ranking) {
-          const double p = running_progress(js.id(), k, i);
-          // remaining = elapsed * (1 - p) / p; a zero-progress attempt
-          // (still fetching, or crawling) pessimistically counts its
-          // elapsed time.
           const Seconds remaining =
-              p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
+              estimated_remaining_time(js.id(), k, i, elapsed);
           if (here >= remaining) return std::nullopt;
           return remaining;
         }
@@ -1546,11 +1539,7 @@ void JobTracker::recover_master() {
     // record charged faults, not an opinion of the old master).
     ts.health = 1.0;
     ts.health_samples = 0;
-    if (ts.quarantined) {
-      ts.quarantined = false;
-      refresh_free_slots(m);
-      maybe_rejoin(m);
-    }
+    if (ts.suspended.test(kQuarantined)) lift(m, kQuarantined);
     // Stagger re-registration in machine-id order so a thousand trackers do
     // not stampede the recovering master in one event.
     reregistration_gate_[m] =
@@ -1599,11 +1588,10 @@ void JobTracker::decay_blacklist_counters() {
   for (cluster::MachineId m = 0; m < tracker_states_.size(); ++m) {
     TrackerState& ts = tracker_states_[m];
     if (ts.failures > 0) ts.failures /= 2;
-    if (ts.blacklisted && ts.failures < config_.blacklist_threshold) {
+    if (ts.suspended.test(kBlacklisted) &&
+        ts.failures < config_.blacklist_threshold) {
       // The decayed record no longer justifies the blacklist: forgive early.
-      ts.blacklisted = false;
-      refresh_free_slots(m);
-      maybe_rejoin(m);
+      lift(m, kBlacklisted);
     }
   }
 }
@@ -1911,22 +1899,19 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
   scheduler_.on_task_failed(report.spec, m);
 
   ++ts.failures;
-  if (config_.blacklist_threshold > 0 && !ts.blacklisted &&
+  if (config_.blacklist_threshold > 0 && !ts.suspended.test(kBlacklisted) &&
       ts.failures >= config_.blacklist_threshold) {
-    ts.blacklisted = true;
-    refresh_free_slots(m);
-    scheduler_.on_tracker_lost(m);
+    suspend(m, kBlacklisted);
     sim_.schedule_after(config_.blacklist_duration, [this, m] {
       TrackerState& s = tracker_states_[m];
-      if (!s.blacklisted) return;  // counter decay already forgave it
+      // Counter decay may already have forgiven it.
+      if (!s.suspended.test(kBlacklisted)) return;
       // The blacklist is durable state and its timers belong to the master
       // process: while it is down nothing forgives — the decay sweep
       // resumes after recovery and clears the entry eventually.
       if (!master_up_) return;
-      s.blacklisted = false;
       s.failures = 0;
-      refresh_free_slots(m);
-      maybe_rejoin(m);
+      lift(m, kBlacklisted);
     });
   }
 
@@ -1952,15 +1937,13 @@ void JobTracker::check_tracker_expiry() {
   const Seconds now = sim_.now();
   for (cluster::MachineId m = 0; m < tracker_states_.size(); ++m) {
     TrackerState& ts = tracker_states_[m];
-    if (ts.lost) continue;
+    if (ts.suspended.test(kLost)) continue;
     if (now - ts.last_heartbeat <= config_.tracker_expiry_window) continue;
-    ts.lost = true;
-    refresh_free_slots(m);
+    suspend(m, kLost);
     // Expiry declares the whole node gone — datanode included: its replicas
     // drop and under-replicated blocks queue for recovery.  (A fast restart
     // never reaches here and keeps its disk.)
     reclaim_lost_work(m, /*datanode_lost=*/true);
-    scheduler_.on_tracker_lost(m);
   }
 }
 
@@ -2105,24 +2088,22 @@ void JobTracker::fail_job(JobState& js) {
 
 bool JobTracker::tracker_available(cluster::MachineId id) const {
   EANT_CHECK(id < trackers_.size(), "tracker id out of range");
-  const TrackerState& ts = tracker_states_[id];
-  return trackers_[id]->alive() && !ts.lost && !ts.blacklisted &&
-         !ts.quarantined;
+  return trackers_[id]->alive() && tracker_states_[id].suspended.none();
 }
 
 bool JobTracker::tracker_lost(cluster::MachineId id) const {
   EANT_CHECK(id < tracker_states_.size(), "tracker id out of range");
-  return tracker_states_[id].lost;
+  return tracker_states_[id].suspended.test(kLost);
 }
 
 bool JobTracker::tracker_blacklisted(cluster::MachineId id) const {
   EANT_CHECK(id < tracker_states_.size(), "tracker id out of range");
-  return tracker_states_[id].blacklisted;
+  return tracker_states_[id].suspended.test(kBlacklisted);
 }
 
 bool JobTracker::tracker_quarantined(cluster::MachineId id) const {
   EANT_CHECK(id < tracker_states_.size(), "tracker id out of range");
-  return tracker_states_[id].quarantined;
+  return tracker_states_[id].suspended.test(kQuarantined);
 }
 
 double JobTracker::node_health(cluster::MachineId id) const {
@@ -2138,6 +2119,13 @@ double JobTracker::running_progress(JobId job, TaskKind kind,
     if (p > best) best = p;
   }
   return best;
+}
+
+Seconds JobTracker::estimated_remaining_time(JobId job, TaskKind kind,
+                                             TaskIndex index,
+                                             Seconds elapsed) const {
+  const double p = running_progress(job, kind, index);
+  return p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
 }
 
 const JobState& JobTracker::job(JobId id) const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -345,8 +346,8 @@ class JobTracker {
 
   /// Re-reads one machine's free slots into the fleet-wide free-slot totals
   /// and the free-machine sets (0 while the tracker is unavailable).  Called
-  /// wherever a slot count, a tracker's liveness or its lost, blacklisted or
-  /// quarantined flag changes.
+  /// wherever a slot count or a tracker's liveness changes, and by suspend
+  /// and lift.
   void refresh_free_slots(cluster::MachineId machine);
 
   /// True iff a report from this tracker would be applied live rather than
@@ -474,9 +475,9 @@ class JobTracker {
 
   // --- fault-tolerance queries ------------------------------------------------
 
-  /// True iff the machine's tracker can receive work: alive, not declared
-  /// lost, not blacklisted.  Schedulers weighing "is a better machine free"
-  /// must consult this, not just free_slots().
+  /// True iff the machine's tracker can receive work: alive, and not
+  /// declared lost, blacklisted or quarantined.  Schedulers weighing "is a
+  /// better machine free" must consult this, not just free_slots().
   bool tracker_available(cluster::MachineId id) const;
 
   bool tracker_lost(cluster::MachineId id) const;
@@ -491,6 +492,13 @@ class JobTracker {
   /// Progress fraction of the task's live attempt in [0, 1] (max over its
   /// attempts when a speculative twin runs); -1 when no tracker runs it.
   double running_progress(JobId job, TaskKind kind, TaskIndex index) const;
+
+  /// LATE's estimate of a running task's remaining time from its progress p
+  /// (running_progress) after `elapsed` seconds: elapsed * (1 - p) / p.  A
+  /// zero-progress attempt (still fetching, or crawling) pessimistically
+  /// counts its elapsed time.
+  Seconds estimated_remaining_time(JobId job, TaskKind kind, TaskIndex index,
+                                   Seconds elapsed) const;
 
   // --- scheduler-cost attribution ----------------------------------------------
 
@@ -644,14 +652,22 @@ class JobTracker {
  private:
   static constexpr std::size_t kNotFree = static_cast<std::size_t>(-1);
 
-  /// Per-tracker master-side bookkeeping (heartbeat freshness, loss state,
-  /// blacklist, and the work that dies if the node does).
+  /// Why a tracker receives no work.  A node may hold several reasons at
+  /// once; it rejoins only when the last one clears.
+  enum Suspension : std::size_t {
+    kLost,         ///< heartbeat expiry declared the node gone
+    kBlacklisted,  ///< fail-stop suspicion: too many attempt failures
+    kQuarantined,  ///< fail-slow suspicion: confirmed-slow progress
+    kSuspensions
+  };
+
+  /// Per-tracker master-side bookkeeping (heartbeat freshness, suspension,
+  /// and the work that dies if the node does).
   struct TrackerState {
     Seconds last_heartbeat = 0.0;
-    bool lost = false;
-    bool blacklisted = false;
-    /// Suspected limper: healthy heartbeat but confirmed-slow progress.
-    bool quarantined = false;
+    /// The Suspension reasons the node holds; only suspend and lift write
+    /// them.
+    std::bitset<kSuspensions> suspended;
     /// Progress-rate health EWMA (1.0 = full speed) and sample count.
     double health = 1.0;
     int health_samples = 0;
@@ -815,7 +831,12 @@ class JobTracker {
   }
   void update_node_health(TaskTracker& tracker);
   void decay_quarantine();
-  void maybe_rejoin(cluster::MachineId machine);
+  /// The only writers of TrackerState::suspended.  suspend sets the reason,
+  /// refreshes the free-slot index and calls the scheduler's
+  /// on_tracker_lost; lift clears it, refreshes the index and calls
+  /// on_tracker_rejoined when the tracker is alive and holds no reason.
+  void suspend(cluster::MachineId machine, Suspension why);
+  void lift(cluster::MachineId machine, Suspension why);
   void check_tracker_expiry();
   void reclaim_lost_work(cluster::MachineId machine, bool datanode_lost);
   /// Sends the task of a dead attempt back to Pending: only while its job is

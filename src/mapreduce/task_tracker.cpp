@@ -185,16 +185,19 @@ void TaskTracker::set_perf_factors(double cpu, double io) {
   }
 }
 
-std::vector<double> TaskTracker::progress_rate_samples() const {
-  std::vector<double> rates;
+std::optional<double> TaskTracker::mean_progress_rate() const {
+  double sum = 0.0;
+  std::size_t count = 0;
   const Seconds now = sim_.now();
   for (const auto& [id, r] : running_) {
     if (r.compute_start < 0.0) continue;
     const Seconds elapsed = now - r.compute_start;
     if (elapsed <= 0.0) continue;
-    rates.push_back(work_now(r) / elapsed);
+    sum += work_now(r) / elapsed;
+    ++count;
   }
-  return rates;
+  if (count == 0) return std::nullopt;
+  return sum / static_cast<double>(count);
 }
 
 double TaskTracker::running_progress(JobId job, TaskKind kind,

@@ -127,13 +127,14 @@ class TaskTracker {
   /// begins.  No-op re-rates (unchanged stretch) leave events untouched.
   void set_perf_factors(double cpu, double io);
 
-  /// Nominal-work progress rate of each running compute-phase attempt:
-  /// (nominal seconds of work completed) / (wall seconds elapsed since
-  /// compute began).  Exactly 1.0 on a healthy machine; ≈ the slowdown
-  /// factor on a limping one.  Attempts still fetching or started this
-  /// instant are skipped.  The JobTracker folds these into its per-node
+  /// Mean nominal-work progress rate over the running compute-phase
+  /// attempts, each rate being (nominal seconds of work completed) / (wall
+  /// seconds elapsed since compute began), summed in attempt-id order.
+  /// Exactly 1.0 on a healthy machine; ≈ the slowdown factor on a limping
+  /// one.  Attempts still fetching or started this instant do not count;
+  /// empty when none does.  The JobTracker folds it into its per-node
   /// health score at every heartbeat.
-  std::vector<double> progress_rate_samples() const;
+  std::optional<double> mean_progress_rate() const;
 
   /// Fraction of the attempt's nominal duration completed, in [0, 1];
   /// 0 while fetching.  Returns -1 if the attempt is not running here.

@@ -46,8 +46,7 @@ bool LateScheduler::try_speculate(cluster::MachineId machine,
                           mr::TaskIndex i, Seconds elapsed,
                           Seconds /*mean*/) -> std::optional<Seconds> {
         if (!by_progress) return elapsed;
-        const double p = jt_->running_progress(js.id(), k, i);
-        return p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
+        return jt_->estimated_remaining_time(js.id(), k, i, elapsed);
       });
   if (!pick) return false;
   if (!jt_->start_speculative(pick->job, kind, pick->index,

@@ -134,21 +134,12 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan, Rng rng,
       plan_(std::move(plan)),
       task_rng_(rng.fork(0)),
       fetch_rng_(rng.fork(2 * num_machines + 1)),
-      // Master streams fork at 3N + 2 (JobTracker) and 3N + 3 (NameNode),
-      // past every stream the worker-fault eras claimed (task = 0, machines
-      // = 1..N, links = N+1..2N, fetch = 2N+1, slow = 2N+2..3N+1) — Rng::fork
-      // is pure, so a plan without master faults consumes exactly the draws
-      // it always did.
-      jt_rng_(rng.fork(3 * num_machines + 2)),
-      nn_rng_(rng.fork(3 * num_machines + 3)),
       // Corruption streams fork at 3N + 4 .. 4N + 3 (per-machine bit rot),
       // 4N + 4 (shuffle payloads), and 4N + 5 (task output), past every
       // stream the earlier fault eras claimed — Rng::fork is pure, so a plan
       // without corruption consumes exactly the draws it always did.
       shuffle_corrupt_rng_(rng.fork(4 * num_machines + 4)),
       output_corrupt_rng_(rng.fork(4 * num_machines + 5)),
-      up_(num_machines, true),
-      crash_event_(num_machines, 0),
       node_link_factor_(num_machines, 1.0),
       trunk_factor_(num_racks, 1.0),
       cpu_factor_(num_machines, 1.0),
@@ -221,24 +212,51 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan, Rng rng,
                "corruption fault plan names unknown machine");
     EANT_CHECK(e.time >= 0.0, "corruption fault plan event in the past");
   }
-  machine_rng_.reserve(num_machines);
-  for (std::size_t m = 0; m < num_machines; ++m) {
-    machine_rng_.push_back(rng.fork(m + 1));
-  }
-  link_rng_.reserve(num_machines);
-  for (std::size_t m = 0; m < num_machines; ++m) {
-    link_rng_.push_back(rng.fork(num_machines + 1 + m));
-  }
-  // Slow-fault streams fork at 2N + 2 .. 3N + 1, past every stream the
-  // fail-stop era claimed (task = 0, machines = 1..N, links = N+1..2N,
-  // fetch = 2N+1) — Rng::fork is pure, so a plan without slow faults
+  // Fail-stop streams: machine m forks at m + 1; the masters at 3N + 2
+  // (JobTracker) and 3N + 3 (NameNode), past every stream the worker-fault
+  // eras claimed (task = 0, machines = 1..N, links = N+1..2N, fetch = 2N+1,
+  // slow = 2N+2..3N+1) — Rng::fork is pure, so a plan without master faults
   // consumes exactly the draws it always did.
-  slow_rng_.reserve(num_machines);
+  machines_.resize(num_machines);
   for (std::size_t m = 0; m < num_machines; ++m) {
-    slow_rng_.push_back(rng.fork(2 * num_machines + 2 + m));
+    FailStop& c = machines_[m];
+    c.rng = rng.fork(m + 1);
+    c.mtbf = plan_.mtbf;
+    c.mttr = plan_.mttr;
+    c.machine = m;
   }
-  corrupt_rng_.reserve(num_machines);
+  jobtracker_.rng = rng.fork(3 * num_machines + 2);
+  jobtracker_.mtbf = plan_.jt_mtbf;
+  jobtracker_.mttr = plan_.jt_mttr;
+  jobtracker_.master = MasterFaultEvent::Target::kJobTracker;
+  namenode_.rng = rng.fork(3 * num_machines + 3);
+  namenode_.mtbf = plan_.nn_mtbf;
+  namenode_.mttr = plan_.nn_mttr;
+  namenode_.master = MasterFaultEvent::Target::kNameNode;
+
+  link_flaps_.mtbf = plan_.link_mtbf;
+  link_flaps_.mttr = plan_.link_mttr;
+  link_flaps_.degraded = [this](std::size_t m) {
+    return node_link_factor_[m] < 1.0;
+  };
+  link_flaps_.set = [this](std::size_t m, bool degrade) {
+    apply_net(NetFaultEvent::Target::kNodeLink, m,
+              degrade ? plan_.link_fault_factor : 1.0);
+  };
+  limps_.mtbf = plan_.slow_mtbf;
+  limps_.mttr = plan_.slow_mttr;
+  limps_.degraded = [this](std::size_t m) {
+    return cpu_factor_[m] < 1.0 || io_factor_[m] < 1.0;
+  };
+  limps_.set = [this](std::size_t m, bool degrade) {
+    apply_slow(m, degrade ? plan_.slow_cpu_factor : 1.0,
+               degrade ? plan_.slow_io_factor : 1.0);
+  };
+  // Link-flap streams fork at N + 1 .. 2N, slow-fault streams at
+  // 2N + 2 .. 3N + 1 and bit-rot streams at 3N + 4 .. 4N + 3.
   for (std::size_t m = 0; m < num_machines; ++m) {
+    link_flaps_.rng.push_back(rng.fork(num_machines + 1 + m));
+    limps_.rng.push_back(rng.fork(2 * num_machines + 2 + m));
     corrupt_rng_.push_back(rng.fork(3 * num_machines + 4 + m));
   }
 }
@@ -287,10 +305,11 @@ void FaultInjector::start() {
       "set_corruption_handler() must precede start() with corruption faults");
   started_ = true;
   for (const auto& e : plan_.events) {
+    FailStop& c = machines_[e.machine];
     if (e.kind == FaultEvent::Kind::kCrash) {
-      sim_.schedule_at(e.time, [this, m = e.machine] { crash(m); });
+      sim_.schedule_at(e.time, [this, &c] { crash(c); });
     } else {
-      sim_.schedule_at(e.time, [this, m = e.machine] { recover(m); });
+      sim_.schedule_at(e.time, [this, &c] { recover(c); });
     }
   }
   for (const auto& e : plan_.net_events) {
@@ -299,13 +318,11 @@ void FaultInjector::start() {
     });
   }
   if (plan_.mtbf > 0.0) {
-    for (std::size_t m = 0; m < up_.size(); ++m) {
-      schedule_stochastic_crash(m);
-    }
+    for (FailStop& c : machines_) arm_crash(c);
   }
-  if (plan_.link_mtbf > 0.0) {
-    for (std::size_t m = 0; m < up_.size(); ++m) {
-      schedule_link_flap(m);
+  if (link_flaps_.mtbf > 0.0) {
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      schedule_episode(link_flaps_, m);
     }
   }
   for (const auto& e : plan_.slow_events) {
@@ -313,24 +330,23 @@ void FaultInjector::start() {
       apply_slow(e.machine, e.cpu_factor, e.io_factor);
     });
   }
-  if (plan_.slow_mtbf > 0.0) {
-    for (std::size_t m = 0; m < up_.size(); ++m) {
-      schedule_slow_episode(m);
+  if (limps_.mtbf > 0.0) {
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      schedule_episode(limps_, m);
     }
   }
   for (const auto& e : plan_.master_events) {
+    FailStop& c = e.target == MasterFaultEvent::Target::kJobTracker
+                      ? jobtracker_
+                      : namenode_;
     if (e.kind == MasterFaultEvent::Kind::kCrash) {
-      sim_.schedule_at(e.time, [this, t = e.target] { crash_master(t); });
+      sim_.schedule_at(e.time, [this, &c] { crash(c); });
     } else {
-      sim_.schedule_at(e.time, [this, t = e.target] { recover_master(t); });
+      sim_.schedule_at(e.time, [this, &c] { recover(c); });
     }
   }
-  if (plan_.jt_mtbf > 0.0) {
-    schedule_stochastic_master_crash(MasterFaultEvent::Target::kJobTracker);
-  }
-  if (plan_.nn_mtbf > 0.0) {
-    schedule_stochastic_master_crash(MasterFaultEvent::Target::kNameNode);
-  }
+  if (jobtracker_.mtbf > 0.0) arm_crash(jobtracker_);
+  if (namenode_.mtbf > 0.0) arm_crash(namenode_);
   for (const auto& e : plan_.corrupt_events) {
     // Scripted strikes consume no RNG: machine-level events pass pick = 0
     // (the handler takes the first replica in its deterministic order).
@@ -339,15 +355,15 @@ void FaultInjector::start() {
     });
   }
   if (plan_.corruption_mtbf > 0.0) {
-    for (std::size_t m = 0; m < up_.size(); ++m) {
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
       schedule_stochastic_corruption(m);
     }
   }
 }
 
 bool FaultInjector::is_up(std::size_t machine) const {
-  EANT_CHECK(machine < up_.size(), "machine index out of range");
-  return up_[machine];
+  EANT_CHECK(machine < machines_.size(), "machine index out of range");
+  return machines_[machine].up;
 }
 
 double FaultInjector::node_link_factor(std::size_t machine) const {
@@ -421,135 +437,69 @@ std::size_t FaultInjector::slow_faults() const {
       }));
 }
 
-void FaultInjector::crash(std::size_t machine) {
-  if (!up_[machine]) return;  // scripted/stochastic overlap: already down
+void FaultInjector::crash(FailStop& c) {
+  if (!c.up) return;  // scripted/stochastic overlap: already down
   // A scripted crash preempts any pending stochastic one: the failure
   // process re-arms with a fresh draw at the next recovery, so stale draws
-  // can never fire against a machine that already failed and restarted.
-  sim_.cancel(crash_event_[machine]);
-  crash_event_[machine] = 0;
-  up_[machine] = false;
-  log_.push_back(Transition{sim_.now(), machine, false});
-  on_crash_(machine);
+  // can never fire against a component that already failed and restarted.
+  sim_.cancel(c.pending_crash);
+  c.pending_crash = 0;
+  c.up = false;
+  deliver(c);
 }
 
-void FaultInjector::recover(std::size_t machine) {
-  if (up_[machine]) return;  // already recovered by another path
-  up_[machine] = true;
-  log_.push_back(Transition{sim_.now(), machine, true});
-  on_recover_(machine);
-  // Restart-anchored resampling: the machine just (re)entered service, so
+void FaultInjector::recover(FailStop& c) {
+  if (c.up) return;  // already recovered by another path
+  c.up = true;
+  deliver(c);
+  // Restart-anchored resampling: the component just (re)entered service, so
   // its next stochastic failure is exponential from *now* — regardless of
   // whether the recovery was scripted or stochastic.
-  if (plan_.mtbf > 0.0) schedule_stochastic_crash(machine);
+  if (c.mtbf > 0.0) arm_crash(c);
 }
 
-void FaultInjector::schedule_stochastic_crash(std::size_t machine) {
-  const Seconds dt = machine_rng_[machine].exponential(1.0 / plan_.mtbf);
-  crash_event_[machine] = sim_.schedule_after(dt, [this, machine] {
-    crash_event_[machine] = 0;
-    if (!up_[machine]) return;  // lost a race with a scripted crash
-    crash(machine);
-    if (plan_.mttr > 0.0) schedule_stochastic_recovery(machine);
-    // mttr == 0: the machine stays down; its failure process ends.
+void FaultInjector::arm_crash(FailStop& c) {
+  const Seconds dt = c.rng.exponential(1.0 / c.mtbf);
+  c.pending_crash = sim_.schedule_after(dt, [this, &c] {
+    c.pending_crash = 0;
+    if (!c.up) return;  // lost a race with a scripted crash
+    crash(c);
+    if (c.mttr > 0.0) {
+      const Seconds repair = c.rng.exponential(1.0 / c.mttr);
+      sim_.schedule_after(repair, [this, &c] { recover(c); });
+    }
+    // mttr == 0: the component stays down; its failure process ends.
   });
 }
 
-void FaultInjector::schedule_stochastic_recovery(std::size_t machine) {
-  const Seconds dt = machine_rng_[machine].exponential(1.0 / plan_.mttr);
-  sim_.schedule_after(dt, [this, machine] { recover(machine); });
-}
-
-void FaultInjector::schedule_link_flap(std::size_t machine) {
-  const Seconds dt = link_rng_[machine].exponential(1.0 / plan_.link_mtbf);
-  sim_.schedule_after(dt, [this, machine] {
-    if (node_link_factor_[machine] < 1.0) {
-      // Already faulted (scripted overlap): skip this flap and resample from
-      // now, mirroring the restart-anchored machine semantics.
-      schedule_link_flap(machine);
-      return;
-    }
-    apply_net(NetFaultEvent::Target::kNodeLink, machine,
-              plan_.link_fault_factor);
-    if (plan_.link_mttr > 0.0) {
-      const Seconds repair =
-          link_rng_[machine].exponential(1.0 / plan_.link_mttr);
-      sim_.schedule_after(repair, [this, machine] {
-        apply_net(NetFaultEvent::Target::kNodeLink, machine, 1.0);
-        schedule_link_flap(machine);
-      });
-    }
-    // link_mttr == 0: the link stays degraded; its flap process ends.
-  });
-}
-
-void FaultInjector::schedule_slow_episode(std::size_t machine) {
-  const Seconds dt = slow_rng_[machine].exponential(1.0 / plan_.slow_mtbf);
-  sim_.schedule_after(dt, [this, machine] {
-    if (cpu_factor_[machine] < 1.0 || io_factor_[machine] < 1.0) {
-      // Already limping (scripted overlap): skip this episode and resample
-      // from now, mirroring the link-flap semantics.
-      schedule_slow_episode(machine);
-      return;
-    }
-    apply_slow(machine, plan_.slow_cpu_factor, plan_.slow_io_factor);
-    if (plan_.slow_mttr > 0.0) {
-      const Seconds repair =
-          slow_rng_[machine].exponential(1.0 / plan_.slow_mttr);
-      sim_.schedule_after(repair, [this, machine] {
-        apply_slow(machine, 1.0, 1.0);
-        schedule_slow_episode(machine);
-      });
-    }
-    // slow_mttr == 0: the machine limps forever; its episode process ends.
-  });
-}
-
-void FaultInjector::crash_master(MasterFaultEvent::Target target) {
-  const bool jt = target == MasterFaultEvent::Target::kJobTracker;
-  bool& up = jt ? jt_up_ : nn_up_;
-  if (!up) return;  // scripted/stochastic overlap: already down
-  // A scripted master crash preempts any pending stochastic one — the same
-  // restart-anchored protocol the worker failure process uses.
-  EventId& pending = jt ? jt_crash_event_ : nn_crash_event_;
-  sim_.cancel(pending);
-  pending = 0;
-  up = false;
-  master_log_.push_back(MasterTransition{sim_.now(), target, false});
-  on_master_(target, false);
-}
-
-void FaultInjector::recover_master(MasterFaultEvent::Target target) {
-  const bool jt = target == MasterFaultEvent::Target::kJobTracker;
-  bool& up = jt ? jt_up_ : nn_up_;
-  if (up) return;  // already recovered by another path
-  up = true;
-  master_log_.push_back(MasterTransition{sim_.now(), target, true});
-  on_master_(target, true);
-  // Restart-anchored resampling, exactly like the worker processes.
-  if ((jt ? plan_.jt_mtbf : plan_.nn_mtbf) > 0.0) {
-    schedule_stochastic_master_crash(target);
+void FaultInjector::deliver(const FailStop& c) {
+  if (c.master) {
+    master_log_.push_back(MasterTransition{sim_.now(), *c.master, c.up});
+    on_master_(*c.master, c.up);
+  } else {
+    log_.push_back(Transition{sim_.now(), c.machine, c.up});
+    (c.up ? on_recover_ : on_crash_)(c.machine);
   }
 }
 
-void FaultInjector::schedule_stochastic_master_crash(
-    MasterFaultEvent::Target target) {
-  const bool jt = target == MasterFaultEvent::Target::kJobTracker;
-  Rng& rng = jt ? jt_rng_ : nn_rng_;
-  const Seconds dt =
-      rng.exponential(1.0 / (jt ? plan_.jt_mtbf : plan_.nn_mtbf));
-  EventId& pending = jt ? jt_crash_event_ : nn_crash_event_;
-  pending = sim_.schedule_after(dt, [this, target, jt] {
-    (jt ? jt_crash_event_ : nn_crash_event_) = 0;
-    if (!(jt ? jt_up_ : nn_up_)) return;  // raced a scripted crash
-    crash_master(target);
-    const Seconds mttr = jt ? plan_.jt_mttr : plan_.nn_mttr;
-    if (mttr > 0.0) {
-      Rng& r = jt ? jt_rng_ : nn_rng_;
-      sim_.schedule_after(r.exponential(1.0 / mttr),
-                          [this, target] { recover_master(target); });
+void FaultInjector::schedule_episode(EpisodeProcess& p, std::size_t machine) {
+  const Seconds gap = p.rng[machine].exponential(1.0 / p.mtbf);
+  sim_.schedule_after(gap, [this, &p, machine] {
+    if (p.degraded(machine)) {
+      // Already degraded (scripted overlap): skip this episode and resample
+      // from now, mirroring the restart-anchored fail-stop semantics.
+      schedule_episode(p, machine);
+      return;
     }
-    // mttr == 0: the master stays down; its failure process ends.
+    p.set(machine, true);
+    if (p.mttr > 0.0) {
+      const Seconds repair = p.rng[machine].exponential(1.0 / p.mttr);
+      sim_.schedule_after(repair, [this, &p, machine] {
+        p.set(machine, false);
+        schedule_episode(p, machine);
+      });
+    }
+    // mttr == 0: the target stays degraded; its process ends.
   });
 }
 

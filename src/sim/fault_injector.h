@@ -410,8 +410,8 @@ class FaultInjector {
   }
 
   /// The injector's view of the masters' state.
-  bool jobtracker_up() const { return jt_up_; }
-  bool namenode_up() const { return nn_up_; }
+  bool jobtracker_up() const { return jobtracker_.up; }
+  bool namenode_up() const { return namenode_.up; }
 
   /// Number of crash transitions applied so far.
   std::size_t crashes() const;
@@ -433,42 +433,58 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  void crash(std::size_t machine);
-  void recover(std::size_t machine);
-  void schedule_stochastic_crash(std::size_t machine);
-  void schedule_stochastic_recovery(std::size_t machine);
-  void schedule_link_flap(std::size_t machine);
-  void schedule_slow_episode(std::size_t machine);
+  /// A fail-stop component (a machine or a master) and its restart-anchored
+  /// MTBF/MTTR failure process.  Pending events hold records by reference,
+  /// so they are filled once, in the constructor, and never move.
+  struct FailStop {
+    Rng rng{0};          // MTBF/MTTR stream
+    Seconds mtbf = 0.0;  // 0: no stochastic crashes
+    Seconds mttr = 0.0;  // 0: a stochastic crash is permanent
+    bool up = true;
+    // Pending stochastic crash: cancelled when a scripted crash intervenes,
+    // re-armed (with a fresh draw) at every recovery.
+    EventId pending_crash = 0;
+    // Where transitions go: master_log_ and on_master_ for a master, else
+    // log_ and on_crash_ / on_recover_ for `machine`.
+    std::optional<MasterFaultEvent::Target> master;
+    std::size_t machine = 0;
+  };
+
+  /// A degradation-episode process over every machine's access link (link
+  /// flaps) or CPU/IO speed (fail-slow limps): after an exponential gap the
+  /// target degrades unless it already is, and is restored after an
+  /// exponential repair time (never when mttr is 0).
+  struct EpisodeProcess {
+    std::vector<Rng> rng;  // one stream per machine
+    Seconds mtbf = 0.0;
+    Seconds mttr = 0.0;
+    std::function<bool(std::size_t machine)> degraded;
+    std::function<void(std::size_t machine, bool degrade)> set;
+  };
+
+  void crash(FailStop& c);
+  void recover(FailStop& c);
+  void arm_crash(FailStop& c);
+  void deliver(const FailStop& c);
+  void schedule_episode(EpisodeProcess& p, std::size_t machine);
   void apply_net(NetFaultEvent::Target target, std::size_t index,
                  double factor);
   void apply_slow(std::size_t machine, double cpu_factor, double io_factor);
-  void crash_master(MasterFaultEvent::Target target);
-  void recover_master(MasterFaultEvent::Target target);
-  void schedule_stochastic_master_crash(MasterFaultEvent::Target target);
   void apply_corruption(std::size_t machine, std::int64_t block, double pick);
   void schedule_stochastic_corruption(std::size_t machine);
 
   Simulator& sim_;
   FaultPlan plan_;
-  std::vector<Rng> machine_rng_;  // one stream per machine (MTBF/MTTR draws)
+  std::vector<FailStop> machines_;
+  FailStop jobtracker_;
+  FailStop namenode_;
+  EpisodeProcess link_flaps_;
+  EpisodeProcess limps_;
   Rng task_rng_;                  // transient task-failure stream
-  std::vector<Rng> link_rng_;     // one stream per machine (link flap draws)
   Rng fetch_rng_;                 // transient fetch-failure stream
-  std::vector<Rng> slow_rng_;     // one stream per machine (fail-slow draws)
-  Rng jt_rng_;                    // JobTracker MTBF/MTTR stream
-  Rng nn_rng_;                    // NameNode MTBF/MTTR stream
   std::vector<Rng> corrupt_rng_;  // one stream per machine (bit-rot draws)
   Rng shuffle_corrupt_rng_;       // shuffle-payload corruption stream
   Rng output_corrupt_rng_;        // task-output corruption stream
-  std::vector<bool> up_;
-  // Pending stochastic crash per machine: cancelled when a scripted crash
-  // intervenes, re-armed (with a fresh draw) at every recovery.
-  std::vector<EventId> crash_event_;
-  bool jt_up_ = true;
-  bool nn_up_ = true;
-  // Pending stochastic master crash, same cancel/re-arm protocol as above.
-  EventId jt_crash_event_ = 0;
-  EventId nn_crash_event_ = 0;
   std::vector<double> node_link_factor_;
   std::vector<double> trunk_factor_;
   std::vector<double> cpu_factor_;

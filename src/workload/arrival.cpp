@@ -25,20 +25,6 @@ std::vector<Seconds> PoissonArrivals::arrivals(Seconds horizon,
   return times;
 }
 
-UniformArrivals::UniformArrivals(double rate_per_minute)
-    : rate_per_minute_(rate_per_minute) {
-  EANT_CHECK(rate_per_minute > 0.0, "arrival rate must be positive");
-}
-
-std::vector<Seconds> UniformArrivals::arrivals(Seconds horizon,
-                                               Rng& /*rng*/) const {
-  EANT_CHECK(horizon > 0.0, "horizon must be positive");
-  std::vector<Seconds> times;
-  const Seconds gap = kSecondsPerMinute / rate_per_minute_;
-  for (Seconds t = 0.0; t < horizon; t += gap) times.push_back(t);
-  return times;
-}
-
 DiurnalArrivals::DiurnalArrivals(double base_per_minute, double amplitude,
                                  Seconds period, Seconds phase)
     : base_per_minute_(base_per_minute),

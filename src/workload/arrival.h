@@ -38,17 +38,6 @@ class PoissonArrivals final : public ArrivalProcess {
   double rate_per_minute_;
 };
 
-/// Deterministic, evenly spaced arrivals (useful for exact-math tests).
-class UniformArrivals final : public ArrivalProcess {
- public:
-  explicit UniformArrivals(double rate_per_minute);
-
-  std::vector<Seconds> arrivals(Seconds horizon, Rng& rng) const override;
-
- private:
-  double rate_per_minute_;
-};
-
 /// Non-homogeneous Poisson arrivals with a sinusoidal day/night rate:
 ///
 ///   rate(t) = base * (1 + amplitude * sin(2*pi * (t + phase) / period))

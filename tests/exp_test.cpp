@@ -7,7 +7,6 @@
 #include "cluster/catalog.h"
 #include "common/error.h"
 #include "exp/builders.h"
-#include "exp/csv.h"
 #include "exp/metrics.h"
 #include "exp/motivation.h"
 #include "exp/provisioning.h"
@@ -155,65 +154,6 @@ TEST(Runner, SlowdownFairnessComputation) {
   m.jobs = {a, a};
   EXPECT_NEAR(slowdown_fairness(m, standalone), 1e6, 1.0);
   EXPECT_THROW(slowdown_fairness(m, {}), PreconditionError);
-}
-
-// --- CSV / timeline export -------------------------------------------------------
-
-TEST(Csv, ByTypeAndJobsExport) {
-  RunConfig cfg;
-  cfg.seed = 12;
-  exp::Run run(paper_fleet(), SchedulerKind::kFair, cfg);
-  run.submit({single_job(workload::AppKind::kGrep, 64.0 * 6, 2)});
-  run.execute();
-  const auto m = run.metrics();
-
-  const std::string by_type = to_csv_by_type(m);
-  EXPECT_NE(by_type.find("type,machines,energy_j"), std::string::npos);
-  EXPECT_NE(by_type.find("Desktop,8,"), std::string::npos);
-  EXPECT_NE(by_type.find("Atom,1,"), std::string::npos);
-  // header + one row per type
-  EXPECT_EQ(std::count(by_type.begin(), by_type.end(), '\n'),
-            static_cast<long>(1 + m.by_type.size()));
-
-  const std::string jobs = to_csv_jobs(m);
-  EXPECT_NE(jobs.find("job,class,submit_s"), std::string::npos);
-  EXPECT_NE(jobs.find("Grep-S"), std::string::npos);
-  EXPECT_EQ(std::count(jobs.begin(), jobs.end(), '\n'), 2);
-}
-
-TEST(Csv, TimelineCollectorSamplesFleet) {
-  RunConfig cfg;
-  cfg.seed = 13;
-  exp::Run run(paper_fleet(), SchedulerKind::kFair, cfg);
-  TimelineCollector timeline(run.simulator(), run.cluster(), 10.0);
-  run.submit({single_job(workload::AppKind::kWordcount, 64.0 * 12, 2)});
-  run.execute();
-
-  ASSERT_GT(timeline.samples().size(), 3u);
-  // Fleet power is at least the idle floor and utilisation is a fraction.
-  double idle_floor = 0.0;
-  for (cluster::MachineId id = 0; id < run.cluster().size(); ++id) {
-    idle_floor += run.cluster().machine(id).type().idle_power;
-  }
-  Seconds prev = -1.0;
-  for (const auto& s : timeline.samples()) {
-    EXPECT_GT(s.time, prev);
-    prev = s.time;
-    EXPECT_GE(s.fleet_power, idle_floor - 1e-9);
-    EXPECT_GE(s.mean_utilization, 0.0);
-    EXPECT_LE(s.mean_utilization, 1.0);
-  }
-  const std::string csv = timeline.to_csv();
-  EXPECT_NE(csv.find("time_s,fleet_power_w"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
-            static_cast<long>(1 + timeline.samples().size()));
-}
-
-TEST(Csv, TimelineRejectsBadPeriod) {
-  RunConfig cfg;
-  exp::Run run(paper_fleet(), SchedulerKind::kFair, cfg);
-  EXPECT_THROW(TimelineCollector(run.simulator(), run.cluster(), 0.0),
-               PreconditionError);
 }
 
 // --- motivation driver ----------------------------------------------------------

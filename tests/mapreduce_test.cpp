@@ -89,9 +89,10 @@ TEST(JobState, ClaimMapPrefersLocalSplit) {
   const auto blocks = nn.create_file(64.0 * 12);
   js.init_maps(blocks, nn);
 
-  bool local = false;
-  const auto idx = js.claim_map(0, local);
+  Locality level = Locality::kOffRack;
+  const auto idx = js.claim_map(0, level);
   ASSERT_TRUE(idx.has_value());
+  const bool local = level == Locality::kNodeLocal;
   // If machine 0 holds any replica, the claim must be local to it.
   bool machine0_has_replica = false;
   for (hdfs::BlockId b : blocks) {
@@ -112,21 +113,21 @@ TEST(JobState, ClaimFallsBackToRemote) {
   js.init_maps(blocks, nn);
   const cluster::MachineId holder = nn.locations(blocks[0])[0];
   const cluster::MachineId other = (holder + 1) % 8;
-  bool local = true;
-  const auto idx = js.claim_map(other, local);
+  Locality level = Locality::kNodeLocal;
+  const auto idx = js.claim_map(other, level);
   ASSERT_TRUE(idx.has_value());
-  EXPECT_FALSE(local);
+  EXPECT_FALSE(level == Locality::kNodeLocal);
 }
 
 TEST(JobState, ClaimExhaustsPendingThenReturnsNothing) {
   hdfs::NameNode nn(Rng(4), 2);
   JobState js(0, wordcount_job(64.0 * 3), 2);
   js.init_maps(nn.create_file(64.0 * 3), nn);
-  bool local;
-  EXPECT_TRUE(js.claim_map(0, local).has_value());
-  EXPECT_TRUE(js.claim_map(0, local).has_value());
-  EXPECT_TRUE(js.claim_map(1, local).has_value());
-  EXPECT_FALSE(js.claim_map(0, local).has_value());
+  Locality level = Locality::kOffRack;
+  EXPECT_TRUE(js.claim_map(0, level).has_value());
+  EXPECT_TRUE(js.claim_map(0, level).has_value());
+  EXPECT_TRUE(js.claim_map(1, level).has_value());
+  EXPECT_FALSE(js.claim_map(0, level).has_value());
   EXPECT_EQ(js.pending(TaskKind::kMap), 0u);
   EXPECT_EQ(js.running(TaskKind::kMap), 3u);
 }
@@ -135,21 +136,21 @@ TEST(JobState, UnclaimReturnsTaskToPending) {
   hdfs::NameNode nn(Rng(5), 2);
   JobState js(0, wordcount_job(64.0), 2);
   js.init_maps(nn.create_file(64.0), nn);
-  bool local;
-  const auto idx = js.claim_map(0, local);
+  Locality level = Locality::kOffRack;
+  const auto idx = js.claim_map(0, level);
   ASSERT_TRUE(idx.has_value());
   js.unclaim(TaskKind::kMap, *idx);
   EXPECT_EQ(js.status(TaskKind::kMap, *idx), TaskStatus::kPending);
   EXPECT_EQ(js.pending(TaskKind::kMap), 1u);
-  EXPECT_TRUE(js.claim_map(1, local).has_value());
+  EXPECT_TRUE(js.claim_map(1, level).has_value());
 }
 
 TEST(JobState, MarkDoneUpdatesCountsAndHistogram) {
   hdfs::NameNode nn(Rng(6), 2);
   JobState js(0, wordcount_job(64.0 * 2), 2);
   js.init_maps(nn.create_file(64.0 * 2), nn);
-  bool local;
-  const auto idx = js.claim_map(0, local);
+  Locality level = Locality::kOffRack;
+  const auto idx = js.claim_map(0, level);
   js.mark_started(TaskKind::kMap, *idx, 0, 1.0);
 
   TaskReport r;
@@ -210,8 +211,8 @@ TEST(JobState, SpeculativeFlagLifecycle) {
   JobState js(0, wordcount_job(64.0), 2);
   js.init_maps(nn.create_file(64.0), nn);
   EXPECT_THROW(js.mark_speculative(TaskKind::kMap, 0), PreconditionError);
-  bool local;
-  const auto idx = js.claim_map(0, local);
+  Locality level = Locality::kOffRack;
+  const auto idx = js.claim_map(0, level);
   js.mark_speculative(TaskKind::kMap, *idx);
   EXPECT_TRUE(js.is_speculative(TaskKind::kMap, *idx));
 }

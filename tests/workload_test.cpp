@@ -174,19 +174,8 @@ TEST(Arrival, PoissonRateIsRespected) {
   }
 }
 
-TEST(Arrival, UniformIsEvenlySpaced) {
-  UniformArrivals u(6.0);  // every 10 s
-  Rng rng(9);
-  const auto times = u.arrivals(60.0, rng);
-  ASSERT_EQ(times.size(), 6u);
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    EXPECT_DOUBLE_EQ(times[i], 10.0 * static_cast<double>(i));
-  }
-}
-
 TEST(Arrival, RejectsBadInput) {
   EXPECT_THROW(PoissonArrivals(0.0), PreconditionError);
-  EXPECT_THROW(UniformArrivals(-1.0), PreconditionError);
   PoissonArrivals p(1.0);
   Rng rng(10);
   EXPECT_THROW(p.arrivals(0.0, rng), PreconditionError);
