@@ -3,7 +3,8 @@
 // lifecycle mechanism of the JobTracker and TaskTracker — node loss and fast
 // restart, fetch-failure re-execution, rack partitions, master failover with
 // orphan resolution, corruption and fail-slow re-rates, tenant preemption
-// under admission control, job failure, the fault-free scalar path, and the
+// under admission control, submissions buffered across a master outage and
+// replayed through admission, job failure, the fault-free scalar path, and the
 // MSD workload's Table III mix on the scalar network and (under Fair) on the
 // oversubscribed fabric — so a change meant to preserve behaviour must leave
 // every row unchanged.
@@ -63,6 +64,7 @@ constexpr GoldenRow kGolden[] = {
     {"chaos/corrupt-and-limp", 0x0fe69b54e36f6df8ull, 213.89607839750931, 322348.09678025206, 0.90780141843971629, 3, 0, 0, 8.8107700415993513, 0xc04b5103481d86c3ull},
     {"failover-and-loss", 0x9583ccb569b4eb1dull, 504.31854930439999, 682653.02149274759, 0.78260869565217395, 3, 0, 0, 3470.5851839196216, 0x449eb42ce51fe1c7ull},
     {"tenant/capacity-admission", 0xd6381f18c244b014ull, 4311.2274804285735, 9998443.8041535839, 0.53094462540716614, 1335, 0, 15, 65.443905341280924, 0xf3f5e1807b56be54ull},
+    {"tenant/admission-outage", 0x30b441b308f3bfe6ull, 4393.2813104036513, 9402537.7824573144, 0.51770657672849918, 1205, 0, 145, 2269.6642924301941, 0x635b027a129e1f35ull},
     {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666, 0xe83b8ede234def8eull},
     {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0, 0xd519d2e35999a355ull},
     {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0, 0xf35df6176edb75d5ull},
@@ -165,9 +167,18 @@ std::vector<Cell> run_cells() {
     cfg.tenancy = shares;
     const tenancy::TrafficGenerator gen(std::move(mix));
     Rng rng(7);
+    const std::vector<workload::JobSpec> jobs = gen.generate(rng);
     cells.push_back({"tenant/capacity-admission",
                      run(exp::paper_fleet(), exp::SchedulerKind::kCapacity,
-                         cfg, gen.generate(rng))});
+                         cfg, jobs)});
+
+    // The same traffic across a ten-minute JobTracker outage: fresh
+    // arrivals and backoff retries that land while the master is down wait
+    // in the submission buffer and replay through admission at recovery.
+    cfg.faults.crash_jobtracker_for(900.0, 600.0);
+    cells.push_back({"tenant/admission-outage",
+                     run(exp::paper_fleet(), exp::SchedulerKind::kCapacity,
+                         cfg, jobs)});
   }
 
   // Near-certain attempt death: every job burns its attempt budget.
