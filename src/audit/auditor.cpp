@@ -220,10 +220,18 @@ void InvariantAuditor::on_link_state(net::LinkId link, double factor) {
   record(Record::kLinkState, key.value());
 }
 
+InvariantAuditor::TaskAudit& InvariantAuditor::task_audit(
+    std::uint64_t job, bool is_map, std::uint64_t index) {
+  if (job >= tasks_.size()) tasks_.resize(job + 1);
+  std::vector<TaskAudit>& tasks = tasks_[job][is_map ? 0 : 1];
+  if (index >= tasks.size()) tasks.resize(index + 1);
+  return tasks[index];
+}
+
 void InvariantAuditor::on_task_transition(std::uint64_t job, bool is_map,
                                           std::uint64_t index, TaskEvent event,
                                           cluster::MachineId machine) {
-  TaskAudit& task = tasks_[{job, is_map, index}];
+  TaskAudit& task = task_audit(job, is_map, index);
   MachineAudit* m =
       machine < machines_.size() ? &machines_[machine] : nullptr;
 

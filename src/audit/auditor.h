@@ -39,10 +39,10 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "audit/digest.h"
@@ -235,6 +235,9 @@ class InvariantAuditor final : public sim::SimObserver,
   /// Advances a machine's independent energy integral to `now`.
   void integrate(MachineAudit& m, Seconds now);
 
+  /// The task's lifecycle state, growing the table to reach it.
+  TaskAudit& task_audit(std::uint64_t job, bool is_map, std::uint64_t index);
+
   sim::Simulator& sim_;
   AuditConfig config_;
   cluster::Cluster* cluster_ = nullptr;
@@ -252,9 +255,9 @@ class InvariantAuditor final : public sim::SimObserver,
 
   Seconds last_executed_ = 0.0;
   std::vector<MachineAudit> machines_;
-  // (job, is_map, index) -> lifecycle state; std::map for deterministic
-  // iteration and because the key is a composite.
-  std::map<std::tuple<std::uint64_t, bool, std::uint64_t>, TaskAudit> tasks_;
+  // Lifecycle state per task, indexed [job][kind, map first][index] and
+  // grown on demand: the JobTracker issues job and task ids densely from 0.
+  std::vector<std::array<std::vector<TaskAudit>, 2>> tasks_;
   std::map<net::FlowId, Megabytes> open_flows_;
 
   std::uint64_t last_epoch_ = 0;

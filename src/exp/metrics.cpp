@@ -48,21 +48,31 @@ MetricsCollector::MetricsCollector(cluster::Cluster& cluster,
       model_(core::EnergyModel::from_cluster(cluster)) {}
 
 void MetricsCollector::install() {
+  const std::vector<std::string>& names = cluster_.type_names();
+  type_counts_.assign(names.size(), TypeCounts{});
+  type_of_.resize(cluster_.size());
+  for (cluster::MachineId id = 0; id < cluster_.size(); ++id) {
+    type_of_[id] = static_cast<std::size_t>(
+        std::find(names.begin(), names.end(),
+                  cluster_.machine(id).type().name) -
+        names.begin());
+  }
+
   jt_.set_report_listener([this](const mr::TaskReport& r) {
-    const auto& type_name = cluster_.machine(r.machine).type().name;
+    TypeCounts& counts = type_counts_[type_of_[r.machine]];
     const auto& js = jt_.job(r.spec.job);
-    ++tasks_by_type_app_[type_name][workload::app_name(js.spec().app)];
+    ++counts.by_app[static_cast<std::size_t>(js.spec().app)];
     ++total_tasks_;
     // Per-tenant SLO accounting: completed task-seconds and Eq. 2 energy.
     tenant_slot_seconds_[js.spec().tenant] += r.duration();
     tenant_energy_[js.spec().tenant] += model_.estimate(r);
     if (r.spec.kind == mr::TaskKind::kMap) {
-      ++maps_by_type_[type_name];
+      ++counts.maps;
       ++total_maps_;
       if (r.data_local) ++local_maps_;
       if (r.locality == Locality::kRackLocal) ++rack_local_maps_;
     } else {
-      ++reduces_by_type_[type_name];
+      ++counts.reduces;
     }
   });
 
@@ -196,7 +206,9 @@ RunMetrics MetricsCollector::finalize(const std::string& scheduler_name) {
   }
 
   const Seconds elapsed = jt_.simulator().now();
-  for (const auto& type_name : cluster_.type_names()) {
+  const std::vector<std::string>& type_names = cluster_.type_names();
+  for (std::size_t i = 0; i < type_names.size(); ++i) {
+    const std::string& type_name = type_names[i];
     TypeMetrics tm;
     tm.type_name = type_name;
     double util_sum = 0.0;
@@ -208,16 +220,12 @@ RunMetrics MetricsCollector::finalize(const std::string& scheduler_name) {
     }
     tm.avg_utilization =
         tm.machine_count == 0 ? 0.0 : util_sum / tm.machine_count;
-    if (auto it = maps_by_type_.find(type_name); it != maps_by_type_.end()) {
-      tm.completed_maps = it->second;
-    }
-    if (auto it = reduces_by_type_.find(type_name);
-        it != reduces_by_type_.end()) {
-      tm.completed_reduces = it->second;
-    }
-    if (auto it = tasks_by_type_app_.find(type_name);
-        it != tasks_by_type_app_.end()) {
-      tm.tasks_by_app = it->second;
+    const TypeCounts& counts = type_counts_[i];
+    tm.completed_maps = counts.maps;
+    tm.completed_reduces = counts.reduces;
+    for (workload::AppKind app : workload::all_apps()) {
+      const std::size_t n = counts.by_app[static_cast<std::size_t>(app)];
+      if (n > 0) tm.tasks_by_app[workload::app_name(app)] = n;
     }
     rm.total_energy += tm.energy;
     rm.by_type.push_back(std::move(tm));

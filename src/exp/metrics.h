@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -192,9 +193,16 @@ class MetricsCollector {
   std::map<workload::TenantId, Joules> tenant_energy_;
   std::map<workload::TenantId, double> tenant_slot_seconds_;
   std::map<workload::TenantId, std::size_t> tenant_preemptions_;
-  std::map<std::string, std::map<std::string, std::size_t>> tasks_by_type_app_;
-  std::map<std::string, std::size_t> maps_by_type_;
-  std::map<std::string, std::size_t> reduces_by_type_;
+  /// Completed tasks on one machine type (Fig. 8(a)/(b), Fig. 9(a)).
+  struct TypeCounts {
+    std::size_t maps = 0;
+    std::size_t reduces = 0;
+    std::array<std::size_t, 3> by_app{};  ///< indexed by workload::AppKind
+  };
+  /// Indexed by the type's position in cluster_.type_names().
+  std::vector<TypeCounts> type_counts_;
+  /// Each machine's type position, by machine id.
+  std::vector<std::size_t> type_of_;
   std::vector<JobMetrics> jobs_;
   std::size_t total_tasks_ = 0;
   std::size_t local_maps_ = 0;

@@ -5,6 +5,7 @@
 #include <chrono>  // lint-ok: wall-clock (scheduler-cost attribution only)
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "audit/auditor.h"
 #include "common/error.h"
@@ -56,6 +57,13 @@ constexpr int kReduceFetchAbortLimit = 12;
 /// Packs two ids into one audit-record key.
 constexpr std::uint64_t audit_key(std::uint64_t hi, std::uint64_t lo) {
   return (hi << 32) ^ lo;
+}
+
+/// Erases one job's entries from a map keyed by (JobId, id) pairs: they
+/// are the contiguous range [(job, 0), (job + 1, 0)).
+template <typename Map>
+void erase_job(Map& map, JobId job) {
+  map.erase(map.lower_bound({job, 0}), map.lower_bound({job + 1, 0}));
 }
 
 /// Flags, once per process, that network costs come from the scalar model.
@@ -270,23 +278,29 @@ JobId JobTracker::submit_now(workload::JobSpec spec) {
 }
 
 void JobTracker::submit(workload::JobSpec spec) {
+  EANT_CHECK(arrivals_.size() < std::numeric_limits<std::uint32_t>::max(),
+             "too many submissions");
   ++jobs_expected_;
-  sim_.schedule_at(spec.submit_time, [this, spec]() mutable {
+  const auto arrival = static_cast<std::uint32_t>(arrivals_.size());
+  arrivals_.push_back(std::move(spec));
+  sim_.schedule_at(arrivals_.back().submit_time, [this, arrival] {
     // A fresh arrival is counted exactly once, before the master-outage
     // buffer — a buffered submission replayed later must not re-count.
-    if (admission_) admission_->note_arrival(spec);
-    submit_arrival(std::move(spec), /*attempt=*/0);
+    if (admission_) admission_->note_arrival(arrivals_[arrival]);
+    submit_arrival(arrival, /*attempt=*/0);
   });
 }
 
-void JobTracker::submit_arrival(workload::JobSpec spec, int attempt) {
+void JobTracker::submit_arrival(std::uint32_t arrival, int attempt) {
   if (!master_up_ || !namenode_up_) {
     // The client retries until a live master accepts the job; the buffer
     // preserves arrival order for the replay at recovery.  jobs_expected_
     // stays counted, so all_done() holds out for the replayed jobs.
-    pending_submissions_.emplace_back(std::move(spec), attempt);
+    pending_submissions_.emplace_back(arrival, attempt);
     return;
   }
+  // Stays valid across submit_now: deque growth never moves an element.
+  const workload::JobSpec& spec = arrivals_[arrival];
   if (admission_) {
     const AdmissionVerdict verdict =
         admission_->decide(spec, total_slots(),
@@ -294,26 +308,26 @@ void JobTracker::submit_arrival(workload::JobSpec spec, int attempt) {
                                total_pending(TaskKind::kReduce),
                            sim_.now());
     if (verdict != AdmissionVerdict::kAdmit) {
-      reject_submission(std::move(spec), verdict, attempt);
+      reject_submission(arrival, verdict, attempt);
       return;
     }
   }
   --jobs_expected_;  // submit_now re-counts it
-  const workload::JobSpec admitted = spec;
-  const JobId id = submit_now(std::move(spec));
-  if (admission_) admission_->note_admitted(id, admitted, sim_.now());
+  const JobId id = submit_now(spec);
+  if (admission_) admission_->note_admitted(id, spec, sim_.now());
 }
 
-void JobTracker::reject_submission(workload::JobSpec spec,
+void JobTracker::reject_submission(std::uint32_t arrival,
                                    AdmissionVerdict verdict, int attempt) {
   Seconds delay = 0.0;
-  if (admission_->note_rejection(spec, verdict, attempt, &delay)) {
+  if (admission_->note_rejection(arrivals_[arrival], verdict, attempt,
+                                 &delay)) {
     // Backpressure: the client re-submits after a capped exponential
     // backoff.  jobs_expected_ stays counted, so the run waits for the
     // retry to resolve before declaring itself done.
-    sim_.schedule_after(delay, [this, spec, attempt]() mutable {
-      admission_->note_retry_arrival(spec.tenant);
-      submit_arrival(std::move(spec), attempt + 1);
+    sim_.schedule_after(delay, [this, arrival, attempt] {
+      admission_->note_retry_arrival(arrivals_[arrival].tenant);
+      submit_arrival(arrival, attempt + 1);
     });
     return;
   }
@@ -325,10 +339,10 @@ void JobTracker::reject_submission(workload::JobSpec spec,
 
 void JobTracker::replay_pending_submissions() {
   if (pending_submissions_.empty()) return;
-  auto pending = std::move(pending_submissions_);
+  const auto pending = std::move(pending_submissions_);
   pending_submissions_.clear();
-  for (auto& [spec, attempt] : pending) {
-    submit_arrival(std::move(spec), attempt);
+  for (const auto& [arrival, attempt] : pending) {
+    submit_arrival(arrival, attempt);
   }
 }
 
@@ -2045,13 +2059,10 @@ void JobTracker::retire_job(JobState& js) {
   for (TaskKind kind : {TaskKind::kMap, TaskKind::kReduce}) {
     pending_tasks_[kind_index(kind)] -= js.pending(kind);
   }
-  std::erase_if(fetch_state_,
-                [job](const auto& kv) { return kv.first.first == job; });
-  std::erase_if(reduce_fetch_strikes_,
-                [job](const auto& kv) { return kv.first.first == job; });
+  erase_job(fetch_state_, job);
+  erase_job(reduce_fetch_strikes_, job);
   for (auto& ts : tracker_states_) {
-    std::erase_if(ts.map_outputs,
-                  [job](const auto& kv) { return kv.first.first == job; });
+    erase_job(ts.map_outputs, job);
     std::erase_if(ts.lost_attempts,
                   [job](const TaskReport& r) { return r.spec.job == job; });
   }

@@ -17,6 +17,7 @@
 #include <array>
 #include <bitset>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -814,10 +815,11 @@ class JobTracker {
   /// arrival from the trace, >0 = backpressure retry).  Buffers across
   /// master outages, consults AdmissionControl::decide, and either admits
   /// via submit_now or routes through reject_submission.
-  void submit_arrival(workload::JobSpec spec, int attempt);
+  /// `arrival` indexes arrivals_.
+  void submit_arrival(std::uint32_t arrival, int attempt);
   /// Schedules the backoff retry for a rejected submission, or drops the
   /// job for good once its retry budget is spent.
-  void reject_submission(workload::JobSpec spec, AdmissionVerdict verdict,
+  void reject_submission(std::uint32_t arrival, AdmissionVerdict verdict,
                          int attempt);
   /// Periodic detector tick: samples occupancy / backlog / deadline-slack
   /// pressure and applies brownout reactions on a state change.
@@ -962,9 +964,15 @@ class JobTracker {
   std::map<std::tuple<JobId, TaskKind, TaskIndex, cluster::MachineId>,
            std::vector<int>>
       orphan_outcomes_;
-  /// Submissions that arrived while a master was down, replayed in order
-  /// (the int is the admission attempt the submission was on).
-  std::vector<std::pair<workload::JobSpec, int>> pending_submissions_;
+  /// Every spec handed to submit(), in call order.  Arrival, retry and
+  /// replay carry a 32-bit index into it, so their callbacks ([this,
+  /// arrival] and [this, arrival, attempt], 16 bytes and trivially
+  /// copyable) fit std::function's inline buffer.  A deque grows in
+  /// fixed-size chunks and never moves its elements.
+  std::deque<workload::JobSpec> arrivals_;
+  /// Submissions that arrived while a master was down, replayed in order:
+  /// (arrival, the admission attempt it was on).
+  std::vector<std::pair<std::uint32_t, int>> pending_submissions_;
   /// Datanode death/rejoin marks buffered while the NameNode was down.
   std::vector<std::pair<cluster::MachineId, bool>> pending_datanode_marks_;
   /// fsimage pinned at NameNode crash, restored at its recovery.

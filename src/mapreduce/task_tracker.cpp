@@ -88,8 +88,12 @@ void TaskTracker::schedule_compute(Running& r, std::uint64_t attempt,
   r.work_done = 0.0;
   // stretch is the literal 1.0 on a healthy machine, so event_work * stretch
   // is bit-identical to the pre-fail-slow schedule there.
-  r.completion_event = sim_.schedule_after(
-      r.event_work * r.stretch, [this, attempt] { end_attempt(attempt); });
+  const Seconds wall = r.event_work * r.stretch;
+  // One sample closes per heartbeat until the event fires, plus the last.
+  r.samples.reserve(r.samples.size() +
+                    static_cast<std::size_t>(wall / heartbeat_) + 2);
+  r.completion_event =
+      sim_.schedule_after(wall, [this, attempt] { end_attempt(attempt); });
 }
 
 void TaskTracker::start_task(const TaskSpec& spec, Seconds duration,

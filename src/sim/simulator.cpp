@@ -16,6 +16,16 @@ struct Later {
   }
 };
 
+/// Removes the run's consumed prefix once it is more than half the run, so
+/// the nodes moved never outnumber the pops since the last trim; the
+/// capacity stays.
+template <typename Node>
+void trim_run(std::vector<Node>& run, std::size_t& head) {
+  if (2 * head <= run.size()) return;
+  run.erase(run.begin(), run.begin() + static_cast<std::ptrdiff_t>(head));
+  head = 0;
+}
+
 }  // namespace
 
 EventId Simulator::schedule_at(Seconds t, std::function<void()> fn) {
@@ -64,15 +74,39 @@ EventId Simulator::push_new(Seconds t, Seconds repeat_interval,
 }
 
 void Simulator::push_node(Seconds t, std::uint32_t slot) {
-  heap_.push_back(Node{t, next_seq_++, slot});
+  const Node node{t, next_seq_++, slot};
+  // seq only grows, so a node not before the run's last time sorts after
+  // every node in the run.  A drained run is empty (trim_run) and takes
+  // any node.
+  if (run_.empty() || t >= run_.back().time) {
+    run_.push_back(node);
+    return;
+  }
+  heap_.push_back(node);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+std::optional<Simulator::Node> Simulator::pop_earliest(Seconds limit) {
+  const bool run_first =
+      run_head_ < run_.size() &&
+      (heap_.empty() || Later{}(heap_.front(), run_[run_head_]));
+  if (run_first) {
+    const Node node = run_[run_head_];
+    if (node.time > limit) return std::nullopt;
+    ++run_head_;
+    trim_run(run_, run_head_);
+    return node;
+  }
+  if (heap_.empty() || heap_.front().time > limit) return std::nullopt;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Node node = heap_.back();
+  heap_.pop_back();
+  return node;
+}
+
 std::optional<Simulator::Node> Simulator::pop_live(Seconds limit) {
-  while (!heap_.empty() && heap_.front().time <= limit) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Node node = heap_.back();
-    heap_.pop_back();
+  while (const std::optional<Node> popped = pop_earliest(limit)) {
+    const Node node = *popped;
     State& state = state_[slots_[node.slot].id];
     if (state != State::kCancelled) return node;
     state = State::kDone;

@@ -84,7 +84,9 @@ class Simulator {
   void run();
 
   /// Number of live (not-yet-cancelled) pending events.
-  std::size_t pending() const { return heap_.size() - cancelled_queued_; }
+  std::size_t pending() const {
+    return heap_.size() + (run_.size() - run_head_) - cancelled_queued_;
+  }
 
   /// Total number of events executed so far (for perf reporting and tests).
   std::uint64_t executed() const { return executed_; }
@@ -95,7 +97,7 @@ class Simulator {
   void set_observer(SimObserver* observer) { observer_ = observer; }
 
  private:
-  /// Heap node: the (time, seq) key plus the slot holding the callbacks.
+  /// Queue node: the (time, seq) key plus the slot holding the callbacks.
   /// seq is unique, so the key orders nodes strictly.
   struct Node {
     Seconds time;
@@ -124,9 +126,20 @@ class Simulator {
   /// first live one (nothing when none is due by `limit`).
   std::optional<Node> pop_live(Seconds limit);
 
+  /// Removes and returns the earliest node of the run and the heap, or
+  /// nothing when it is later than `limit` (or both are empty).
+  std::optional<Node> pop_earliest(Seconds limit);
+
   void execute(const Node& node);
 
+  // Pending nodes live in one of two containers; the earlier (time, seq)
+  // of their fronts pops next.  A node not before the run's last one joins
+  // the run, sorted and consumed from run_head_, so events scheduled in
+  // time order (a workload's arrivals, periodic re-arms) append in O(1)
+  // and never enter the heap.
   std::vector<Node> heap_;  // binary min-heap on (time, seq)
+  std::vector<Node> run_;   // sorted on (time, seq); run_head_ is its front
+  std::size_t run_head_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   // Indexed by id: live ids are kPending, or kCancelled until their node

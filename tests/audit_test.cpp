@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -135,10 +136,11 @@ struct SeededFixture {
   cluster::Cluster cluster{sim};
   InvariantAuditor auditor;
 
-  explicit SeededFixture(AuditConfig config = {}) : auditor(sim, config) {
+  explicit SeededFixture(AuditConfig config = {}, int slots = 1)
+      : auditor(sim, config) {
     cluster::MachineType type = cluster::catalog::desktop();
-    type.map_slots = 1;
-    type.reduce_slots = 1;
+    type.map_slots = slots;
+    type.reduce_slots = slots;
     cluster.add_machines(type, 1);
     auditor.attach_cluster(cluster);
   }
@@ -278,6 +280,100 @@ TEST(SeededViolation, ViolationsAggregatePerCheckWithFirstContext) {
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].count, 2u);
   EXPECT_EQ(report.violations[0].first_context, "first hit");
+}
+
+// --- task table growth --------------------------------------------------------
+
+/// One task's transitions, applied in this order whatever the interleaving.
+struct TaskScript {
+  std::uint64_t job = 0;
+  bool is_map = true;
+  std::uint64_t index = 0;
+  std::size_t shape = 0;  ///< index into kShapes
+};
+
+/// Lifecycles whose verdicts depend on the task's own history: legal ones
+/// (finish; fail and relaunch; commit, revert, recommit; a killed twin) and
+/// illegal ones (a second commit, a revert of a task never done, a finish
+/// with no attempt running), with the task-state-machine and
+/// double-counted-energy violations each one reports.
+struct Shape {
+  std::vector<TaskEvent> events;
+  std::size_t state_machine = 0;
+  std::size_t double_counted = 0;
+};
+const std::vector<Shape> kShapes = {
+    {{TaskEvent::kLaunch, TaskEvent::kFinish}, 0, 0},
+    {{TaskEvent::kLaunch, TaskEvent::kFail, TaskEvent::kLaunch,
+      TaskEvent::kFinish},
+     0, 0},
+    {{TaskEvent::kLaunch, TaskEvent::kFinish, TaskEvent::kRevertDone,
+      TaskEvent::kLaunch, TaskEvent::kFinish},
+     0, 0},
+    {{TaskEvent::kLaunch, TaskEvent::kLaunch, TaskEvent::kKill,
+      TaskEvent::kFinish},
+     0, 0},
+    {{TaskEvent::kLaunch, TaskEvent::kFinish, TaskEvent::kFinish}, 2, 1},
+    {{TaskEvent::kRevertDone, TaskEvent::kLaunch, TaskEvent::kFinish}, 1, 0},
+    {{TaskEvent::kFinish}, 1, 0},
+};
+
+/// Jobs 0-3 with five maps and ten reduces each, in id order, cycling
+/// through the shapes.
+std::vector<TaskScript> table_scripts() {
+  std::vector<TaskScript> scripts;
+  for (std::uint64_t job = 0; job < 4; ++job) {
+    for (bool is_map : {true, false}) {
+      for (std::uint64_t index = 0; index < (is_map ? 5u : 10u); ++index) {
+        scripts.push_back({job, is_map, index, scripts.size() % kShapes.size()});
+      }
+    }
+  }
+  return scripts;
+}
+
+TEST(TaskTable, OutOfOrderIdsGrowTheTableToTheSameVerdicts) {
+  const std::vector<TaskScript> scripts = table_scripts();
+  // In id order, each task's lifecycle as one block.
+  SeededFixture in_order({}, /*slots=*/64);
+  for (const TaskScript& t : scripts) {
+    for (TaskEvent e : kShapes[t.shape].events) {
+      in_order.auditor.on_task_transition(t.job, t.is_map, t.index, e, 0);
+    }
+  }
+  // Reversed (job 3 first, its reduce 9 before reduce 0) and interleaved:
+  // every task's first transition, then every task's second, and so on.
+  SeededFixture reversed({}, /*slots=*/64);
+  for (std::size_t step = 0; step < 5; ++step) {
+    for (auto t = scripts.rbegin(); t != scripts.rend(); ++t) {
+      const std::vector<TaskEvent>& events = kShapes[t->shape].events;
+      if (step < events.size()) {
+        reversed.auditor.on_task_transition(t->job, t->is_map, t->index,
+                                            events[step], 0);
+      }
+    }
+  }
+
+  std::size_t state_machine = 0;
+  std::size_t double_counted = 0;
+  for (const TaskScript& t : scripts) {
+    state_machine += kShapes[t.shape].state_machine;
+    double_counted += kShapes[t.shape].double_counted;
+  }
+  const AuditReport a = in_order.auditor.finalize();
+  const AuditReport b = reversed.auditor.finalize();
+  for (const AuditReport* r : {&a, &b}) {
+    ASSERT_EQ(r->violations.size(), 2u) << r->summary();
+    EXPECT_EQ(r->violations[0].check, "double-counted-energy");
+    EXPECT_EQ(r->violations[0].count, double_counted);
+    EXPECT_EQ(r->violations[1].check, "task-state-machine");
+    EXPECT_EQ(r->violations[1].count, state_machine);
+  }
+  EXPECT_EQ(a.digest_records, b.digest_records);
+  // The digest hashes the record stream in order, so each order has its
+  // own recorded value.
+  EXPECT_EQ(a.digest, 0x34a0a3d0d80f6911ull);
+  EXPECT_EQ(b.digest, 0xbf824f7a046a8631ull);
 }
 
 // --- end-to-end: audited runs ------------------------------------------------

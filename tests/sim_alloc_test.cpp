@@ -102,5 +102,72 @@ TEST(SimulatorAllocations, SteadyStateEventsDoNotAllocate) {
             0.001 * static_cast<double>(events));
 }
 
+/// A one-shot that re-schedules itself `span` later when it fires: a
+/// stand-in for a time-ordered arrival stream.  16 bytes, kept inline.
+struct Chain {
+  Simulator* sim;
+  std::uint64_t* fires;
+  void operator()() const {
+    ++*fires;
+    sim->schedule_after(10.0, *this);
+  }
+};
+
+TEST(SimulatorAllocations, SteadyStateInTheRunDoesNotAllocate) {
+  constexpr int kQueued = 10000;  // pre-scheduled in time order
+  constexpr Seconds kSpan = 10.0;
+  constexpr int kWarmSteps = 40000;
+  constexpr int kSteps = 100000;
+  Simulator sim;
+  std::uint64_t fires = 0;
+  std::uint64_t* counter = &fires;
+  std::uint64_t lcg = 12345;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  // The chain's nodes span (0, kSpan] and each re-schedules kSpan after
+  // itself, so every one appends to the queue's sorted run.  The periodic
+  // events start at kSpan and re-arm kSpan later, so they append too.
+  for (int i = 1; i <= kQueued; ++i) {
+    sim.schedule_at(kSpan * i / kQueued, Chain{&sim, counter});
+  }
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_periodic(
+        kSpan,
+        [counter] {
+          ++*counter;
+          return true;
+        },
+        kSpan + 0.25 * i);
+  }
+  // Each step also schedules a near-term event (earlier than the run's
+  // tail, so it enters the heap) and cancels one scheduled a while ago.
+  std::vector<EventId> recent(64, 0);
+  const auto step = [&](int i) {
+    recent[static_cast<std::size_t>(i) % recent.size()] = sim.schedule_after(
+        0.25 * static_cast<double>(next() % 16),
+        [counter] { *counter += 1; });
+    sim.cancel(recent[next() % recent.size()]);
+    sim.step();
+  };
+  for (int i = 0; i < kWarmSteps; ++i) step(i);
+
+  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t executed_before = sim.executed();
+  for (int i = 0; i < kSteps; ++i) step(i);
+  const std::uint64_t allocs = g_allocs - allocs_before;
+  const std::uint64_t events = sim.executed() - executed_before;
+
+  std::printf("%llu allocations over %llu executed events (%d steps, %zu "
+              "pending)\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(events), kSteps, sim.pending());
+  ASSERT_EQ(events, static_cast<std::uint64_t>(kSteps));
+  ASSERT_GE(sim.pending(), static_cast<std::size_t>(kQueued));
+  EXPECT_LE(static_cast<double>(allocs),
+            0.001 * static_cast<double>(events));
+}
+
 }  // namespace
 }  // namespace eant::sim

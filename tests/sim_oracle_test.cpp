@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -310,6 +311,11 @@ struct Stats {
   std::uint64_t live_cancels = 0;  ///< cancels that lowered pending()
   std::uint64_t stale_cancels = 0;
   std::uint64_t self_cancels = 0;
+  /// Schedules (and, of them, periodic re-arms) at or after every time
+  /// scheduled before: whatever the queue keeps, these extend its sorted
+  /// run rather than entering the heap.
+  std::uint64_t run_pushes = 0;
+  std::uint64_t run_rearms = 0;
 };
 
 /// An id to cancel: mostly recent (live or just fired), else any issued
@@ -370,6 +376,33 @@ void expect_same(const Driver<Simulator>& fast,
   ASSERT_EQ(fast.sim.now(), ref.sim.now()) << "seed " << seed;
 }
 
+/// Adds one finished scenario's executions, ties, re-arms and certain run
+/// pushes to the stats.
+void tally(const Driver<ReferenceSimulator>& ref, Stats& stats) {
+  Seconds last = -1.0;
+  Seconds latest = -1.0;  // latest time scheduled so far
+  std::uint64_t scheduled = 0;
+  std::vector<bool> seen(ref.issued() + 1, false);
+  for (const Note& n : ref.notes) {
+    if (n.kind == 's') {
+      ++scheduled;
+      if (n.t >= latest) {
+        ++stats.run_pushes;
+        if (seen[n.id]) ++stats.run_rearms;
+      }
+      latest = std::max(latest, n.t);
+      seen[n.id] = true;
+    }
+    if (n.kind != 'x') continue;
+    ++stats.executed;
+    if (n.t == last) ++stats.ties;
+    last = n.t;
+  }
+  // Scheduled notes beyond one per issued id are periodic re-arms.
+  stats.rearms += scheduled - ref.issued();
+  stats.self_cancels += ref.self_cancels;
+}
+
 void run_scenario(std::uint64_t seed, int ops, Stats& stats) {
   Rng rng(seed);
   std::vector<Action> plan;
@@ -419,19 +452,139 @@ void run_scenario(std::uint64_t seed, int ops, Stats& stats) {
   ref.sim.run();
   expect_same(fast, ref, seed, ops);
   if (testing::Test::HasFatalFailure()) return;
+  tally(ref, stats);
+}
 
-  Seconds last = -1.0;
-  std::uint64_t scheduled = 0;
-  for (const Note& n : ref.notes) {
-    if (n.kind == 's') ++scheduled;
-    if (n.kind != 'x') continue;
-    ++stats.executed;
-    if (n.t == last) ++stats.ties;
-    last = n.t;
+/// What the time-ordered streams did to the run on purpose.
+struct OrderedStats {
+  std::uint64_t in_order = 0;  ///< schedules at or after the stream's cursor
+  std::uint64_t periodic = 0;  ///< periodic events among them
+  std::uint64_t stray = 0;     ///< schedules before the cursor
+  std::uint64_t stray_ties = 0;   ///< ... at a time scheduled in order
+  std::uint64_t run_cancels = 0;  ///< live cancels of in-order ids
+  std::uint64_t short_stops = 0;  ///< run_until stopped with events pending
+  std::uint64_t drains = 0;       ///< full drains, each refilled after
+};
+
+/// Streams shaped for the sorted run the queue keeps beside its heap:
+/// phases that schedule long nondecreasing prefixes from a cursor (a third
+/// of the steps add no time, so equal times queue up; some are periodic),
+/// stray schedules before the cursor (half of them at a time already
+/// scheduled in order, so ties fall between the run and the heap), cancels
+/// of in-order ids, steps, run_until stops short of the cursor, and full
+/// drains after which the next prefix refills the queue.
+void run_ordered_scenario(std::uint64_t seed, int phases, Stats& stats,
+                          OrderedStats& ordered) {
+  Rng rng(seed);
+  std::vector<Action> plan;
+  Driver<Simulator> fast(plan);
+  Driver<ReferenceSimulator> ref(plan);
+  Seconds cursor = 0.0;  // the latest time scheduled in order
+  std::vector<Seconds> ordered_times;
+  std::vector<EventId> ordered_ids;
+  int op = 0;
+  const auto grid_before_cursor = [&] {
+    const auto span =
+        static_cast<std::int64_t>((cursor - ref.sim.now()) / kGrid);
+    return ref.sim.now() +
+           kGrid * static_cast<double>(
+                       rng.uniform_int(0, std::max<std::int64_t>(span, 0)));
+  };
+  const auto pick = [&rng](const auto& v) {
+    return v[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+  };
+
+  for (int phase = 0; phase < phases; ++phase) {
+    const std::int64_t kind = rng.uniform_int(0, 99);
+    if (kind < 30) {
+      cursor = std::max(cursor, ref.sim.now());
+      const std::int64_t n = rng.uniform_int(8, 48);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::int64_t step = rng.uniform_int(0, 2);
+        cursor += kGrid * static_cast<double>(step == 2 ? 2 : step);
+        if (rng.uniform() < 0.15) {
+          const Seconds interval =
+              kGrid * static_cast<double>(rng.uniform_int(1, 4));
+          const Seconds first = cursor - ref.sim.now();
+          const int a = draw_action(rng, plan, true, ref.issued(), true);
+          ASSERT_EQ(fast.periodic(interval, first, a),
+                    ref.periodic(interval, first, a))
+              << "seed " << seed;
+          ++ordered.periodic;
+        } else {
+          const int a = draw_action(rng, plan, false, ref.issued(), true);
+          ASSERT_EQ(fast.at(cursor, a), ref.at(cursor, a)) << "seed " << seed;
+        }
+        ordered_times.push_back(cursor);
+        ordered_ids.push_back(ref.issued());
+        ++ordered.in_order;
+        expect_same(fast, ref, seed, op++);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    } else if (kind < 45) {
+      const std::int64_t n = rng.uniform_int(1, 6);
+      for (std::int64_t i = 0; i < n; ++i) {
+        Seconds t = grid_before_cursor();
+        if (!ordered_times.empty() && rng.uniform() < 0.5) {
+          const Seconds tie = pick(ordered_times);
+          if (tie >= ref.sim.now()) {
+            t = tie;
+            ++ordered.stray_ties;
+          }
+        }
+        if (t < cursor) ++ordered.stray;
+        const int a = draw_action(rng, plan, false, ref.issued(), true);
+        ASSERT_EQ(fast.at(t, a), ref.at(t, a)) << "seed " << seed;
+        expect_same(fast, ref, seed, op++);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    } else if (kind < 58) {
+      const std::int64_t n = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const EventId target = ordered_ids.empty()
+                                   ? draw_target(rng, ref.issued())
+                                   : pick(ordered_ids);
+        const std::size_t before = ref.sim.pending();
+        fast.sim.cancel(target);
+        ref.sim.cancel(target);
+        if (!ordered_ids.empty() && ref.sim.pending() < before) {
+          ++ordered.run_cancels;
+        }
+        expect_same(fast, ref, seed, op++);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    } else if (kind < 78) {
+      const std::int64_t n = rng.uniform_int(1, 10);
+      for (std::int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(fast.sim.step(), ref.sim.step()) << "seed " << seed;
+        expect_same(fast, ref, seed, op++);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    } else if (kind < 94) {
+      const Seconds t = grid_before_cursor();
+      fast.sim.run_until(t);
+      ref.sim.run_until(t);
+      if (ref.sim.pending() > 0) ++ordered.short_stops;
+      expect_same(fast, ref, seed, op++);
+      if (testing::Test::HasFatalFailure()) return;
+    } else {
+      if (ref.sim.pending() > 0) ++ordered.drains;
+      fast.sim.run();
+      ref.sim.run();
+      expect_same(fast, ref, seed, op++);
+      if (testing::Test::HasFatalFailure()) return;
+      cursor = ref.sim.now();
+      ordered_times.clear();
+      ordered_ids.clear();
+    }
   }
-  // Scheduled notes beyond one per issued id are periodic re-arms.
-  stats.rearms += scheduled - ref.issued();
-  stats.self_cancels += ref.self_cancels;
+  fast.sim.run();
+  ref.sim.run();
+  expect_same(fast, ref, seed, op);
+  if (testing::Test::HasFatalFailure()) return;
+  stats.ops += static_cast<std::uint64_t>(op);
+  tally(ref, stats);
 }
 
 TEST(SimulatorOracle, RandomOperationStreamsMatchTheReference) {
@@ -456,6 +609,42 @@ TEST(SimulatorOracle, RandomOperationStreamsMatchTheReference) {
   EXPECT_GT(stats.live_cancels, 0u);
   EXPECT_GT(stats.stale_cancels, 0u);
   EXPECT_GT(stats.self_cancels, 0u);
+}
+
+TEST(SimulatorOracle, TimeOrderedStreamsThroughTheRunMatchTheReference) {
+  Stats stats;
+  OrderedStats ordered;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    run_ordered_scenario(seed, 60, stats, ordered);
+    if (HasFatalFailure()) return;
+  }
+  std::printf(
+      "compared %llu ops, %llu executions (%llu ties), %llu in-order "
+      "schedules (%llu periodic), %llu stray ones (%llu at an in-order "
+      "time), %llu live cancels of in-order ids, %llu short run_until "
+      "stops, %llu drains; %llu schedules and %llu periodic re-arms "
+      "certainly in the run\n",
+      static_cast<unsigned long long>(stats.ops),
+      static_cast<unsigned long long>(stats.executed),
+      static_cast<unsigned long long>(stats.ties),
+      static_cast<unsigned long long>(ordered.in_order),
+      static_cast<unsigned long long>(ordered.periodic),
+      static_cast<unsigned long long>(ordered.stray),
+      static_cast<unsigned long long>(ordered.stray_ties),
+      static_cast<unsigned long long>(ordered.run_cancels),
+      static_cast<unsigned long long>(ordered.short_stops),
+      static_cast<unsigned long long>(ordered.drains),
+      static_cast<unsigned long long>(stats.run_pushes),
+      static_cast<unsigned long long>(stats.run_rearms));
+  EXPECT_GT(stats.ties, stats.executed / 10);
+  EXPECT_GT(ordered.periodic, 0u);
+  EXPECT_GT(ordered.stray, 0u);
+  EXPECT_GT(ordered.stray_ties, 0u);
+  EXPECT_GT(ordered.run_cancels, 0u);
+  EXPECT_GT(ordered.short_stops, 0u);
+  EXPECT_GT(ordered.drains, 0u);
+  EXPECT_GT(stats.run_pushes, ordered.in_order / 2);
+  EXPECT_GT(stats.run_rearms, 0u);
 }
 
 }  // namespace
