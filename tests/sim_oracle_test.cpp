@@ -7,7 +7,10 @@
 // children too.  After every operation the executed (id, time) sequences,
 // every observer notification, the returned ids, executed(), pending() and
 // now() must match.  pending() is compared between operations only: inside
-// a self-cancelling callback the reference undercounts (see sim_test).
+// a self-cancelling callback the reference undercounts (see sim_test).  A
+// second family of streams is shaped for the sorted run the queue keeps
+// beside its heap: long time-ordered prefixes, stray earlier schedules that
+// tie with them, cancels, drains and run_until stops inside the run.
 
 #include <gtest/gtest.h>
 
