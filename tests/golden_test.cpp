@@ -67,6 +67,7 @@ constexpr GoldenRow kGolden[] = {
     {"tenant/admission-outage", 0x30b441b308f3bfe6ull, 4393.2813104036513, 9402537.7824573144, 0.51770657672849918, 1205, 0, 145, 2269.6642924301941, 0x635b027a129e1f35ull},
     {"all-jobs-fail", 0x79cab2843f1c52c9ull, 53.112625519225531, 71687.250988241605, 0, 0, 2, 0, 400.51059013265666, 0xe83b8ede234def8eull},
     {"scalar/eant", 0xf2dbdc0a6f0a624dull, 241.4328295673071, 325609.87092289096, 0.91489361702127658, 3, 0, 0, 0, 0xd519d2e35999a355ull},
+    {"fabric/flat", 0xf67edd4d95261ea6ull, 241.4328295673071, 321624.38889733097, 0.891156462585034, 3, 0, 0, 217.75033434583281, 0xab01a1c32a0c5f6aull},
     {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0, 0xf35df6176edb75d5ull},
     {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0, 0x5fade39b7a452ce4ull},
     {"msd/fair-oversub", 0x13eedc9525fa3cbbull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0, 0xe02c564132dcd119ull},
@@ -199,6 +200,16 @@ std::vector<Cell> run_cells() {
     exp::RunConfig cfg = chaos_base();
     cfg.topology.reset();
     cells.push_back({"scalar/eant", run(exp::paper_fleet(),
+                                        exp::SchedulerKind::kEAnt, cfg, batch)});
+  }
+
+  // The same batch over the flat fabric, with one node lost and restarted:
+  // no link can bind, so the fabric never has a utilisation peak to track.
+  {
+    exp::RunConfig cfg = chaos_base();
+    cfg.topology = net::TopologySpec::flat();
+    cfg.faults.crash_for(1, 0.40 * horizon, 0.30 * horizon);
+    cells.push_back({"fabric/flat", run(exp::paper_fleet(),
                                         exp::SchedulerKind::kEAnt, cfg, batch)});
   }
 
