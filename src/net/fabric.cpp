@@ -24,6 +24,8 @@ Fabric::Fabric(sim::Simulator& sim, Topology topology)
   link_active_.resize(topo_.num_links());
   link_flows_.resize(topo_.num_links());
   link_factor_.assign(topo_.num_links(), 1.0);
+  for (LinkId link = 0; link < topo_.num_links(); ++link)
+    if (std::isfinite(topo_.capacity_mbps(link))) has_finite_link_ = true;
 }
 
 Fabric::~Fabric() {
@@ -161,13 +163,16 @@ bool Fabric::reachable(NodeId src, NodeId dst) const {
 NodeId Fabric::flow_dst(FlowId id) const { return flows_.at(id).dst; }
 TransferClass Fabric::flow_class(FlowId id) const { return flows_.at(id).cls; }
 double Fabric::flow_cap_mbps(FlowId id) const { return flows_.at(id).cap_mbps; }
-double Fabric::flow_rate_mbps(FlowId id) const {
-  return flows_.at(id).rate_mbps;
+double Fabric::flow_rate_mbps(FlowId id) {
+  const Flow& flow = flows_.at(id);
+  settle();
+  return flow.rate_mbps;
 }
 
 Megabytes Fabric::flow_remaining_mb(FlowId id) const {
   const Flow& flow = flows_.at(id);
   const Seconds dt = sim_.now() - last_advance_;
+  EANT_ASSERT(dt <= 0.0 || settled_, "rate read before the fabric settled");
   const Megabytes in_flight = dt > 0.0 ? flow.rate_mbps * dt : 0.0;
   return std::max(0.0, flow.total - flow.sent - in_flight);
 }
@@ -190,6 +195,7 @@ FabricMetrics Fabric::metrics() const {
   m.mean_flow_slowdown =
       completed_ == 0 ? 1.0 : slowdown_sum_ / static_cast<double>(completed_);
   m.peak_link_utilization = peak_utilization_;
+  m.fillings = fillings_;
   return m;
 }
 
@@ -197,6 +203,9 @@ void Fabric::advance_all() {
   const Seconds dt = sim_.now() - last_advance_;
   last_advance_ = sim_.now();
   if (dt <= 0.0) return;
+  // Time moved, so the simulator has popped an event since the last
+  // reallocation, and it timed (settled) the fabric's event before that.
+  EANT_ASSERT(settled_, "rate read before the fabric settled");
   for (auto& [id, flow] : flows_) {
     const Megabytes delta =
         std::min(flow.total - flow.sent, flow.rate_mbps * dt);
@@ -208,7 +217,32 @@ void Fabric::advance_all() {
 void Fabric::reallocate() {
   sim_.cancel(event_);
   event_ = 0;
-  if (flows_.empty()) return;
+  settled_ = flows_.empty();  // nothing to rate without flows
+  if (settled_) return;
+  // The peak is a maximum over every allocation, so each one counts until
+  // the peak has reached 1 (or no link can carry a share of it).
+  if (has_finite_link_ && peak_utilization_ < 1.0) settle();
+  // Capturing only `this` keeps both callbacks inside std::function's
+  // inline buffer, so arming and popping the event allocate nothing.
+  event_ = sim_.schedule_lazy(
+      [this] {
+        settle();
+        return due_at_;
+      },
+      [this] {
+        event_ = 0;  // fired; the reallocation it triggers arms the next one
+        if (due_fails_) {
+          fail_flow(due_);
+        } else {
+          finish_flow(due_);
+        }
+      });
+}
+
+void Fabric::settle() {
+  if (settled_) return;
+  settled_ = true;
+  ++fillings_;
 
   // Progressive filling: raise every unfrozen flow's rate in lockstep; when
   // a flow hits its cap it freezes, and when a link saturates every flow
@@ -255,9 +289,8 @@ void Fabric::reallocate() {
     // A link gains `inc` once per unfrozen flow crossing it: k additions of
     // one value, not one `inc * k`, which would round differently.
     for (LinkId link : live_links_) {
-      double load = link_load_[link];
-      for (std::size_t k = link_active_[link]; k > 0; --k) load += inc;
-      link_load_[link] = load;
+      link_load_[link] =
+          add_repeatedly(link_load_[link], inc, link_active_[link]);
     }
     // Freeze whatever became binding.  Freezing moves no load, so the links
     // saturated now stay so for the whole round; the cap test is monotone in
@@ -287,11 +320,11 @@ void Fabric::reallocate() {
         peak_utilization_, std::min(1.0, link_load_[link] / link_cap_[link]));
   }
 
-  // Arm the one event at the earliest projected finish; ties go to the
+  // The one event fires at the earliest projected finish; ties go to the
   // lowest id.  A flow stranded on a down link holds rate 0 and will never
   // deliver another byte; it is due at `now` and fails instead.
   due_ = 0;
-  Seconds due_at = 0.0;
+  due_at_ = 0.0;
   for (const auto& [id, flow] : flows_) {
     const Megabytes remaining = std::max(0.0, flow.total - flow.sent);
     const bool stranded = remaining > 0.0 && flow.rate_mbps <= kRateTol;
@@ -300,22 +333,12 @@ void Fabric::reallocate() {
                            : remaining / flow.rate_mbps;
     EANT_CHECK(dt >= 0.0, "delay must be non-negative");
     const Seconds at = sim_.now() + dt;
-    if (due_ == 0 || at < due_at) {
+    if (due_ == 0 || at < due_at_) {
       due_ = id;
-      due_at = at;
+      due_at_ = at;
       due_fails_ = stranded;
     }
   }
-  // Capturing only `this` keeps the callback inside std::function's inline
-  // buffer, so arming and popping the event allocate nothing.
-  event_ = sim_.schedule_at(due_at, [this] {
-    event_ = 0;  // fired; the reallocation it triggers arms the next one
-    if (due_fails_) {
-      fail_flow(due_);
-    } else {
-      finish_flow(due_);
-    }
-  });
 }
 
 bool Fabric::cap_before(const Flow* a, const Flow* b) {

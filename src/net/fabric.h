@@ -7,10 +7,13 @@
 // and a progressive-filling max-min fair share of every link it crosses.
 //
 // The model is purely event-driven: rates only change when a flow starts,
-// finishes or aborts.  At each such instant the fabric advances all flows'
-// transferred bytes at their previous rates, re-runs the water-filling
-// allocation, and re-arms its one pending Simulator event at the earliest
-// projected finish.  There is no per-tick polling.
+// finishes or aborts, or a link's capacity changes.  At each such instant
+// the fabric advances all flows' transferred bytes at their previous rates
+// and re-arms its one pending Simulator event as a lazily timed one.  The
+// water-filling allocation and the earliest projected finish are computed
+// when that event asks for its time, after the simulator event that made
+// the changes returns, so a burst of changes at one instant costs one
+// filling.  There is no per-tick polling.
 //
 // Water-filling raises one shared fill level instead of one rate per flow.
 // Two indexes kept up to date as flows start and end feed it: the live flows
@@ -85,6 +88,9 @@ struct FabricMetrics {
   /// Highest sum(rate)/capacity observed on any finite link at any
   /// reallocation instant, in [0, 1].
   double peak_link_utilization = 0.0;
+  /// Water-fillings run: one per reallocation while the peak above can
+  /// still rise, else one per simulator event that changed the flows.
+  std::size_t fillings = 0;
 
   Megabytes total_mb() const {
     return shuffle_mb + remote_read_mb + replication_mb;
@@ -163,8 +169,8 @@ class Fabric {
   TransferClass flow_class(FlowId id) const;
   double flow_cap_mbps(FlowId id) const;
   /// Current allocated rate (MB/s); advances are lazy, so this is the rate
-  /// since the last reallocation.
-  double flow_rate_mbps(FlowId id) const;
+  /// since the last reallocation.  Settles the allocation first.
+  double flow_rate_mbps(FlowId id);
   /// Bytes still to deliver as of `sim.now()`.
   Megabytes flow_remaining_mb(FlowId id) const;
   /// Ids of active flows with src or dst on `node`, ascending (deterministic).
@@ -198,12 +204,20 @@ class Fabric {
 
   /// Credits every flow with rate * elapsed bytes since the last call.
   void advance_all();
-  /// Water-filling over the current flow set, then re-arms the one pending
-  /// event: it fires at the earliest projected finish (ties to the lowest
-  /// id) and finishes that flow, or fails it if a down link stranded it.
-  /// Re-armed on every call, even when the due flow is unchanged, so it
-  /// keeps the place among same-instant events that a per-flow event
-  /// rescheduled here would hold.  With no flows left, no event is pending.
+  /// Re-arms the one pending event after a change to the flows or links: it
+  /// fires at the earliest projected finish (ties to the lowest id) and
+  /// finishes that flow, or fails it if a down link stranded it.  Re-armed
+  /// on every call, even when the due flow is unchanged, so it keeps the
+  /// place among same-instant events that a per-flow event rescheduled here
+  /// would hold.  The event is lazily timed: its time callback settles the
+  /// allocation, so further changes in the same simulator event replace an
+  /// allocation nobody read without computing it.  While the utilisation
+  /// peak can still rise, it settles at once instead, since the peak is a
+  /// maximum over every allocation.  With no flows left, no event is
+  /// pending.
+  void reallocate();
+  /// Water-filling over the current flow set, the utilisation peak and the
+  /// due flow; a no-op when they already describe the current state.
   ///
   /// Filling keeps every unfrozen flow at one shared level; a round raises
   /// it by the largest step the smallest unfrozen cap (the front of
@@ -211,7 +225,7 @@ class Fabric {
   /// prefix of the cap order and the unfrozen flows `link_flows_` lists
   /// under each link that saturated.  It computes every rate bit for bit as
   /// the per-flow loop kept in tests/fabric_oracle_test.cpp does.
-  void reallocate();
+  void settle();
   /// The cap order: ascending cap, ties by id, so every flow has one exact
   /// place even among the many flows that share a JobTracker cap constant.
   static bool cap_before(const Flow* a, const Flow* b);
@@ -234,7 +248,12 @@ class Fabric {
   // a down link stranded it (due_fails_), else with finish_flow.
   sim::EventId event_ = 0;
   FlowId due_ = 0;
+  Seconds due_at_ = 0.0;
   bool due_fails_ = false;
+  // The rates, peak and due flow describe the current flows and links.
+  bool settled_ = true;
+  // Some link has a finite capacity, so the utilisation peak can be above 0.
+  bool has_finite_link_ = false;
   Seconds last_advance_ = 0.0;
   FabricObserver* observer_ = nullptr;
 
@@ -248,6 +267,7 @@ class Fabric {
   std::size_t failed_ = 0;
   double slowdown_sum_ = 0.0;
   double peak_utilization_ = 0.0;
+  std::size_t fillings_ = 0;
 
   // scratch buffers reused across reallocations
   std::vector<double> link_cap_;   // effective capacity, +inf if it can't bind

@@ -48,6 +48,33 @@ EventId Simulator::schedule_periodic(Seconds interval,
   return id;
 }
 
+EventId Simulator::schedule_lazy(std::function<Seconds()> when,
+                                 std::function<void()> fn) {
+  EANT_CHECK(static_cast<bool>(when), "event time callback must be set");
+  EANT_CHECK(static_cast<bool>(fn), "event callback must be set");
+  // The id, seq and slot push_new would take, without a node yet.
+  const EventId id = state_.size();
+  state_.push_back(State::kPending);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    EANT_ASSERT(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                "too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.id = id;
+  s.repeat_interval = 0.0;
+  s.fn = std::move(fn);
+  if (lazy_ == nullptr) lazy_ = std::make_unique<std::vector<Lazy>>();
+  lazy_->push_back(Lazy{next_seq_++, slot, std::move(when)});
+  if (observer_) observer_->on_event_scheduled(now_, id);
+  return id;
+}
+
 EventId Simulator::push_new(Seconds t, Seconds repeat_interval,
                             std::function<void()> fn,
                             std::function<bool()> repeat_fn) {
@@ -86,6 +113,37 @@ void Simulator::push_node(Seconds t, std::uint32_t slot) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+void Simulator::resolve_lazy() {
+  std::vector<Lazy>& lazy = *lazy_;
+  for (Lazy& event : lazy) {
+    Slot& slot = slots_[event.slot];
+    State& state = state_[slot.id];
+    if (state == State::kCancelled) {
+      state = State::kDone;
+      --cancelled_queued_;
+      slot.fn = nullptr;
+      free_slots_.push_back(event.slot);
+      continue;
+    }
+    const std::size_t issued = state_.size();
+    const std::size_t cancelled = cancelled_queued_;
+    const Seconds t = event.when();
+    EANT_CHECK(state_.size() == issued && cancelled_queued_ == cancelled,
+               "a lazy event's time callback must not schedule or cancel");
+    EANT_CHECK(t >= now_, "cannot schedule in the past");
+    // The node's seq can be older than nodes pushed since, so unlike
+    // push_node the run's append test compares (time, seq).
+    const Node node{t, event.seq, event.slot};
+    if (run_.empty() || !Later{}(run_.back(), node)) {
+      run_.push_back(node);
+    } else {
+      heap_.push_back(node);
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+  }
+  lazy.clear();
+}
+
 std::optional<Simulator::Node> Simulator::pop_earliest(Seconds limit) {
   const bool run_first =
       run_head_ < run_.size() &&
@@ -105,6 +163,8 @@ std::optional<Simulator::Node> Simulator::pop_earliest(Seconds limit) {
 }
 
 std::optional<Simulator::Node> Simulator::pop_live(Seconds limit) {
+  // Lazy events scheduled outside any event get their time before the pop.
+  if (lazy_ != nullptr && !lazy_->empty()) resolve_lazy();
   while (const std::optional<Node> popped = pop_earliest(limit)) {
     const Node node = *popped;
     State& state = state_[slots_[node.slot].id];
@@ -158,6 +218,9 @@ void Simulator::execute(const Node& node) {
     fn();
   }
   executing_id_ = 0;
+  // Time the lazy events the callback left scheduled while the clock is
+  // still the callback's, so their cost stays with the event.
+  if (lazy_ != nullptr && !lazy_->empty()) resolve_lazy();
 }
 
 void Simulator::run_until(Seconds t) {

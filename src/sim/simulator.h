@@ -4,12 +4,16 @@
 // TaskTracker heartbeats (3 s), power-meter samples, control-interval ticks
 // (5 min) and job arrivals are all events.  Events at equal timestamps run in
 // schedule order (FIFO), which keeps every experiment deterministic for a
-// fixed seed.
+// fixed seed.  A lazily timed event (schedule_lazy) takes its place in that
+// order when it is scheduled and learns its time once the scheduling code
+// is done, so work that a burst of changes would redo per change (the
+// fabric's rate allocation) runs once per event.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -29,7 +33,9 @@ class SimObserver {
  public:
   virtual ~SimObserver() = default;
 
-  /// An event was enqueued for absolute time t.
+  /// An event was enqueued for absolute time t.  A lazily timed event
+  /// (Simulator::schedule_lazy) reports the clock at scheduling instead:
+  /// its time is not known yet.
   virtual void on_event_scheduled(Seconds t, EventId id) = 0;
 
   /// An event is about to run; `t` is the (already advanced) clock.
@@ -62,6 +68,18 @@ class Simulator {
   EventId schedule_periodic(Seconds interval, std::function<bool()> fn,
                             Seconds first_delay = -1.0);
 
+  /// Schedules fn to run at a time that `when` gives later.  The event takes
+  /// its id and its FIFO place among equal times now, exactly as
+  /// schedule_at would; `when` runs once, after the scheduling event's
+  /// callback returns (or before the next pop, when scheduled outside any
+  /// event), and must return a time >= now without scheduling or cancelling
+  /// events.  No pop comes between, so the event runs where
+  /// schedule_at(when()) at this call would have put it.  A lazy event
+  /// cancelled before its time is asked for is dropped and `when` never
+  /// runs.
+  EventId schedule_lazy(std::function<Seconds()> when,
+                        std::function<void()> fn);
+
   /// Cancels a pending event; a no-op if it already fired or was cancelled.
   /// Cancelling the event currently executing (a periodic callback cancelling
   /// itself) stops its repetition.
@@ -83,9 +101,12 @@ class Simulator {
   /// Runs until the queue drains.
   void run();
 
-  /// Number of live (not-yet-cancelled) pending events.
+  /// Number of live (not-yet-cancelled) pending events, lazy ones not yet
+  /// timed included.
   std::size_t pending() const {
-    return heap_.size() + (run_.size() - run_head_) - cancelled_queued_;
+    const std::size_t untimed = lazy_ != nullptr ? lazy_->size() : 0;
+    return heap_.size() + (run_.size() - run_head_) + untimed -
+           cancelled_queued_;
   }
 
   /// Total number of events executed so far (for perf reporting and tests).
@@ -114,6 +135,14 @@ class Simulator {
     std::function<bool()> repeat_fn;  // set for periodic events
   };
 
+  /// A lazy event waiting for its time: the seq it took when scheduled,
+  /// its slot (holding fn) and the callback that gives the time.
+  struct Lazy {
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::function<Seconds()> when;
+  };
+
   enum class State : std::uint8_t { kPending, kCancelled, kDone };
 
   /// Stores a new event's callbacks in a free slot and queues it at t.
@@ -121,6 +150,10 @@ class Simulator {
                    std::function<void()> fn, std::function<bool()> repeat_fn);
 
   void push_node(Seconds t, std::uint32_t slot);
+
+  /// Asks every lazy event for its time, in seq order, and queues it (drops
+  /// it when cancelled).
+  void resolve_lazy();
 
   /// Pops nodes up to time `limit`, dropping cancelled ones, and returns the
   /// first live one (nothing when none is due by `limit`).
@@ -145,12 +178,16 @@ class Simulator {
   // Indexed by id: live ids are kPending, or kCancelled until their node
   // pops.  Id 0 never names an event and stays kDone.
   std::vector<State> state_{State::kDone};
-  std::size_t cancelled_queued_ = 0;  // kCancelled ids that still have a node
+  // kCancelled ids that still have a node or an untimed lazy record
+  std::size_t cancelled_queued_ = 0;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   EventId executing_id_ = 0;  // id of the event being executed (0 = none)
   std::uint64_t executed_ = 0;
   SimObserver* observer_ = nullptr;
+  // Lazy events not yet timed, in seq order; made on first use, so a
+  // simulator that never schedules one grows by a pointer only.
+  std::unique_ptr<std::vector<Lazy>> lazy_;
 };
 
 }  // namespace eant::sim

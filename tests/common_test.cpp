@@ -1,12 +1,18 @@
 // Unit tests for the common toolkit: RNG determinism and distributions,
-// statistics (NRMSE, least squares, percentiles), table rendering, errors.
+// statistics (NRMSE, least squares, percentiles), table rendering, errors,
+// and the closed form of repeated floating-point addition.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <set>
 
 #include "common/error.h"
+#include "common/fp.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -260,6 +266,128 @@ TEST(TextTable, RejectsMismatchedRow) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
+}
+
+/// The loop add_repeatedly replaces.
+double add_one_by_one(double x, double inc, std::size_t k) {
+  for (; k > 0; --k) x += inc;
+  return x;
+}
+
+// 10^7 random (x, inc, k) against the plain loop, bit for bit.  x is zero,
+// a few ulps below a power of two, an ordinary value or one at an extreme
+// exponent (subnormal or near overflow); inc is zero, an exact tie (an odd
+// multiple of half x's ulp), below half an ulp, comparable to x, or smaller
+// by a random power of two; k is mostly below 48 (below 4 included).  One
+// case in 2000 adds 0.4-0.49 x to x, at the bottom of its binade, 8192 to
+// 16383 times: the closed form starts at once with a step near 2^51 ulps,
+// so k * step overflows 64 bits.  A wrapped product lands back inside the
+// binade only by chance, so a few cases add x/4 to a power of two 2 +
+// m * 2^14 times, where it wraps to 0 exactly.
+TEST(Fp, AddRepeatedlyMatchesThePlainLoopBitForBit) {
+  constexpr int kCases = 10'000'000;
+  std::uint64_t state = 20261019;
+  const auto next = [&state] {  // splitmix64: cheaper than Rng at 10^7 draws
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  const auto below = [&next](std::uint64_t n) {
+    return static_cast<int>(next() % n);
+  };
+  const auto unit = [&next] {  // [0, 1)
+    return static_cast<double>(next() >> 11) * 0x1p-53;
+  };
+  // The spacing of doubles just above x.
+  const auto ulp = [](double x) {
+    return std::nextafter(x, std::numeric_limits<double>::infinity()) - x;
+  };
+
+  const auto same = [](double x, double inc, std::size_t k) {
+    const double want = add_one_by_one(x, inc, k);
+    const double got = add_repeatedly(x, inc, k);
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want))
+      return true;
+    ADD_FAILURE() << std::hexfloat << "x " << x << " inc " << inc << " k "
+                  << k << ": got " << got << ", the loop gives " << want;
+    return false;
+  };
+
+  std::uint64_t ties = 0, tiny = 0, short_runs = 0, long_runs = 0,
+                below_power = 0, extreme = 0, additions = 0;
+  for (int i = 0; i < kCases; ++i) {
+    double x = 0.0;
+    switch (below(8)) {
+      case 0:
+        break;  // zero
+      case 1: {
+        const int e = below(41) - 20;
+        x = std::ldexp(1.0, e) - std::ldexp(1 + below(64), e - 53);
+        ++below_power;
+        break;
+      }
+      case 2: {
+        x = below(2) == 0 ? std::ldexp(1.0 + unit(), below(120) - 1074 - 52)
+                          : std::ldexp(1.0 + unit(), 1023 - below(4));
+        ++extreme;
+        break;
+      }
+      default:
+        x = std::ldexp(1.0 + unit(), below(81) - 40);
+    }
+    const double u = ulp(x);
+    double inc = 0.0;
+    switch (below(6)) {
+      case 0:
+        break;  // zero
+      case 1:
+        inc = std::ldexp(static_cast<double>(2 * (next() >> (44 + below(20))) +
+                                             1),
+                         std::ilogb(u) - 1);
+        ++ties;
+        break;
+      case 2:
+        inc = 0.5 * u * unit();
+        ++tiny;
+        break;
+      case 3:
+        inc = x * (0.05 + 2.0 * unit());
+        break;
+      default:
+        inc = std::ldexp(x + u, -below(61)) * (1.0 + unit());
+    }
+    std::size_t k = static_cast<std::size_t>(below(48));
+    if (below(2000) == 0) {
+      x = std::ldexp(1.0 + 0x1p-20 * unit(), below(81) - 40);
+      inc = x * (0.4 + 0.09 * unit());
+      k = 8192 + static_cast<std::size_t>(below(8192));
+      ++long_runs;
+    }
+    if (k < 4) ++short_runs;
+    additions += k;
+    if (!same(x, inc, k)) return;
+  }
+  for (const int e : {-3, 0, 7}) {
+    for (std::size_t m = 1; m <= 3; ++m) {
+      const double x = std::ldexp(1.0, e);
+      if (!same(x, x / 4, 2 + (m << 14)) || !same(x, x / 4, 3 + (m << 14)))
+        return;
+      additions += 5 + (m << 15);
+    }
+  }
+  std::printf("compared %d cases and 18 wrapping ones (%llu additions): "
+              "%llu exact ties, %llu below half an ulp, %llu below a power "
+              "of two, %llu at extreme exponents, %llu with k < 4, %llu with "
+              "k >= 8192\n",
+              kCases, static_cast<unsigned long long>(additions),
+              static_cast<unsigned long long>(ties),
+              static_cast<unsigned long long>(tiny),
+              static_cast<unsigned long long>(below_power),
+              static_cast<unsigned long long>(extreme),
+              static_cast<unsigned long long>(short_runs),
+              static_cast<unsigned long long>(long_runs));
 }
 
 }  // namespace

@@ -7,11 +7,16 @@
 // finish at exactly that time.  Besides distinct caps and small flow sets,
 // scenarios draw caps from a few repeated values (as the JobTracker's
 // constant caps repeat) and keep a few hundred flows live, on contended and
-// on all-unlimited topologies.
+// on all-unlimited topologies.  A last family makes its changes in bursts
+// inside one simulator event, where the fabric settles once per event: it
+// checks the rates and the next finish at event boundaries, the
+// utilisation peak against the reference's over every intermediate state,
+// and the number of water-fillings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -39,9 +44,11 @@ struct RefFlow {
 /// Progressive filling as Fabric::reallocate ran it before it kept a flat
 /// list of unfrozen flows: `eff` holds each link's effective capacity
 /// (+inf when it cannot bind, 0 when down), `flows` are in id order.
-/// Returns the rates in the same order.
+/// Returns the rates in the same order and, when `loads` is set, each
+/// link's summed increments.
 std::vector<double> reference_rates(const std::vector<double>& eff,
-                                    const std::vector<RefFlow>& flows) {
+                                    const std::vector<RefFlow>& flows,
+                                    std::vector<double>* loads = nullptr) {
   const auto binds = [&](net::LinkId link) { return std::isfinite(eff[link]); };
   std::vector<double> link_load(eff.size(), 0.0);
   std::vector<std::size_t> link_active(eff.size(), 0);
@@ -87,6 +94,7 @@ std::vector<double> reference_rates(const std::vector<double>& eff,
       }
     }
   }
+  if (loads != nullptr) *loads = std::move(link_load);
   return rate;
 }
 
@@ -106,7 +114,10 @@ class Scenario {
       : rng_(rng),
         topo_(spec, nodes),
         fabric_(sim_, topo_),
-        caps_(std::move(caps)) {}
+        caps_(std::move(caps)) {
+    for (net::LinkId link = 0; link < topo_.num_links(); ++link)
+      finite_ = finite_ || std::isfinite(topo_.capacity_mbps(link));
+  }
 
   void start() {
     const std::size_t n = topo_.num_nodes();
@@ -141,12 +152,18 @@ class Scenario {
     }
   }
 
-  void set_factor() {
+  /// Returns whether the factor moved (and the fabric reallocated).
+  bool set_factor(double min_factor = 0.0) {
     const net::LinkId link = below(rng_, topo_.num_links());
     const double u = rng_.uniform();
-    const double factor = u < 0.2 ? 0.0 : u < 0.4 ? 1.0 : rng_.uniform();
+    const double factor = u < 0.2   ? 0.0
+                          : u < 0.4 ? 1.0
+                                    : rng_.uniform(min_factor, 1.0);
+    const double before = fabric_.link_factor(link);
     fabric_.set_link_factor(link, factor);
     // Flows a dead link strands stay live until their fail event runs.
+    return std::bit_cast<std::uint64_t>(fabric_.link_factor(link)) !=
+           std::bit_cast<std::uint64_t>(before);
   }
 
   /// Every live flow's rate equals the reference allocation.
@@ -186,34 +203,87 @@ class Scenario {
       return false;
     }
     EXPECT_EQ(sim_.pending(), 1u);
-    net::FlowId due = 0;
-    Seconds due_at = 0.0;
-    bool due_fails = false;
-    for (const auto& [id, ends] : live_) {
-      const Megabytes remaining = fabric_.flow_remaining_mb(id);
-      const double rate = fabric_.flow_rate_mbps(id);
-      const bool stranded = remaining > 0.0 && rate <= kRateTol;
-      const Seconds at = sim_.now() + (stranded ? 0.0 : remaining / rate);
-      if (due != 0 && at == due_at) ++stats_.ties;
-      if (due == 0 || at < due_at) {
-        due = id;
-        due_at = at;
-        due_fails = stranded;
-      }
-    }
+    const Due due = next_due();
     EXPECT_TRUE(sim_.step());
-    ++(due_fails ? stats_.stranded : stats_.finished);
-    EXPECT_EQ(sim_.now(), due_at);
+    ++(due.fails ? stats_.stranded : stats_.finished);
+    EXPECT_EQ(sim_.now(), due.at);
     EXPECT_EQ(ended_.size(), 1u);
     if (!ended_.empty()) {
-      EXPECT_EQ(ended_.front().id, due);
-      EXPECT_EQ(ended_.front().failed, due_fails);
+      EXPECT_EQ(ended_.front().id, due.id);
+      EXPECT_EQ(ended_.front().failed, due.fails);
     }
     ended_.clear();
-    live_.erase(due);
-    EXPECT_FALSE(fabric_.active(due));
+    live_.erase(due.id);
+    EXPECT_FALSE(fabric_.active(due.id));
     return true;
   }
+
+  // --- changes in bursts inside one simulator event -------------------------
+  // The fabric's filling count and utilisation peak are followed from the
+  // outside: the peak over the reference allocation of every state the
+  // flows pass through, and one expected filling per reallocation while
+  // the fabric's peak can still rise (some link is finite and the peak is
+  // below 1), else one per event.
+
+  /// Runs `n` random changes (starts, aborts, fault kills, link factors no
+  /// lower than `min_factor` unless 0) inside one simulator event at the
+  /// current instant.  Returns false, running nothing, when a flow is due
+  /// now: its event would run first.
+  bool burst(int n, double min_factor) {
+    if (!live_.empty() && next_due().at <= sim_.now()) return false;
+    const std::size_t fillings = fabric_.metrics().fillings;
+    bool was_eager = false;
+    bool now_deferred = false;
+    sim_.schedule_at(sim_.now(), [&] {
+      for (int i = 0; i < n; ++i) {
+        const bool eager = settles_each_change();
+        (eager ? was_eager : now_deferred) = true;
+        const double u = rng_.uniform();
+        bool changed = true;
+        if (u < 0.5 || live_.empty()) {
+          start();
+        } else if (u < 0.65) {
+          abort();
+        } else if (u < 0.75) {
+          fail();
+        } else {
+          changed = set_factor(min_factor);
+        }
+        if (changed) reallocated(eager);
+      }
+    });
+    EXPECT_TRUE(sim_.step());
+    event_ended();
+    ++(was_eager && now_deferred ? stats_.bursts_switched
+       : was_eager               ? stats_.bursts_eager
+                                 : stats_.bursts_deferred);
+    stats_.burst_changes += static_cast<std::size_t>(n);
+    stats_.burst_fillings += fabric_.metrics().fillings - fillings;
+    return true;
+  }
+
+  /// step_and_check with the reallocation its event makes accounted.
+  bool step_tracked() {
+    const bool eager = settles_each_change();
+    if (!step_and_check()) return false;
+    reallocated(eager);
+    event_ended();
+    return true;
+  }
+
+  /// Between events: fillings and peak as followed, then the rates (the
+  /// fabric settled when the event ended, so reading them fills nothing).
+  void check_boundary() {
+    const net::FabricMetrics m = fabric_.metrics();
+    EXPECT_EQ(m.fillings, want_fillings_);
+    EXPECT_EQ(m.peak_link_utilization, want_peak_);
+    check_rates();
+    EXPECT_EQ(fabric_.metrics().fillings, m.fillings)
+        << "rates read at an event boundary were not settled";
+  }
+
+  double peak() const { return fabric_.metrics().peak_link_utilization; }
+  bool has_finite_link() const { return finite_; }
 
   struct Stats {
     std::size_t compared = 0;    // rates checked against the reference
@@ -223,6 +293,11 @@ class Scenario {
     std::size_t stranded = 0;    // steps that failed a stranded flow
     std::size_t ties = 0;        // flows due at the same instant as another
     std::size_t peak_live = 0;
+    std::size_t bursts_eager = 0;     // settled at every change
+    std::size_t bursts_deferred = 0;  // settled once, at the end
+    std::size_t bursts_switched = 0;  // the peak reached 1 mid-burst
+    std::size_t burst_changes = 0;
+    std::size_t burst_fillings = 0;
 
     void add(const Stats& o) {
       compared += o.compared;
@@ -232,6 +307,11 @@ class Scenario {
       stranded += o.stranded;
       ties += o.ties;
       peak_live = std::max(peak_live, o.peak_live);
+      bursts_eager += o.bursts_eager;
+      bursts_deferred += o.bursts_deferred;
+      bursts_switched += o.bursts_switched;
+      burst_changes += o.burst_changes;
+      burst_fillings += o.burst_fillings;
     }
     void print() const {
       std::printf("compared %zu rates (%zu link-bound, %zu sharing a cap), "
@@ -251,6 +331,61 @@ class Scenario {
     bool failed;
   };
 
+  struct Due {
+    net::FlowId id = 0;
+    Seconds at = 0.0;
+    bool fails = false;
+  };
+
+  /// The live flow with the earliest projected finish, by the fabric's
+  /// rates (which check_rates compares with the reference).
+  Due next_due() {
+    Due due;
+    for (const auto& [id, ends] : live_) {
+      const Megabytes remaining = fabric_.flow_remaining_mb(id);
+      const double rate = fabric_.flow_rate_mbps(id);
+      const bool stranded = remaining > 0.0 && rate <= kRateTol;
+      const Seconds at = sim_.now() + (stranded ? 0.0 : remaining / rate);
+      if (due.id != 0 && at == due.at) ++stats_.ties;
+      if (due.id == 0 || at < due.at) due = Due{id, at, stranded};
+    }
+    return due;
+  }
+
+  bool settles_each_change() const { return finite_ && peak() < 1.0; }
+
+  /// One reallocation over the flows now live; `eager` was read before it.
+  void reallocated(bool eager) {
+    if (live_.empty()) {
+      deferred_ = false;  // no flows, no pending event, nothing to settle
+      return;
+    }
+    std::vector<double> eff(topo_.num_links());
+    for (net::LinkId link = 0; link < eff.size(); ++link)
+      eff[link] = fabric_.effective_capacity_mbps(link);
+    std::vector<RefFlow> flows;
+    for (const auto& [id, ends] : live_) {
+      RefFlow f;
+      topo_.append_path(ends.first, ends.second, f.path);
+      f.cap_mbps = fabric_.flow_cap_mbps(id);
+      flows.push_back(std::move(f));
+    }
+    std::vector<double> loads;
+    reference_rates(eff, flows, &loads);
+    for (net::LinkId link = 0; link < eff.size(); ++link) {
+      if (!std::isfinite(eff[link]) || eff[link] <= 0.0 || loads[link] <= 0.0)
+        continue;
+      want_peak_ = std::max(want_peak_, std::min(1.0, loads[link] / eff[link]));
+    }
+    if (eager) ++want_fillings_;
+    deferred_ = !eager;
+  }
+
+  void event_ended() {
+    if (deferred_) ++want_fillings_;
+    deferred_ = false;
+  }
+
   net::FlowId pick() {
     if (live_.empty()) return 0;
     auto it = live_.begin();
@@ -266,6 +401,10 @@ class Scenario {
   std::map<net::FlowId, std::pair<net::NodeId, net::NodeId>> live_;
   std::vector<Ended> ended_;
   Stats stats_;
+  bool finite_ = false;      // some link has a finite capacity
+  double want_peak_ = 0.0;   // max over every state's reference allocation
+  std::size_t want_fillings_ = 0;
+  bool deferred_ = false;    // the last reallocation waits for the event end
 };
 
 net::TopologySpec random_spec(Rng& rng) {
@@ -375,6 +514,77 @@ TEST(FabricOracle, EqualCapsAndDenseFlowSetsMatchTheReference) {
   EXPECT_GT(dense.ties, 0u);
   sparse.print();
   dense.print();
+}
+
+// Changes in bursts of 2-40 inside one simulator event, where the fabric
+// settles once at the end of the event unless its utilisation peak can
+// still rise.  Four topology kinds: oversubscribed with the JobTracker's
+// caps (the peak pins at 1 early, often mid-burst), light links and small
+// caps with factors kept at 0.5 or more (the peak stays below 1, so every
+// change settles), flat (no finite link: every burst defers), and a random
+// one with a third of its links degraded or down from the start.
+TEST(FabricOracle, BurstsInsideOneEventSettleOnceAndMatchTheReference) {
+  constexpr int kScenarios = 48;
+  constexpr int kRounds = 60;
+  constexpr std::size_t kMaxLive = 60;
+  const std::vector<double> kJobTrackerCaps = {10.0, 20.0, 40.0};
+  Rng rng(20261019);
+  Scenario::Stats total;
+  std::size_t pinned = 0;      // scenarios whose peak reached 1
+  std::size_t below_one = 0;   // ... that stayed below it, with finite links
+  for (int s = 0; s < kScenarios; ++s) {
+    const int kind = s % 4;
+    net::TopologySpec spec = kind == 0   ? net::TopologySpec::oversubscribed()
+                             : kind == 2 ? net::TopologySpec::flat()
+                                         : random_spec(rng);
+    std::vector<double> caps;
+    double min_factor = 0.0;
+    if (kind == 0) caps = kJobTrackerCaps;
+    if (kind == 1) {
+      spec.node_mbps = rng.uniform(2000.0, 4000.0);
+      spec.rack_uplink_mbps = rng.uniform(8000.0, 16000.0);
+      caps = {rng.uniform(1.0, 30.0), rng.uniform(1.0, 30.0)};
+      min_factor = 0.5;
+    }
+    Scenario sc(rng, spec, 2 + below(rng, 39), std::move(caps));
+    if (kind == 3) {
+      const std::size_t degraded = 1 + below(rng, 8);
+      for (std::size_t i = 0; i < degraded; ++i) sc.set_factor();
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      const bool bursted = sc.live() <= kMaxLive && rng.uniform() < 0.7 &&
+                           sc.burst(2 + static_cast<int>(below(rng, 39)),
+                                    min_factor);
+      if (!bursted) sc.step_tracked();
+      sc.check_boundary();
+      if (HasFailure()) return;
+    }
+    while (sc.step_tracked()) {
+      sc.check_boundary();
+      if (HasFailure()) return;
+    }
+    if (sc.peak() >= 1.0) ++pinned;
+    if (sc.has_finite_link() && sc.peak() < 1.0) ++below_one;
+    total.add(sc.stats());
+  }
+  std::printf("%zu bursts (%zu settled at every change, %zu once at the "
+              "end, %zu switching when the peak reached 1) made %zu changes "
+              "with %zu fillings; %zu scenarios pinned the peak at 1, %zu "
+              "kept it below 1\n",
+              total.bursts_eager + total.bursts_deferred +
+                  total.bursts_switched,
+              total.bursts_eager, total.bursts_deferred,
+              total.bursts_switched, total.burst_changes,
+              total.burst_fillings, pinned, below_one);
+  total.print();
+  EXPECT_GT(total.bursts_eager, 0u);
+  EXPECT_GT(total.bursts_deferred, 0u);
+  EXPECT_GT(total.bursts_switched, 0u);
+  EXPECT_GT(pinned, 0u);
+  EXPECT_GT(below_one, 0u);
+  EXPECT_GT(total.stranded, 0u);
+  EXPECT_GT(total.link_bound, 0u);
+  EXPECT_LT(total.burst_fillings, total.burst_changes / 2);
 }
 
 }  // namespace

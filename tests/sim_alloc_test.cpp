@@ -1,7 +1,7 @@
 // Allocation gate for the simulator's event queue.  Once its containers
 // have grown to the working set, scheduling, stepping and cancelling events
 // whose callbacks fit std::function's inline buffer (captures of at most 16
-// bytes) must not touch the heap.  This binary replaces the global operator
+// bytes) must not touch the heap, lazily timed ones included.  This binary replaces the global operator
 // new/delete with counting versions, so it counts every allocation the
 // process makes; the test reads the count around its steady-state loop only.
 
@@ -165,6 +165,69 @@ TEST(SimulatorAllocations, SteadyStateInTheRunDoesNotAllocate) {
               static_cast<unsigned long long>(events), kSteps, sim.pending());
   ASSERT_EQ(events, static_cast<std::uint64_t>(kSteps));
   ASSERT_GE(sim.pending(), static_cast<std::size_t>(kQueued));
+  EXPECT_LE(static_cast<double>(allocs),
+            0.001 * static_cast<double>(events));
+}
+
+/// A stand-in for the fabric's one pending event: every event it runs
+/// cancels its lazily timed event and schedules it again, three times, as
+/// a burst of flow changes would.  Both callbacks capture only `this`.
+class Rearmer {
+ public:
+  explicit Rearmer(Simulator& sim) : sim_(sim) {}
+
+  void rearm() {
+    sim_.cancel(event_);
+    event_ = sim_.schedule_lazy(
+        [this] {
+          lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
+          return sim_.now() + 0.0625 * static_cast<double>((lcg_ >> 33) % 16);
+        },
+        [this] {
+          event_ = 0;
+          ++fires_;
+          for (int i = 0; i < 3; ++i) rearm();
+        });
+  }
+  std::uint64_t fires() const { return fires_; }
+
+ private:
+  Simulator& sim_;
+  EventId event_ = 0;
+  std::uint64_t lcg_ = 12345;
+  std::uint64_t fires_ = 0;
+};
+
+TEST(SimulatorAllocations, SteadyStateLazyRearmsDoNotAllocate) {
+  constexpr int kWarmSteps = 20000;
+  constexpr int kSteps = 100000;
+  Simulator sim;
+  Rearmer rearmer(sim);
+  rearmer.rearm();
+  // Periodic events that re-arm it too, so lazy records also resolve
+  // behind other events' callbacks and tie with them.
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_periodic(4.0 + 0.5 * i, [&rearmer] {
+      rearmer.rearm();
+      return true;
+    });
+  }
+  for (int i = 0; i < kWarmSteps; ++i) sim.step();
+
+  const std::uint64_t allocs_before = g_allocs;
+  const std::uint64_t executed_before = sim.executed();
+  const std::uint64_t fires_before = rearmer.fires();
+  for (int i = 0; i < kSteps; ++i) sim.step();
+  const std::uint64_t allocs = g_allocs - allocs_before;
+  const std::uint64_t events = sim.executed() - executed_before;
+
+  std::printf("%llu allocations over %llu executed events (%llu lazy "
+              "fires)\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(events),
+              static_cast<unsigned long long>(rearmer.fires() - fires_before));
+  ASSERT_EQ(events, static_cast<std::uint64_t>(kSteps));
+  ASSERT_GT(rearmer.fires() - fires_before, events / 2);
   EXPECT_LE(static_cast<double>(allocs),
             0.001 * static_cast<double>(events));
 }

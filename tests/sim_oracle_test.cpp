@@ -10,7 +10,10 @@
 // a self-cancelling callback the reference undercounts (see sim_test).  A
 // second family of streams is shaped for the sorted run the queue keeps
 // beside its heap: long time-ordered prefixes, stray earlier schedules that
-// tie with them, cancels, drains and run_until stops inside the run.
+// tie with them, cancels, drains and run_until stops inside the run.  A
+// third mixes in lazily timed events (schedule_lazy, its time now + d);
+// the reference schedules each at now + d at the same point, and the lazy
+// event's scheduling note carries the clock at scheduling.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -220,6 +224,8 @@ struct Action {
   EventId target = 0;      ///< live, fired, unknown or zero
   int child = -1;          ///< plan index of a one-shot to schedule per fire
   Seconds delay = 0.0;     ///< a child's delay from its parent's fire
+  int lazy_children = 0;   ///< schedule the child this often, lazily timed
+  bool drop_lazy = false;  ///< cancel the first lazy child in the same fire
 };
 
 /// One notification or fired callback, in the order it happened.
@@ -264,11 +270,54 @@ class Driver final : public SimObserver {
     return ids_[token];
   }
 
+  /// A one-shot dt after now: lazily timed on the Simulator (its time
+  /// callback reads the clock then), schedule_at(now + dt) on the
+  /// reference.  Either way the scheduling note carries the clock now.
+  EventId lazy(Seconds dt, int action) {
+    const std::size_t token = open_token();
+    lazy_.resize(ids_.size());
+    lazy_[token] = Lazy{true, dt, sim.now(), 0};
+    const auto fn = [this, token, action] { fire(token, action); };
+    if constexpr (std::is_same_v<Sim, Simulator>) {
+      ids_[token] = sim.schedule_lazy(
+          [this, token] {
+            Lazy& l = lazy_[token];
+            ++l.whens;
+            EXPECT_EQ(sim.now(), l.scheduled_at) << "timed after a pop";
+            return sim.now() + l.dt;
+          },
+          fn);
+    } else {
+      lazy_next_ = true;
+      ids_[token] = sim.schedule_at(sim.now() + dt, fn);
+    }
+    return ids_[token];
+  }
+
+  /// Lazy events whose time was never asked for (cancelled before) and
+  /// ones timed but cancelled before they fired; every lazy event that
+  /// fired was timed exactly once.
+  void tally_lazy(std::uint64_t& untimed, std::uint64_t& timed_cancelled,
+                  std::uint64_t& fired) const {
+    for (std::size_t token = 0; token < lazy_.size(); ++token) {
+      const Lazy& l = lazy_[token];
+      if (!l.is_lazy) continue;
+      EXPECT_LE(l.whens, 1);
+      if (fires_[token] > 0) {
+        EXPECT_EQ(l.whens, 1);
+        ++fired;
+      } else {
+        ++(l.whens == 0 ? untimed : timed_cancelled);
+      }
+    }
+  }
+
   /// Ids issued so far (they run 1..issued()).
   EventId issued() const { return ids_.size(); }
 
   void on_event_scheduled(Seconds t, EventId id) override {
-    notes.push_back(Note{'s', t, id});
+    notes.push_back(Note{'s', lazy_next_ ? sim.now() : t, id});
+    lazy_next_ = false;
   }
   void on_event_executed(Seconds t, EventId id) override {
     notes.push_back(Note{'x', t, id});
@@ -277,6 +326,8 @@ class Driver final : public SimObserver {
   Sim sim;
   std::vector<Note> notes;
   std::uint64_t self_cancels = 0;
+  std::uint64_t multi_lazy_fires = 0;   ///< fires scheduling 2+ lazy events
+  std::uint64_t nested_lazy_fires = 0;  ///< lazy events scheduling lazy ones
 
  private:
   std::size_t open_token() {
@@ -295,14 +346,31 @@ class Driver final : public SimObserver {
     }
     if (a.cancels) sim.cancel(a.target);
     if (a.child >= 0) {
-      at(sim.now() + plan_[static_cast<std::size_t>(a.child)].delay, a.child);
+      const Seconds delay = plan_[static_cast<std::size_t>(a.child)].delay;
+      if (a.lazy_children == 0) at(sim.now() + delay, a.child);
+      if (a.lazy_children > 1) ++multi_lazy_fires;
+      if (a.lazy_children > 0 && token < lazy_.size() && lazy_[token].is_lazy)
+        ++nested_lazy_fires;
+      for (int i = 0; i < a.lazy_children; ++i) {
+        const EventId id = lazy(delay, a.child);
+        if (i == 0 && a.drop_lazy) sim.cancel(id);
+      }
     }
     return n < a.keep;
   }
 
+  struct Lazy {
+    bool is_lazy = false;
+    Seconds dt = 0.0;
+    Seconds scheduled_at = 0.0;
+    int whens = 0;  // calls of its time callback
+  };
+
   const std::vector<Action>& plan_;
   std::vector<EventId> ids_;  // token (schedule call) -> id
   std::vector<int> fires_;    // token -> fires so far
+  std::vector<Lazy> lazy_;    // token -> its lazy record, if any
+  bool lazy_next_ = false;    // the next scheduling note is a lazy event's
 };
 
 /// Coverage of one or more scenarios.
@@ -590,6 +658,118 @@ void run_ordered_scenario(std::uint64_t seed, int phases, Stats& stats,
   tally(ref, stats);
 }
 
+/// draw_action for the lazy family: half the actions with a child schedule
+/// it one to three times lazily timed (the first of them sometimes
+/// cancelled in the same fire, before it has a time), and children may
+/// have children once more, so lazy events schedule lazy events.
+int draw_lazy_action(Rng& rng, std::vector<Action>& plan, bool periodic,
+                     EventId issued, int depth) {
+  Action a;
+  a.keep = periodic ? static_cast<int>(rng.uniform_int(1, 4)) : 1;
+  if (rng.uniform() < 0.1)
+    a.cancel_self_at = static_cast<int>(rng.uniform_int(1, a.keep));
+  if (rng.uniform() < 0.3) {
+    a.cancels = true;
+    a.target = draw_target(rng, issued);
+  }
+  if (depth < 2 && rng.uniform() < 0.45) {
+    a.child = draw_lazy_action(rng, plan, /*periodic=*/false, issued,
+                               depth + 1);
+    plan[static_cast<std::size_t>(a.child)].delay =
+        kGrid * static_cast<double>(rng.uniform_int(0, 4));
+    if (rng.uniform() < 0.5) {
+      a.lazy_children = static_cast<int>(rng.uniform_int(1, 3));
+      a.drop_lazy = rng.uniform() < 0.3;
+    }
+  }
+  plan.push_back(a);
+  return static_cast<int>(plan.size() - 1);
+}
+
+/// What the lazy streams did.
+struct LazyStats {
+  std::uint64_t top_level = 0;   ///< lazy events scheduled outside events
+  std::uint64_t fired = 0;       ///< lazy events that ran (timed once)
+  std::uint64_t untimed = 0;     ///< cancelled before their time was asked
+  std::uint64_t timed_cancelled = 0;  ///< cancelled after it
+  std::uint64_t multi = 0;       ///< fires that scheduled 2+ lazy events
+  std::uint64_t nested = 0;      ///< lazy events that scheduled lazy ones
+  std::uint64_t short_stops = 0;  ///< run_until stops right after top-level
+                                  ///< lazy events, with events pending
+};
+
+/// Random streams mixing lazily timed events (d on the grid, 0 included)
+/// into today's operations: at top level (some cancelled at once, some
+/// followed by a run_until stop) and from callbacks, several per fire and
+/// nested.
+void run_lazy_scenario(std::uint64_t seed, int ops, Stats& stats,
+                       LazyStats& lazy) {
+  Rng rng(seed);
+  std::vector<Action> plan;
+  Driver<Simulator> fast(plan);
+  Driver<ReferenceSimulator> ref(plan);
+  const auto grid_after = [&](int max_steps) {
+    return kGrid * static_cast<double>(rng.uniform_int(0, max_steps));
+  };
+
+  for (int op = 0; op < ops; ++op) {
+    const std::int64_t kind = rng.uniform_int(0, 99);
+    if (kind < 20) {
+      const Seconds t = ref.sim.now() + grid_after(8);
+      const int a = draw_lazy_action(rng, plan, false, ref.issued(), 0);
+      ASSERT_EQ(fast.at(t, a), ref.at(t, a)) << "seed " << seed;
+    } else if (kind < 36) {
+      const std::int64_t n = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const Seconds dt = grid_after(8);
+        const int a = draw_lazy_action(rng, plan, false, ref.issued(), 0);
+        const EventId id = fast.lazy(dt, a);
+        ASSERT_EQ(id, ref.lazy(dt, a)) << "seed " << seed;
+        ++lazy.top_level;
+        if (rng.uniform() < 0.2) {
+          fast.sim.cancel(id);
+          ref.sim.cancel(id);
+        }
+      }
+      if (rng.uniform() < 0.5) {
+        const Seconds t = ref.sim.now() + grid_after(2);
+        fast.sim.run_until(t);
+        ref.sim.run_until(t);
+        if (ref.sim.pending() > 0) ++lazy.short_stops;
+      }
+    } else if (kind < 43) {
+      const Seconds interval =
+          kGrid * static_cast<double>(rng.uniform_int(1, 4));
+      const Seconds first = rng.uniform() < 0.5 ? -1.0 : grid_after(4);
+      const int a = draw_lazy_action(rng, plan, true, ref.issued(), 0);
+      ASSERT_EQ(fast.periodic(interval, first, a),
+                ref.periodic(interval, first, a))
+          << "seed " << seed;
+    } else if (kind < 58) {
+      const EventId target = draw_target(rng, ref.issued());
+      fast.sim.cancel(target);
+      ref.sim.cancel(target);
+    } else if (kind < 84) {
+      ASSERT_EQ(fast.sim.step(), ref.sim.step()) << "seed " << seed;
+    } else {
+      const Seconds t = ref.sim.now() + grid_after(6);
+      fast.sim.run_until(t);
+      ref.sim.run_until(t);
+    }
+    expect_same(fast, ref, seed, op);
+    if (testing::Test::HasFatalFailure()) return;
+    ++stats.ops;
+  }
+  fast.sim.run();
+  ref.sim.run();
+  expect_same(fast, ref, seed, ops);
+  if (testing::Test::HasFatalFailure()) return;
+  tally(ref, stats);
+  fast.tally_lazy(lazy.untimed, lazy.timed_cancelled, lazy.fired);
+  lazy.multi += fast.multi_lazy_fires;
+  lazy.nested += fast.nested_lazy_fires;
+}
+
 TEST(SimulatorOracle, RandomOperationStreamsMatchTheReference) {
   Stats stats;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -648,6 +828,39 @@ TEST(SimulatorOracle, TimeOrderedStreamsThroughTheRunMatchTheReference) {
   EXPECT_GT(ordered.drains, 0u);
   EXPECT_GT(stats.run_pushes, ordered.in_order / 2);
   EXPECT_GT(stats.run_rearms, 0u);
+}
+
+TEST(SimulatorOracle, LazilyTimedEventsMatchTheReference) {
+  Stats stats;
+  LazyStats lazy;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    run_lazy_scenario(seed, 300, stats, lazy);
+    if (HasFatalFailure()) return;
+  }
+  std::printf(
+      "compared %llu ops, %llu executions (%llu ties, %llu periodic "
+      "re-arms); lazy events: %llu fired, %llu cancelled before and %llu "
+      "after they were timed, %llu scheduled at top level (%llu run_until "
+      "stops after them with events pending), %llu fires scheduling "
+      "several, %llu lazy events scheduling lazy events\n",
+      static_cast<unsigned long long>(stats.ops),
+      static_cast<unsigned long long>(stats.executed),
+      static_cast<unsigned long long>(stats.ties),
+      static_cast<unsigned long long>(stats.rearms),
+      static_cast<unsigned long long>(lazy.fired),
+      static_cast<unsigned long long>(lazy.untimed),
+      static_cast<unsigned long long>(lazy.timed_cancelled),
+      static_cast<unsigned long long>(lazy.top_level),
+      static_cast<unsigned long long>(lazy.short_stops),
+      static_cast<unsigned long long>(lazy.multi),
+      static_cast<unsigned long long>(lazy.nested));
+  EXPECT_GT(stats.ties, stats.executed / 10);
+  EXPECT_GT(lazy.fired, 0u);
+  EXPECT_GT(lazy.untimed, 0u);
+  EXPECT_GT(lazy.timed_cancelled, 0u);
+  EXPECT_GT(lazy.short_stops, 0u);
+  EXPECT_GT(lazy.multi, 0u);
+  EXPECT_GT(lazy.nested, 0u);
 }
 
 }  // namespace

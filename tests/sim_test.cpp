@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event simulation engine: ordering, ties,
-// cancellation, periodic events, run_until semantics.
+// cancellation, periodic events, run_until semantics, lazily timed events.
 
 #include <gtest/gtest.h>
 
@@ -294,6 +294,64 @@ TEST(Simulator, ManyEventsStressOrdering) {
   sim.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(sim.executed(), 10000u);
+}
+
+// A lazy event keeps the FIFO place of its scheduling call: it runs before
+// an equal-time event scheduled after it in the same callback, although its
+// time is asked for only once that callback has returned.
+TEST(Simulator, LazyEventKeepsItsSchedulingPlace) {
+  Simulator sim;
+  std::vector<int> order;
+  int whens = 0;
+  sim.schedule_at(1.0, [&] {
+    sim.schedule_lazy(
+        [&] {
+          ++whens;
+          return sim.now() + 2.0;
+        },
+        [&] { order.push_back(1); });
+    EXPECT_EQ(whens, 0);
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.schedule_at(3.0, [&] { order.push_back(2); });
+  });
+  sim.run();
+  EXPECT_EQ(whens, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+TEST(Simulator, LazyEventCancelledBeforeItsTimeNeverAsksForIt) {
+  Simulator sim;
+  bool asked = false;
+  bool fired = false;
+  const EventId id = sim.schedule_lazy(
+      [&] {
+        asked = true;
+        return 1.0;
+      },
+      [&] { fired = true; });
+  sim.cancel(id);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_FALSE(asked);
+  EXPECT_FALSE(fired);
+}
+
+TEST(Simulator, LazyTimeCallbackMayNotScheduleOrGoBack) {
+  Simulator sim;
+  sim.schedule_lazy(
+      [&] {
+        sim.schedule_at(1.0, [] {});
+        return 1.0;
+      },
+      [] {});
+  EXPECT_THROW(sim.step(), PreconditionError);
+
+  Simulator later;
+  later.schedule_at(2.0, [&] {
+    later.schedule_lazy([] { return 1.0; }, [] {});
+  });
+  EXPECT_THROW(later.run(), PreconditionError);
 }
 
 }  // namespace
