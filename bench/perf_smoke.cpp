@@ -1,12 +1,13 @@
 // perf_smoke — the simulator-throughput baseline for the scale arc.
 //
 // Runs a homogeneous Terasort batch at four fleet sizes (16 to 1024 nodes)
-// under E-Ant and Capacity on the scalar network, and at two sizes over the
-// oversubscribed fabric (the path fig6b, fig_corruption and the chaos mixes
-// run) and over the flat fabric (one rack, unlimited links: the scalar
-// model's timing through the fabric), and emits BENCH_perf_smoke.json: simulated events per
-// wall-clock second, wall-clock seconds, peak RSS, the events scheduled and
-// cancelled besides those executed, and the scheduler-work attribution
+// under E-Ant and Capacity on the scalar network, at three sizes (16 to 256
+// nodes) over the oversubscribed fabric (the path fig6b, fig_corruption and
+// the chaos mixes run) and at two over the flat fabric (one rack, unlimited
+// links: the scalar model's timing through the fabric), and emits
+// BENCH_perf_smoke.json: simulated events per wall-clock second, wall-clock
+// seconds, peak RSS, the events scheduled and cancelled besides those
+// executed, the fabric's water-fillings, and the scheduler-work attribution
 // (time inside Scheduler::select_job, per processed heartbeat) against node
 // and task count.  Peak RSS is the process's high-water mark so far, so it
 // never falls from one row to the next.  Future scale/speed PRs diff their
@@ -111,6 +112,7 @@ struct Row {
   std::uint64_t scheduled = 0;  ///< periodic re-arms included
   /// pending at submit + scheduled - executed - pending at the end
   std::uint64_t cancelled = 0;
+  std::uint64_t fillings = 0;  ///< the fabric's water-fillings; 0 on scalar
   Seconds sim_makespan = 0.0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
@@ -154,6 +156,7 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes, Network network) {
   r.events = sim.executed();
   r.scheduled = counter.scheduled();
   r.cancelled = pending_at_submit + r.scheduled - r.events - sim.pending();
+  r.fillings = m.network.fillings;
   r.sim_makespan = m.makespan;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.events_per_sec =
@@ -260,12 +263,13 @@ int main(int argc, char** argv) {
     const Row& r = rows.back();
     std::printf(
         "%-8s %-14s nodes=%4zu jobs=%3zu tasks=%6zu events=%9llu "
-        "scheduled=%9llu cancelled=%7llu wall=%6.2fs events/s=%9.0f "
-        "rss=%6.1f MiB select/hb=%6.2fus\n",
+        "scheduled=%9llu cancelled=%7llu fillings=%7llu wall=%6.2fs "
+        "events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
         r.scheduler.c_str(), r.network.c_str(), r.nodes, r.jobs, r.tasks,
         static_cast<unsigned long long>(r.events),
         static_cast<unsigned long long>(r.scheduled),
-        static_cast<unsigned long long>(r.cancelled), r.wall_seconds,
+        static_cast<unsigned long long>(r.cancelled),
+        static_cast<unsigned long long>(r.fillings), r.wall_seconds,
         r.events_per_sec, r.peak_rss_mib, r.select_us_per_heartbeat);
   };
   const exp::SchedulerKind kinds[] = {exp::SchedulerKind::kEAnt,
@@ -274,10 +278,12 @@ int main(int argc, char** argv) {
     for (std::size_t nodes : {16, 64, 256, 1024})
       add_row(kind, nodes, Network::kScalar);
   }
-  for (const Network network : {Network::kOversubscribed, Network::kFlat}) {
-    for (const exp::SchedulerKind kind : kinds) {
-      for (std::size_t nodes : {16, 64}) add_row(kind, nodes, network);
-    }
+  for (const exp::SchedulerKind kind : kinds) {
+    for (std::size_t nodes : {16, 64, 256})
+      add_row(kind, nodes, Network::kOversubscribed);
+  }
+  for (const exp::SchedulerKind kind : kinds) {
+    for (std::size_t nodes : {16, 64}) add_row(kind, nodes, Network::kFlat);
   }
 
   const SweepRow sweep = measure_sweep();
@@ -302,7 +308,8 @@ int main(int argc, char** argv) {
                  "\"nodes\": %zu, \"jobs\": %zu, "
                  "\"tasks\": %zu, "
                  "\"events\": %llu, \"scheduled\": %llu, "
-                 "\"cancelled\": %llu, \"sim_makespan_s\": %.3f, "
+                 "\"cancelled\": %llu, \"fillings\": %llu, "
+                 "\"sim_makespan_s\": %.3f, "
                  "\"wall_s\": %.3f, \"events_per_s\": %.0f, "
                  "\"peak_rss_mib\": %.1f, "
                  "\"heartbeats\": %llu, \"select_job_calls\": %llu, "
@@ -312,7 +319,7 @@ int main(int argc, char** argv) {
                  r.tasks, static_cast<unsigned long long>(r.events),
                  static_cast<unsigned long long>(r.scheduled),
                  static_cast<unsigned long long>(r.cancelled),
-                 r.sim_makespan,
+                 static_cast<unsigned long long>(r.fillings), r.sim_makespan,
                  r.wall_seconds, r.events_per_sec, r.peak_rss_mib,
                  static_cast<unsigned long long>(r.heartbeats),
                  static_cast<unsigned long long>(r.select_job_calls),
