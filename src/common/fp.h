@@ -40,8 +40,8 @@ inline bool near_zero(double x, double abs_tol = 1e-12) {
 /// the two candidates, so it stays even and the step stays put.  So after
 /// two additions inside one binade the second one's step repeats until the
 /// binade ends, and that stretch is one integer multiply-add on the bit
-/// pattern.  Fewer than four additions, binade edges, and x that is zero or
-/// subnormal run the plain loop.
+/// pattern.  Fewer than four additions, binade edges and a zero or
+/// subnormal x take the plain loop.
 inline double add_repeatedly(double x, double inc, std::size_t k) {
   constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
   while (k >= 4) {

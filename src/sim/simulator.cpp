@@ -52,7 +52,9 @@ EventId Simulator::schedule_lazy(std::function<Seconds()> when,
                                  std::function<void()> fn) {
   EANT_CHECK(static_cast<bool>(when), "event time callback must be set");
   EANT_CHECK(static_cast<bool>(fn), "event callback must be set");
-  // The id, seq and slot push_new would take, without a node yet.
+  // The id, seq and slot push_new would take, without a node yet.  These
+  // lines repeat push_new's rather than share a helper, so schedule_at's
+  // path compiles as before.
   const EventId id = state_.size();
   state_.push_back(State::kPending);
   std::uint32_t slot = 0;

@@ -203,7 +203,7 @@ class Scenario {
       return false;
     }
     EXPECT_EQ(sim_.pending(), 1u);
-    const Due due = next_due();
+    const Due due = next_due(&stats_.ties);
     EXPECT_TRUE(sim_.step());
     ++(due.fails ? stats_.stranded : stats_.finished);
     EXPECT_EQ(sim_.now(), due.at);
@@ -338,15 +338,16 @@ class Scenario {
   };
 
   /// The live flow with the earliest projected finish, by the fabric's
-  /// rates (which check_rates compares with the reference).
-  Due next_due() {
+  /// rates (which check_rates compares with the reference); counts flows
+  /// due at the same instant as the earliest so far into `ties`.
+  Due next_due(std::size_t* ties = nullptr) {
     Due due;
     for (const auto& [id, ends] : live_) {
       const Megabytes remaining = fabric_.flow_remaining_mb(id);
       const double rate = fabric_.flow_rate_mbps(id);
       const bool stranded = remaining > 0.0 && rate <= kRateTol;
       const Seconds at = sim_.now() + (stranded ? 0.0 : remaining / rate);
-      if (due.id != 0 && at == due.at) ++stats_.ties;
+      if (ties != nullptr && due.id != 0 && at == due.at) ++*ties;
       if (due.id == 0 || at < due.at) due = Due{id, at, stranded};
     }
     return due;

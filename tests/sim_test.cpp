@@ -320,23 +320,6 @@ TEST(Simulator, LazyEventKeepsItsSchedulingPlace) {
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
-TEST(Simulator, LazyEventCancelledBeforeItsTimeNeverAsksForIt) {
-  Simulator sim;
-  bool asked = false;
-  bool fired = false;
-  const EventId id = sim.schedule_lazy(
-      [&] {
-        asked = true;
-        return 1.0;
-      },
-      [&] { fired = true; });
-  sim.cancel(id);
-  EXPECT_EQ(sim.pending(), 0u);
-  sim.run();
-  EXPECT_FALSE(asked);
-  EXPECT_FALSE(fired);
-}
-
 TEST(Simulator, LazyTimeCallbackMayNotScheduleOrGoBack) {
   Simulator sim;
   sim.schedule_lazy(
