@@ -219,8 +219,8 @@ void Fabric::reallocate() {
   event_ = 0;
   settled_ = flows_.empty();  // nothing to rate without flows
   if (settled_) return;
-  // The peak is a maximum over every allocation, so each one counts until
-  // the peak has reached 1 (or no link can carry a share of it).
+  // The peak is a maximum over every allocation, so each one counts while
+  // the peak can still rise: below 1, with some link finite.
   if (has_finite_link_ && peak_utilization_ < 1.0) settle();
   // Capturing only `this` keeps both callbacks inside std::function's
   // inline buffer, so arming and popping the event allocate nothing.
