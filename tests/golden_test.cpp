@@ -4,10 +4,11 @@
 // restart, fetch-failure re-execution, rack partitions, master failover with
 // orphan resolution, corruption and fail-slow re-rates, tenant preemption
 // under admission control, submissions buffered across a master outage and
-// replayed through admission, job failure, the fault-free scalar path, and the
-// MSD workload's Table III mix on the scalar network and (under Fair) on the
-// oversubscribed fabric — so a change meant to preserve behaviour must leave
-// every row unchanged.
+// replayed through admission, job failure, the fault-free scalar path, the
+// MSD workload's Table III mix under E-Ant, Fair and Tarazu on the scalar
+// network and under Fair on the oversubscribed fabric, and legacy Capacity's
+// fixed-fraction queues on that fabric — so a change meant to preserve
+// behaviour must leave every row unchanged.
 //
 // Digests compare exactly; metrics to 1e-9 relative.  On a mismatch the test
 // prints the actual row in table syntax: an intended change in behaviour is a
@@ -34,6 +35,7 @@
 #include "sched/capacity.h"
 #include "tenancy/presets.h"
 #include "tenancy/traffic.h"
+#include "workload/apps.h"
 #include "workload/msd.h"
 
 namespace eant {
@@ -70,7 +72,10 @@ constexpr GoldenRow kGolden[] = {
     {"fabric/flat", 0xf67edd4d95261ea6ull, 241.4328295673071, 321624.38889733097, 0.891156462585034, 3, 0, 0, 217.75033434583281, 0xab01a1c32a0c5f6aull},
     {"late/fail-slow", 0xa82c154ddf19ffc9ull, 268.21899668592044, 389488.9850223384, 0.92907801418439717, 3, 0, 0, 0, 0xf35df6176edb75d5ull},
     {"msd/eant", 0x7b195af30fba70c7ull, 5052.5904894979813, 8386135.7927103024, 0.92062170413544264, 87, 0, 0, 0, 0x5fade39b7a452ce4ull},
+    {"msd/fair", 0xed864d37f9320ce0ull, 5012.80049890799, 8394561.0797310919, 0.90285872883708018, 87, 0, 0, 0, 0xbdb704a5da0f64eeull},
+    {"msd/tarazu", 0x362933df1e0d13f8ull, 5013.1421390011328, 8417647.1848347615, 0.90452400777130171, 87, 0, 0, 0, 0x7debf69d0a65b204ull},
     {"msd/fair-oversub", 0x13eedc9525fa3cbbull, 1460.5668091163961, 2660659.1540409867, 0.89548954895489552, 30, 0, 0, 0, 0xe02c564132dcd119ull},
+    {"capacity/oversub", 0xcb2c1f4054502965ull, 349.96685409480938, 582250.47697332792, 0.93971631205673756, 6, 0, 0, 0, 0x74ff59e7c16e7ccaull},
 };
 // clang-format on
 
@@ -255,6 +260,15 @@ std::vector<Cell> run_cells() {
                                    exp::SchedulerKind::kEAnt, msd_cfg,
                                    msd_jobs)});
 
+  // fig8_comparison's two baselines on the same trace: Fair (no locality
+  // delay, as make_scheduler builds it) and Tarazu's capability quota.
+  cells.push_back({"msd/fair", run(exp::paper_fleet(),
+                                   exp::SchedulerKind::kFair, msd_cfg,
+                                   msd_jobs)});
+  cells.push_back({"msd/tarazu", run(exp::paper_fleet(),
+                                     exp::SchedulerKind::kTarazu, msd_cfg,
+                                     msd_jobs)});
+
   // perfbench's fair-oversub-msd cell: Fair on the first 30 jobs of the
   // same trace over the oversubscribed fabric, where MSD's job sizes drive
   // the flow reallocations.
@@ -265,6 +279,21 @@ std::vector<Cell> run_cells() {
     cells.push_back({"msd/fair-oversub", run(exp::paper_fleet(),
                                              exp::SchedulerKind::kFair, cfg,
                                              msd_jobs)});
+  }
+
+  // fig6b_topology_locality's legacy Capacity cell (two jobs per app): the
+  // three fixed-fraction queues over the oversubscribed fabric.
+  {
+    exp::RunConfig cfg = msd_cfg;
+    cfg.topology = net::TopologySpec::oversubscribed();
+    std::vector<workload::JobSpec> jobs;
+    for (workload::AppKind app : workload::all_apps()) {
+      const auto batch = exp::job_batch(app, 3000.0, 8, 2);
+      jobs.insert(jobs.end(), batch.begin(), batch.end());
+    }
+    cells.push_back({"capacity/oversub", run(exp::paper_fleet(),
+                                             exp::SchedulerKind::kCapacity,
+                                             cfg, jobs)});
   }
   return cells;
 }
