@@ -1916,9 +1916,12 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
   if (config_.blacklist_threshold > 0 && !ts.suspended.test(kBlacklisted) &&
       ts.failures >= config_.blacklist_threshold) {
     suspend(m, kBlacklisted);
-    sim_.schedule_after(config_.blacklist_duration, [this, m] {
+    const std::uint64_t episode = ++ts.blacklist_episode;
+    sim_.schedule_after(config_.blacklist_duration, [this, m, episode] {
       TrackerState& s = tracker_states_[m];
-      // Counter decay may already have forgiven it.
+      // Counter decay may already have forgiven this episode; a later one
+      // waits for its own timer.
+      if (s.blacklist_episode != episode) return;
       if (!s.suspended.test(kBlacklisted)) return;
       // The blacklist is durable state and its timers belong to the master
       // process: while it is down nothing forgives — the decay sweep

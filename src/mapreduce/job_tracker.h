@@ -675,6 +675,9 @@ class JobTracker {
     /// The node crashed and its casualties await detection + re-queue.
     bool crash_pending = false;
     int failures = 0;
+    /// Blacklist episodes so far: a blacklist_duration timer lifts only the
+    /// episode that armed it, not one that began after decay forgave it.
+    std::uint64_t blacklist_episode = 0;
     /// Attempts killed by a crash, awaiting detection + re-queue.
     std::vector<TaskReport> lost_attempts;
     /// Completed map outputs on the node's local disk, lost with it.

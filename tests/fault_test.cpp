@@ -500,6 +500,53 @@ TEST(BlacklistDecay, RegressionZeroWindowKeepsPreDecayPermanence) {
   EXPECT_LT(forgiven, 0.0) << "blacklist lifted despite decay being disabled";
 }
 
+TEST(BlacklistDecay, StaleDurationTimerSparesALaterEpisode) {
+  // Machine 1 is blacklisted, forgiven early by decay, then blacklisted
+  // again.  The first episode's blacklist_duration timer fires inside the
+  // second episode and must leave it alone: only a decay sweep, a full
+  // window after the one that forgave the first, may end it that early.
+  constexpr Seconds kDuration = 1500.0;
+  constexpr Seconds kDecayWindow = 1000.0;
+  exp::RunConfig cfg;
+  cfg.seed = 5;
+  cfg.job_tracker.blacklist_threshold = 2;
+  cfg.job_tracker.blacklist_duration = kDuration;
+  cfg.job_tracker.blacklist_decay_window = kDecayWindow;
+  cfg.job_tracker.max_attempts = 50;
+  exp::Run run(exp::paper_fleet(), exp::SchedulerKind::kFifo, cfg);
+
+  const MachineId flaky = 1;
+  int doomed = 2;  // attempts on the flaky machine still to fail
+  run.job_tracker().set_attempt_fault_hook(
+      [&](const mr::TaskSpec&, MachineId m) -> std::optional<double> {
+        if (m != flaky || doomed == 0) return std::nullopt;
+        --doomed;
+        return 0.5;
+      });
+  auto jobs = exp::job_batch(workload::AppKind::kWordcount, 25600.0, 2, 12);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].submit_time = 300.0 * static_cast<double>(i);
+  }
+  run.submit(jobs);
+
+  auto& sim = run.simulator();
+  auto& jt = run.job_tracker();
+  std::vector<Seconds> changes;  // blacklisted, lifted, blacklisted, ...
+  while (!jt.all_done()) {
+    ASSERT_TRUE(sim.step());
+    if (jt.tracker_blacklisted(flaky) != (changes.size() % 2 == 1)) {
+      changes.push_back(sim.now());
+      if (changes.size() == 2) doomed = 2;  // fail again once forgiven
+    }
+  }
+  ASSERT_GE(changes.size(), 4u) << "flaky tracker was not blacklisted twice";
+  EXPECT_LT(changes[1] - changes[0], kDuration)
+      << "decay did not forgive the first episode";
+  EXPECT_GE(changes[3] - changes[1], kDecayWindow)
+      << "second episode (from t=" << changes[2] << ") lifted at t="
+      << changes[3] << ", by the first episode's timer";
+}
+
 // --- blacklist x quarantine interaction --------------------------------------
 
 TEST(BlacklistQuarantine, RejoinWaitsForBothSuspensionsToClear) {
