@@ -10,27 +10,13 @@ namespace {
 SeedOutcome run_cell(const ClusterBuilder& build_cluster,
                      SchedulerKind scheduler, const RunConfig& base,
                      const std::vector<workload::JobSpec>& jobs,
-                     std::uint64_t seed, bool verify) {
+                     std::uint64_t seed) {
   RunConfig cfg = base;
   cfg.seed = seed;
-  if (verify) cfg.audit.enabled = true;  // digests need the auditor
-
-  SeedOutcome o;
-  o.seed = seed;
-  {
-    Run run(build_cluster, scheduler, cfg);
-    run.submit(jobs);
-    run.execute();
-    o.metrics = run.metrics();
-  }
-  if (verify) {
-    Run again(build_cluster, scheduler, cfg);
-    again.submit(jobs);
-    again.execute();
-    o.deterministic =
-        again.metrics().determinism_digest == o.metrics.determinism_digest;
-  }
-  return o;
+  Run run(build_cluster, scheduler, cfg);
+  run.submit(jobs);
+  run.execute();
+  return SeedOutcome{seed, run.metrics()};
 }
 
 }  // namespace
@@ -44,8 +30,7 @@ std::vector<SeedOutcome> sweep_seeds(const ClusterBuilder& build_cluster,
   EANT_CHECK(!seeds.empty(), "sweep needs at least one seed");
   std::vector<SeedOutcome> out(seeds.size());
   parallel_for(seeds.size(), sc.threads, [&](std::size_t i) {
-    out[i] = run_cell(build_cluster, scheduler, base, jobs, seeds[i],
-                      sc.verify_determinism);
+    out[i] = run_cell(build_cluster, scheduler, base, jobs, seeds[i]);
   });
   return out;
 }

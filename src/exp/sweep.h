@@ -32,19 +32,12 @@ struct SweepConfig {
   /// Worker threads (0 = one per hardware thread, 1 = serial on the calling
   /// thread).  Cells beyond the thread count queue and run as workers free.
   unsigned threads = 0;
-
-  /// Re-run every cell a second time and record whether the determinism
-  /// digest reproduced (requires auditing; forced on when set).
-  bool verify_determinism = false;
 };
 
 /// Outcome of one seed's run.
 struct SeedOutcome {
   std::uint64_t seed = 0;
   RunMetrics metrics;
-  /// Digest of the verification re-run matched (always true when
-  /// SweepConfig::verify_determinism is off).
-  bool deterministic = true;
 };
 
 /// Runs (cluster, scheduler, base config, jobs) once per seed — base.seed is

@@ -101,7 +101,7 @@ TenantAdmissionLedger& AdmissionControl::ledger(workload::TenantId tenant) {
     if (t.tenant == tenant) led.weight = t.weight;
   }
   led.bound = static_cast<std::size_t>(std::max(
-      1.0, std::ceil(led.weight * cfg_.queue_bound_per_weight)));
+      1.0, std::ceil(led.weight * kQueueBoundPerWeight)));
   return ledgers_.emplace(tenant, led).first->second;
 }
 
@@ -177,7 +177,7 @@ bool AdmissionControl::note_rejection(const workload::JobSpec& spec,
                      (static_cast<std::uint64_t>(spec.tenant) << 2) |
                          static_cast<std::uint64_t>(verdict));
   }
-  if (attempt >= cfg_.max_retries) {
+  if (attempt >= kMaxRetries) {
     ++led.dropped;
     led.dropped_mb += spec.input_mb;
     return false;

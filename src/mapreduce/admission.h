@@ -24,7 +24,7 @@
 //
 //  * Backpressure — a rejected JobSpec re-enters the arrival stream after a
 //    capped exponential backoff drawn from a dedicated forked RNG stream
-//    (deterministic, digest-stable), up to max_retries before the job is
+//    (deterministic, digest-stable), up to kMaxRetries before the job is
 //    dropped.  A conservation ledger (jobs and megabytes: arrivals ==
 //    admitted + dropped, retries scheduled == retries that fired) is checked
 //    at finalize so no job can silently vanish in the retry loop.
@@ -57,8 +57,14 @@ class InvariantAuditor;
 
 namespace eant::mr {
 
+/// Admitted-but-unfinished jobs allowed per unit of tenant weight.
+constexpr double kQueueBoundPerWeight = 8.0;
+
+/// Retries before a rejected job is dropped for good.
+constexpr int kMaxRetries = 5;
+
 /// Per-tenant admission policy.  The weight drives both the queue bound
-/// (bound = max(1, ceil(weight * queue_bound_per_weight))) and the shedding
+/// (bound = max(1, ceil(weight * kQueueBoundPerWeight))) and the shedding
 /// order (lowest-weight tenants shed first).  Tenants not listed default to
 /// weight 1.0.
 struct AdmissionTenantPolicy {
@@ -109,25 +115,16 @@ struct AdmissionConfig {
 
   // --- overload detector ------------------------------------------------------
 
-  /// Period of the detector tick (seconds of sim time).
-  Seconds detector_interval = 15.0;
-
   /// EWMA smoothing factor for the detector signals (weight of the newest
   /// sample); 1.0 = no smoothing.
   double ewma_alpha = 0.3;
 
   // --- admission control ------------------------------------------------------
 
-  /// Admitted-but-unfinished jobs allowed per unit of tenant weight.
-  double queue_bound_per_weight = 8.0;
-
   /// Per-tenant weights; unlisted tenants get weight 1.0.
   std::vector<AdmissionTenantPolicy> tenants;
 
   // --- backpressure -----------------------------------------------------------
-
-  /// Retries before a rejected job is dropped for good.
-  int max_retries = 5;
 
   /// Seed of the retry-backoff RNG stream.  0 = the Run harness substitutes
   /// the run seed, so retries are deterministic per run yet independent of
@@ -185,7 +182,7 @@ struct TenantAdmissionLedger {
   std::size_t rejections = 0;      ///< rejection events (retries re-count)
   std::size_t retries = 0;         ///< backoff retries scheduled
   std::size_t retry_arrivals = 0;  ///< backoff retries that fired
-  std::size_t dropped = 0;         ///< gave up after max_retries
+  std::size_t dropped = 0;         ///< gave up after kMaxRetries
 
   std::size_t backlog = 0;  ///< currently admitted-but-unfinished
   std::size_t peak_backlog = 0;

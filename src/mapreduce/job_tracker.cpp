@@ -13,12 +13,6 @@
 namespace eant::mr {
 namespace {
 
-/// Effective per-reduce shuffle bandwidth, MB/s (many small fetches over the
-/// shared network, far below NIC line rate).  Without a fabric the shuffle
-/// takes this fixed scalar regardless of how many transfers share the wire;
-/// with one it only sizes the flows' rate caps, so link contention decides.
-constexpr double kShuffleMbps = 20.0;
-
 /// Bandwidth of a map's remote split read, MB/s (the Fig. 6 penalty): well
 /// below NIC line speed, since remote reads compete with shuffle traffic and
 /// the source disk.  Same dual role as kShuffleMbps.
@@ -33,16 +27,30 @@ constexpr double kRereplicationMbps = 40.0;
 /// Concurrent block re-replication streams (Hadoop's dfs.max-repl-streams).
 constexpr int kMaxReplicationStreams = 4;
 
-/// A task is a straggler once its elapsed time exceeds this multiple of the
-/// mean completed-task duration of its job and kind.
-constexpr double kStragglerBeta = 1.5;
+/// Period of the overload detector's tick when admission is enabled.
+constexpr Seconds kDetectorInterval = 15.0;
 
 /// A quarantined node re-earns work once its health climbs back above this
 /// (hysteresis above JobTrackerConfig::quarantine_threshold).
 constexpr double kHealthRecoveryThreshold = 0.75;
 
-/// Cap of the exponential fetch-retry backoff.
+/// Weight of the map-placement-skew penalty on shuffle time (the effect
+/// Tarazu's communication-aware balancing mitigates).
+constexpr double kSkewPenaltyWeight = 0.5;
+
+/// After this many failed fetches of one source's map outputs (per job) the
+/// JobTracker declares those outputs lost and re-executes the maps —
+/// Hadoop's fetch-failure mechanism (TaskCompletionEvent OBSOLETE).
+constexpr int kFetchFailureThreshold = 3;
+
+/// Base delay before a failed fetch is retried; doubles per consecutive
+/// failure from the same source (exponential backoff) up to a cap.  A
+/// failed re-replication stream also waits the base before its retry.
+constexpr Seconds kFetchRetryBackoff = 10.0;
 constexpr Seconds kFetchRetryBackoffMax = 160.0;
+static_assert(kFetchRetryBackoff > 0.0 &&
+                  kFetchRetryBackoff <= kFetchRetryBackoffMax,
+              "fetch retry backoff must be positive and within its cap");
 
 /// A reduce task that accumulates this many failed fetches without ever
 /// completing a shuffle FAILS its attempt (burning budget) instead of being
@@ -96,8 +104,6 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
   EANT_CHECK(cluster_.size() >= 1, "cluster must have machines");
   EANT_CHECK(namenode_.num_datanodes() == cluster_.size(),
              "NameNode and Cluster must agree on machine count");
-  EANT_CHECK(config_.reduce_slowstart >= 0.0 && config_.reduce_slowstart <= 1.0,
-             "reduce_slowstart must be a fraction");
   EANT_CHECK(config_.tracker_expiry_window >= 0.0,
              "tracker expiry window must be non-negative");
   EANT_CHECK(config_.max_attempts >= 1, "tasks need at least one attempt");
@@ -119,11 +125,6 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
              "quarantine decay window must be non-negative");
   EANT_CHECK(config_.max_speculative_per_node >= 0,
              "speculative-per-node cap must be non-negative");
-  EANT_CHECK(config_.fetch_failure_threshold >= 0,
-             "fetch failure threshold must be non-negative");
-  EANT_CHECK(config_.fetch_retry_backoff > 0.0 &&
-                 config_.fetch_retry_backoff <= kFetchRetryBackoffMax,
-             "fetch retry backoff must be positive and within its cap");
   EANT_CHECK(config_.checkpoint_interval >= 0.0 &&
                  config_.checkpoint_write_cost >= 0.0,
              "checkpoint parameters must be non-negative");
@@ -131,14 +132,9 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
              "re-registration window must be non-negative");
   EANT_CHECK(config_.scrub_period >= 0.0, "scrub period must be non-negative");
   EANT_CHECK(config_.scrub_mbps > 0.0, "scrub rate must be positive");
-  const AdmissionConfig& adm = config_.admission;
-  EANT_CHECK(adm.detector_interval > 0.0,
-             "admission detector interval must be positive");
-  EANT_CHECK(adm.ewma_alpha > 0.0 && adm.ewma_alpha <= 1.0,
+  EANT_CHECK(config_.admission.ewma_alpha > 0.0 &&
+                 config_.admission.ewma_alpha <= 1.0,
              "admission EWMA weight must lie in (0, 1]");
-  EANT_CHECK(adm.queue_bound_per_weight > 0.0,
-             "admission queue bound must be positive");
-  EANT_CHECK(adm.max_retries >= 0, "admission retry budget must be >= 0");
   rerep_limit_ = kMaxReplicationStreams;
   scheduler_.attach(*this);
 }
@@ -204,12 +200,11 @@ void JobTracker::start_trackers() {
     // expiry sweep above.  Nothing is scheduled when admission is disabled,
     // keeping default runs digest-identical.
     admission_ = std::make_unique<AdmissionControl>(config_.admission, auditor_);
-    detector_event_ =
-        sim_.schedule_periodic(config_.admission.detector_interval, [this] {
-          if (!master_up_) return true;
-          detector_tick();
-          return true;
-        });
+    detector_event_ = sim_.schedule_periodic(kDetectorInterval, [this] {
+      if (!master_up_) return true;
+      detector_tick();
+      return true;
+    });
   }
   if (config_.scrub_period > 0.0) {
     // Background replica scrubbing: both masters must be up — the scan reads
@@ -978,8 +973,7 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
   // A re-replication stream died (link fault or endpoint loss): the pump
   // retries its block after a beat.
   if (release_rereplication(id)) {
-    sim_.schedule_after(config_.fetch_retry_backoff,
-                        [this] { pump_rereplication(); });
+    sim_.schedule_after(kFetchRetryBackoff, [this] { pump_rereplication(); });
     return;
   }
   const auto own = flow_owner_.find(id);
@@ -1037,8 +1031,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
     fail_fetching_attempt(of.key);
     return;
   }
-  if (config_.fetch_failure_threshold > 0 &&
-      fs.failures >= config_.fetch_failure_threshold) {
+  if (fs.failures >= kFetchFailureThreshold) {
     // Hadoop's "too many fetch failures": the source's map outputs are
     // declared lost for this job and the maps re-execute elsewhere.
     declare_map_outputs_lost(of.key.job, of.src);
@@ -1049,7 +1042,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   // source (the fault may be transient, or the link may heal).
   const int exponent = std::max(fs.failures - 1, 0);
   const Seconds backoff =
-      std::min(config_.fetch_retry_backoff * std::pow(2.0, exponent),
+      std::min(kFetchRetryBackoff * std::pow(2.0, exponent),
                kFetchRetryBackoffMax);
   auto tit = transfers_.find(of.key);
   EANT_ASSERT(tit != transfers_.end(), "fetch failure without transfer state");
@@ -1685,7 +1678,6 @@ Seconds JobTracker::base_duration(const TaskSpec& spec,
 }
 
 double JobTracker::shuffle_skew_penalty(const JobState& js) const {
-  if (config_.skew_penalty_weight <= 0.0) return 1.0;
   const auto& per_machine = js.completed_per_machine(TaskKind::kMap);
   std::size_t total = 0;
   for (auto c : per_machine) total += c;
@@ -1699,14 +1691,12 @@ double JobTracker::shuffle_skew_penalty(const JobState& js) const {
     tv += std::abs(share - capability_share_[m]);
   }
   tv *= 0.5;
-  return 1.0 + config_.skew_penalty_weight * tv;
+  return 1.0 + kSkewPenaltyWeight * tv;
 }
 
 void JobTracker::maybe_build_reduces(JobState& js) {
   if (js.reduces_built()) return;
-  const auto needed = static_cast<std::size_t>(
-      std::ceil(config_.reduce_slowstart * static_cast<double>(js.num_maps())));
-  if (js.done(TaskKind::kMap) < std::max<std::size_t>(needed, 1)) return;
+  if (js.done(TaskKind::kMap) < std::max<std::size_t>(js.num_maps(), 1)) return;
 
   const auto& p = js.profile();
   const Megabytes total_output = js.expected_map_output_mb();

@@ -47,17 +47,19 @@ namespace eant::mr {
 /// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
 constexpr Seconds kHeartbeatInterval = 3.0;
 
+/// Effective per-reduce shuffle bandwidth, MB/s (many small fetches over the
+/// shared network, far below NIC line rate).  Without a fabric the shuffle
+/// takes this fixed scalar regardless of how many transfers share the wire;
+/// with one it only sizes the flows' rate caps, so link contention decides.
+constexpr double kShuffleMbps = 20.0;
+
+/// A task is a straggler once its elapsed time exceeds this multiple of the
+/// mean completed-task duration of its job and kind: the JobTracker's own
+/// speculation and LATE's both use it.
+constexpr double kStragglerBeta = 1.5;
+
 /// Tunables of the MapReduce engine (defaults follow the paper's setup).
 struct JobTrackerConfig {
-  /// Fraction of a job's maps that must finish before its reduces become
-  /// schedulable.  1.0 = reduces wait for all maps (shuffle is folded into
-  /// the reduce runtime).
-  double reduce_slowstart = 1.0;
-
-  /// Weight of the map-placement-skew penalty on shuffle time (the effect
-  /// Tarazu's communication-aware balancing mitigates); 0 disables.
-  double skew_penalty_weight = 0.5;
-
   /// Hadoop's default speculative execution (on in the paper's stock
   /// 1.2.1 setup): when a machine has a free slot and no pending work, a
   /// straggling attempt may be duplicated there; the first to finish wins.
@@ -130,19 +132,6 @@ struct JobTrackerConfig {
   /// toward 1.0 (mirrors blacklist decay) so a repaired limper is retried
   /// even when it holds no tasks to prove itself with.  0 disables decay.
   Seconds quarantine_decay_window = 600.0;
-
-  // --- degraded-mode fault tolerance ------------------------------------------
-
-  /// After this many failed fetches of one source's map outputs (per job)
-  /// the JobTracker declares those outputs lost and re-executes the maps —
-  /// Hadoop's fetch-failure mechanism (TaskCompletionEvent OBSOLETE).
-  /// 0 disables (failed fetches then retry forever).
-  int fetch_failure_threshold = 3;
-
-  /// Base delay before a failed fetch is retried; doubles per consecutive
-  /// failure from the same source (exponential backoff), capped at 160 s,
-  /// which the base must not exceed.
-  Seconds fetch_retry_backoff = 10.0;
 
   // --- control-plane fault tolerance -------------------------------------------
 
@@ -249,7 +238,7 @@ struct JobTrackerCounters {
   /// injected transient fetch error).
   std::size_t fetch_failures = 0;
   /// Completed maps re-executed via the fetch-failure mechanism (their
-  /// output was unreachable fetch_failure_threshold times).
+  /// output was unreachable three times).
   std::size_t fetch_reexecuted_maps = 0;
   /// Reduce attempts that FAILED after exhausting their fetch budget — the
   /// escape hatch that turns a hopeless shuffle into a loud job failure
@@ -747,6 +736,8 @@ class JobTracker {
   void try_speculate(TaskTracker& tracker, TaskKind kind);
   Seconds base_duration(const TaskSpec& spec, const cluster::Machine& machine,
                         Locality locality) const;
+  /// Builds a job's reduces once every one of its maps is done; the
+  /// shuffle is folded into the reduce runtime.
   void maybe_build_reduces(JobState& js);
   double shuffle_skew_penalty(const JobState& js) const;
   void launch(JobState& js, TaskKind kind, TaskIndex index,

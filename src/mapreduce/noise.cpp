@@ -12,8 +12,6 @@ NoiseConfig NoiseConfig::typical() {
   c.demand_jitter_sigma = 0.12;
   c.measurement_sigma = 0.06;
   c.straggler_prob = 0.04;
-  c.straggler_factor_min = 1.5;
-  c.straggler_factor_max = 3.0;
   c.duration_jitter_sigma = 0.10;
   return c;
 }
@@ -26,12 +24,13 @@ NoiseModel::NoiseModel(NoiseConfig config, Rng rng)
              "noise sigmas must be non-negative");
   EANT_CHECK(config.straggler_prob >= 0.0 && config.straggler_prob <= 1.0,
              "straggler probability out of range");
-  EANT_CHECK(config.straggler_factor_min >= 1.0 &&
-                 config.straggler_factor_max >= config.straggler_factor_min,
-             "straggler factor range must be ordered and >= 1");
 }
 
 namespace {
+
+/// Range of a straggler's duration multiplier.
+constexpr double kStragglerFactorMin = 1.5;
+constexpr double kStragglerFactorMax = 3.0;
 
 // Lognormal with mean exactly 1: mu = -sigma^2 / 2.
 double mean_one_lognormal(Rng& rng, double sigma) {
@@ -56,8 +55,7 @@ double NoiseModel::measured(double true_util) {
 double NoiseModel::straggler_multiplier() {
   if (config_.straggler_prob <= 0.0) return 1.0;
   if (!rng_.bernoulli(config_.straggler_prob)) return 1.0;
-  return rng_.uniform(config_.straggler_factor_min,
-                      config_.straggler_factor_max);
+  return rng_.uniform(kStragglerFactorMin, kStragglerFactorMax);
 }
 
 double NoiseModel::duration_multiplier() {

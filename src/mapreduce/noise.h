@@ -22,8 +22,6 @@ struct NoiseConfig {
   double demand_jitter_sigma = 0.0;    ///< lognormal sigma of true-demand jitter
   double measurement_sigma = 0.0;      ///< relative error of recorded util
   double straggler_prob = 0.0;         ///< per-task probability of straggling
-  double straggler_factor_min = 1.5;   ///< straggler duration multiplier range
-  double straggler_factor_max = 3.0;
   double duration_jitter_sigma = 0.0;  ///< lognormal sigma of per-task runtime
 
   /// No noise at all — deterministic durations and exact measurements.
@@ -48,7 +46,7 @@ class NoiseModel {
   double measured(double true_util);
 
   /// Duration multiplier for stragglers: 1.0 normally, a uniform draw in
-  /// [factor_min, factor_max] with probability straggler_prob.
+  /// [1.5, 3.0] with probability straggler_prob.
   double straggler_multiplier();
 
   /// Mean-one lognormal multiplier for per-task runtime (data skew etc.).

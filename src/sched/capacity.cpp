@@ -1,7 +1,7 @@
 #include "sched/capacity.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <limits>
 #include <numeric>
 
@@ -9,6 +9,28 @@
 
 namespace eant::sched {
 namespace {
+
+/// Legacy mode's guaranteed slot fraction of each queue.
+constexpr std::array<double, 3> kLegacyCapacities = {0.5, 0.3, 0.2};
+static_assert(
+    [] {
+      double sum = 0.0;
+      for (double c : kLegacyCapacities) {
+        if (c <= 0.0) return false;
+        sum += c;
+      }
+      return sum > 1.0 - 1e-6 && sum < 1.0 + 1e-6;
+    }(),
+    "queue capacities must be positive and sum to 1");
+
+/// Tenant mode: period of the preemption sweep, and the attempts it may
+/// kill per sweep and kind, fleet-wide (bounds wasted work per round).
+constexpr Seconds kPreemptionInterval = 30.0;
+constexpr int kMaxPreemptionsPerRound = 2;
+
+/// Tenant mode: a queue whose earliest runnable deadline is closer than
+/// this jumps ahead of every non-urgent queue regardless of its share.
+constexpr Seconds kDeadlineBoostWindow = 120.0;
 
 /// Stable insertion sort of a queue ranking: the order std::stable_sort
 /// gives, without the temporary buffer it allocates on every call.  A
@@ -25,25 +47,8 @@ void rank_queues(std::vector<std::size_t>& order, Less less) {
 
 }  // namespace
 
-CapacityScheduler::CapacityScheduler(std::vector<double> capacities)
-    : capacities_(std::move(capacities)) {
-  EANT_CHECK(!capacities_.empty(), "need at least one queue");
-  double sum = 0.0;
-  for (double c : capacities_) {
-    EANT_CHECK(c > 0.0, "queue capacities must be positive");
-    sum += c;
-  }
-  EANT_CHECK(std::abs(sum - 1.0) < 1e-6, "queue capacities must sum to 1");
-}
-
 CapacityScheduler::CapacityScheduler(TenantShareConfig config)
     : tenant_mode_(true), share_(std::move(config)) {
-  EANT_CHECK(share_.preemption_interval > 0.0,
-             "preemption interval must be positive");
-  EANT_CHECK(share_.max_preemptions_per_round >= 0,
-             "preemption budget must be non-negative");
-  EANT_CHECK(share_.deadline_boost_window >= 0.0,
-             "deadline boost window must be non-negative");
   for (const TenantQueue& q : share_.tenants) {
     EANT_CHECK(q.weight > 0.0, "tenant weights must be positive");
     EANT_CHECK(tenant_queue_.find(q.tenant) == tenant_queue_.end(),
@@ -55,11 +60,10 @@ CapacityScheduler::CapacityScheduler(TenantShareConfig config)
 
 void CapacityScheduler::attach(mr::JobTracker& job_tracker) {
   jt_ = &job_tracker;
-  if (tenant_mode_ && share_.preemption &&
-      share_.max_preemptions_per_round > 0) {
+  if (tenant_mode_ && share_.preemption) {
     // Legacy mode schedules nothing here: an extra periodic event would
     // shift event ids and break the frozen fig6b digest.
-    jt_->simulator().schedule_periodic(share_.preemption_interval, [this] {
+    jt_->simulator().schedule_periodic(kPreemptionInterval, [this] {
       preemption_sweep();
       return true;
     });
@@ -86,7 +90,7 @@ void CapacityScheduler::assign_queue(mr::JobId job) {
     return;
   }
   job_queue_[job] = next_queue_;
-  next_queue_ = (next_queue_ + 1) % capacities_.size();
+  next_queue_ = (next_queue_ + 1) % kLegacyCapacities.size();
 }
 
 void CapacityScheduler::on_job_submitted(mr::JobId job) { assign_queue(job); }
@@ -99,6 +103,10 @@ void CapacityScheduler::on_master_recovered() {
   std::fill(job_queue_.begin(), job_queue_.end(), kNoQueue);
   next_queue_ = 0;
   for (mr::JobId id : jt_->active_jobs()) assign_queue(id);
+}
+
+std::size_t CapacityScheduler::num_queues() const {
+  return tenant_mode_ ? queues_.size() : kLegacyCapacities.size();
 }
 
 std::size_t CapacityScheduler::queue_of(mr::JobId job) const {
@@ -128,11 +136,11 @@ std::optional<mr::JobId> CapacityScheduler::select_legacy() {
   // jobs simply never matches, letting the next-ranked queue take the slot.
   const double total_slots = static_cast<double>(jt_->total_slots());
   occupancy_by_queue();
-  order_.resize(capacities_.size());
+  order_.resize(kLegacyCapacities.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
   rank_queues(order_, [&](std::size_t a, std::size_t b) {
-    const double ra = occ_[a] / (capacities_[a] * total_slots);
-    const double rb = occ_[b] / (capacities_[b] * total_slots);
+    const double ra = occ_[a] / (kLegacyCapacities[a] * total_slots);
+    const double rb = occ_[b] / (kLegacyCapacities[b] * total_slots);
     return ra < rb;
   });
 
@@ -174,7 +182,7 @@ std::optional<mr::JobId> CapacityScheduler::select_tenant(mr::TaskKind kind) {
     if (has_runnable_[q]) order_.push_back(q);
   }
   const auto urgent = [&](std::size_t q) {
-    return earliest_deadline_[q] < now + share_.deadline_boost_window;
+    return earliest_deadline_[q] < now + kDeadlineBoostWindow;
   };
   rank_queues(order_, [&](std::size_t a, std::size_t b) {
     const bool ua = urgent(a);
@@ -260,7 +268,7 @@ void CapacityScheduler::rebalance_kind(mr::TaskKind kind) {
     }
   }
   if (deficit == 0) return;
-  int budget = std::min(deficit, share_.max_preemptions_per_round);
+  int budget = std::min(deficit, kMaxPreemptionsPerRound);
 
   // Victims: running tasks of over-share queues, youngest attempt first
   // (least work wasted), never driving a queue below its own share.

@@ -12,7 +12,7 @@
 //    slot share; queues are ranked by occupancy-per-weight (weighted
 //    max-min, spill-over automatic), jobs carrying deadlines run EDF ahead
 //    of their queue's FIFO backlog, a queue whose earliest deadline is
-//    inside deadline_boost_window jumps the ranking entirely, and a
+//    inside a 120 s boost window jumps the ranking entirely, and a
 //    periodic sweep preempts the youngest attempts of over-share tenants
 //    when an under-share tenant is starving (JobTracker::preempt_attempt —
 //    KILLED, not FAILED, wasted work accounted).
@@ -47,27 +47,14 @@ struct TenantShareConfig {
   /// Preempt over-share tenants' attempts when an under-share tenant
   /// starves (off = shares converge only as tasks finish naturally).
   bool preemption = true;
-
-  /// Period of the preemption sweep.
-  Seconds preemption_interval = 30.0;
-
-  /// Attempts killed per sweep and kind, fleet-wide — bounds wasted work
-  /// per rebalancing round.
-  int max_preemptions_per_round = 2;
-
-  /// A queue whose earliest runnable deadline is closer than this jumps
-  /// ahead of every non-urgent queue regardless of its share.
-  Seconds deadline_boost_window = 120.0;
 };
 
 /// Multi-queue capacity scheduling (legacy fixed fractions or per-tenant
 /// weighted shares — see the file comment).
 class CapacityScheduler final : public mr::Scheduler {
  public:
-  /// Legacy mode: `capacities` are the queues' guaranteed slot fractions;
-  /// they must be positive and sum to 1 (within a small tolerance).
-  explicit CapacityScheduler(std::vector<double> capacities = {0.5, 0.3,
-                                                               0.2});
+  /// Legacy mode: three queues guaranteed 50%, 30% and 20% of the slots.
+  CapacityScheduler() = default;
 
   /// Tenant mode: one queue per configured tenant; jobs map to queues by
   /// JobSpec::tenant.  An unknown tenant gets a weight-1.0 queue on first
@@ -89,9 +76,7 @@ class CapacityScheduler final : public mr::Scheduler {
   std::string name() const override { return "Capacity"; }
 
   bool tenant_mode() const { return tenant_mode_; }
-  std::size_t num_queues() const {
-    return tenant_mode_ ? queues_.size() : capacities_.size();
-  }
+  std::size_t num_queues() const;
 
   /// Queue a job was assigned to; throws PreconditionError for a job with
   /// none (never submitted, or gone from the job table a master recovery
@@ -116,7 +101,6 @@ class CapacityScheduler final : public mr::Scheduler {
   void rebalance_kind(mr::TaskKind kind);
 
   // Legacy mode.
-  std::vector<double> capacities_;
   std::size_t next_queue_ = 0;
 
   // Tenant mode.

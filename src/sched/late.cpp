@@ -2,18 +2,14 @@
 
 #include <algorithm>
 
-#include "common/error.h"
-
 namespace eant::sched {
+namespace {
 
-LateScheduler::LateScheduler(double straggler_beta,
-                             double fast_machine_quantile)
-    : straggler_beta_(straggler_beta),
-      fast_machine_quantile_(fast_machine_quantile) {
-  EANT_CHECK(straggler_beta >= 1.0, "straggler beta must be >= 1");
-  EANT_CHECK(fast_machine_quantile >= 0.0 && fast_machine_quantile <= 1.0,
-             "quantile out of range");
-}
+/// A machine is fast when its capability share is at or above this
+/// quantile of the fleet's.
+constexpr double kFastMachineQuantile = 0.5;
+
+}  // namespace
 
 bool LateScheduler::machine_is_fast(cluster::MachineId machine) const {
   // "Fast" = capability share at or above the chosen quantile of the fleet.
@@ -26,7 +22,7 @@ bool LateScheduler::machine_is_fast(cluster::MachineId machine) const {
   std::vector<double> sorted = shares;
   std::sort(sorted.begin(), sorted.end());
   const auto idx = static_cast<std::size_t>(
-      fast_machine_quantile_ * static_cast<double>(n - 1));
+      kFastMachineQuantile * static_cast<double>(n - 1));
   return shares[machine] >= sorted[idx];
 }
 
@@ -41,7 +37,7 @@ bool LateScheduler::try_speculate(cluster::MachineId machine,
   // merely old ones.
   const bool by_progress = jt_->config().speculative_progress_ranking;
   const auto pick = jt_->find_straggler(
-      kind, straggler_beta_,
+      kind, mr::kStragglerBeta,
       [this, by_progress](const mr::JobState& js, mr::TaskKind k,
                           mr::TaskIndex i, Seconds elapsed,
                           Seconds /*mean*/) -> std::optional<Seconds> {

@@ -3,7 +3,7 @@
 //
 // On top of Fair sharing, when a machine has a free slot and no pending work
 // exists, LATE looks for the longest-running straggler task — one whose
-// elapsed time exceeds `straggler_beta` x the mean duration of the job's
+// elapsed time exceeds mr::kStragglerBeta x the mean duration of the job's
 // completed tasks of the same kind — and launches a duplicate attempt on
 // this machine if it is among the faster machines of the cluster.  The
 // first attempt to finish wins.
@@ -17,9 +17,6 @@ namespace eant::sched {
 /// Fair sharing plus straggler speculation.
 class LateScheduler final : public FairScheduler {
  public:
-  explicit LateScheduler(double straggler_beta = 1.5,
-                         double fast_machine_quantile = 0.5);
-
   std::optional<mr::JobId> select_job(cluster::MachineId machine,
                                       mr::TaskKind kind) override;
 
@@ -32,8 +29,6 @@ class LateScheduler final : public FairScheduler {
   bool machine_is_fast(cluster::MachineId machine) const;
   bool try_speculate(cluster::MachineId machine, mr::TaskKind kind);
 
-  double straggler_beta_;
-  double fast_machine_quantile_;
   std::size_t speculations_ = 0;
 };
 

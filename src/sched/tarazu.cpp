@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/error.h"
-
 namespace eant::sched {
+namespace {
 
-TarazuScheduler::TarazuScheduler(double slack, std::size_t min_samples)
-    : slack_(slack), min_samples_(min_samples) {
-  EANT_CHECK(slack >= 1.0, "slack must be >= 1");
-}
+/// Tolerated overshoot of a machine's capability share before it is
+/// throttled for a heartbeat, and the started maps a job needs before its
+/// quota binds.
+constexpr double kSlack = 1.5;
+constexpr std::size_t kMinSamples = 8;
+
+}  // namespace
 
 bool TarazuScheduler::over_quota(const mr::JobState& job,
                                  cluster::MachineId machine) const {
@@ -32,10 +34,10 @@ bool TarazuScheduler::over_quota(const mr::JobState& job,
   const auto& per_machine = job.started_per_machine(mr::TaskKind::kMap);
   std::size_t total = 0;
   for (auto c : per_machine) total += c;
-  if (total < min_samples_) return false;  // not enough signal yet
+  if (total < kMinSamples) return false;  // not enough signal yet
   const double share = static_cast<double>(per_machine[machine] + 1) /
                        static_cast<double>(total + 1);
-  return share > slack_ * jt_->capability_share(machine);
+  return share > kSlack * jt_->capability_share(machine);
 }
 
 std::optional<mr::JobId> TarazuScheduler::select_job(cluster::MachineId machine,

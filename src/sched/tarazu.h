@@ -22,11 +22,6 @@ namespace eant::sched {
 /// Capability-proportional, communication-aware balancing on top of Fair.
 class TarazuScheduler final : public FairScheduler {
  public:
-  /// `slack` is the tolerated overshoot of a machine's capability share
-  /// before it is throttled for a heartbeat; `min_samples` is the number of
-  /// started maps required before the quota binds.
-  explicit TarazuScheduler(double slack = 1.5, std::size_t min_samples = 8);
-
   std::optional<mr::JobId> select_job(cluster::MachineId machine,
                                       mr::TaskKind kind) override;
 
@@ -34,9 +29,6 @@ class TarazuScheduler final : public FairScheduler {
 
  private:
   bool over_quota(const mr::JobState& job, cluster::MachineId machine) const;
-
-  double slack_;
-  std::size_t min_samples_;
 };
 
 }  // namespace eant::sched

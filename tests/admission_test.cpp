@@ -159,7 +159,7 @@ TEST(AdmissionControl, QueueFullAtTheTenantsBound) {
   mr::AdmissionControl ac(two_tenant_config(), nullptr);
   const workload::JobSpec spec = tenant_job(0);
   const std::size_t bound = ac.ledgers().at(0).bound;
-  EXPECT_EQ(bound, 8u);  // ceil(weight 1 * queue_bound_per_weight 8)
+  EXPECT_EQ(bound, 8u);  // ceil(weight 1 * kQueueBoundPerWeight 8)
   for (mr::JobId id = 0; id < bound; ++id) {
     ASSERT_EQ(ac.decide(spec, 16, 0, 0.0), mr::AdmissionVerdict::kAdmit);
     ac.note_admitted(id, spec, 0.0);
@@ -228,10 +228,10 @@ TEST(AdmissionControl, InfeasibleOnceATaskDurationIsKnown) {
 TEST(AdmissionControl, RetryBackoffIsCappedJitteredAndBudgeted) {
   mr::AdmissionConfig cfg = two_tenant_config();
   cfg.retry_seed = 11;
-  cfg.max_retries = 6;  // retry 5 is the first the cap binds: 30 s * 2^5
   mr::AdmissionControl ac(cfg, nullptr);
   const workload::JobSpec spec = tenant_job(0);
-  for (int n = 0; n < cfg.max_retries; ++n) {
+  // The last retry, n = 4, reaches the cap: 30 s * 2^4 = 480 s.
+  for (int n = 0; n < mr::kMaxRetries; ++n) {
     Seconds delay = 0.0;
     ASSERT_TRUE(
         ac.note_rejection(spec, mr::AdmissionVerdict::kShed, n, &delay));
@@ -243,10 +243,10 @@ TEST(AdmissionControl, RetryBackoffIsCappedJitteredAndBudgeted) {
   // The budget is spent: the next rejection drops the job.
   Seconds delay = 0.0;
   EXPECT_FALSE(ac.note_rejection(spec, mr::AdmissionVerdict::kShed,
-                                 cfg.max_retries, &delay));
+                                 mr::kMaxRetries, &delay));
   const mr::TenantAdmissionLedger& led = ac.ledgers().at(0);
-  EXPECT_EQ(led.rejections, 7u);
-  EXPECT_EQ(led.retries, 6u);
+  EXPECT_EQ(led.rejections, 6u);
+  EXPECT_EQ(led.retries, 5u);
   EXPECT_EQ(led.dropped, 1u);
 }
 
@@ -261,9 +261,6 @@ TEST(Admission, DisabledSubsystemIsDigestNeutral) {
   // must schedule no detector events, consume no RNG, and reproduce the
   // plain digest bit for bit.
   exp::RunConfig cfg = overload_config(mix, 3, false);
-  cfg.job_tracker.admission.detector_interval = 5.0;
-  cfg.job_tracker.admission.queue_bound_per_weight = 2.0;
-  cfg.job_tracker.admission.max_retries = 1;
   cfg.job_tracker.admission.retry_seed = 99;
   for (const auto& q : mix.shares.tenants) {
     cfg.job_tracker.admission.tenants.push_back(
@@ -358,17 +355,18 @@ TEST(Admission, BrownoutEngagesUnderSaturation) {
 // --- retry budget exhaustion ------------------------------------------------
 
 TEST(Admission, ZeroRetryBudgetDropsButRunTerminates) {
-  const Mix mix = make_mix(60.0, 1200.0, 17);
-  exp::RunConfig cfg = overload_config(mix, 17, true);
-  cfg.job_tracker.admission.max_retries = 0;
-  cfg.job_tracker.admission.queue_bound_per_weight = 1.0;
+  // At 200x the preset rates many jobs run their retry budget down to zero
+  // and are dropped (at 60x none is).
+  const Mix mix = make_mix(200.0, 1200.0, 17);
+  const exp::RunMetrics m = run_mix(mix, overload_config(mix, 17, true));
 
   // Termination itself is the point: dropped jobs must leave jobs_expected_
-  // so all_done() can hold with most of the trace never admitted.
-  const exp::RunMetrics m = run_mix(mix, cfg);
+  // so all_done() can hold with much of the trace never admitted.
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
   EXPECT_GT(m.jobs_dropped, 0u);
-  EXPECT_EQ(m.admission_retries, 0u);
+  // A job is dropped only after spending its whole budget.
+  EXPECT_GE(m.admission_retries,
+            static_cast<std::size_t>(mr::kMaxRetries) * m.jobs_dropped);
   EXPECT_EQ(m.jobs.size() + m.jobs_dropped, mix.jobs.size());
 }
 

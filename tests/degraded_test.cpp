@@ -133,12 +133,10 @@ TEST(DegradedShuffle, FetchNoiseRetriesAndRecovers) {
 
 TEST(DegradedShuffle, PersistentFetchFailureReExecutesSourceMaps) {
   auto cfg = degraded_config(9);
-  // Elevated failure probability with a tight threshold: some map output is
-  // bound to be declared lost and re-executed rather than retried forever,
-  // yet the jobs still pull through.
+  // Elevated failure probability: some map output is bound to fail its
+  // fetches three times and be declared lost and re-executed rather than
+  // retried forever, yet the jobs still pull through.
   cfg.faults.fetch_failure_prob = 0.12;
-  cfg.job_tracker.fetch_failure_threshold = 2;
-  cfg.job_tracker.fetch_retry_backoff = 5.0;
   exp::Run run(exp::paper_fleet(), exp::SchedulerKind::kFair, cfg);
   run.submit(exp::job_batch(workload::AppKind::kTerasort, 3000.0, 8, 2));
   run.execute();
@@ -152,14 +150,12 @@ TEST(DegradedShuffle, PersistentFetchFailureReExecutesSourceMaps) {
 
 TEST(DegradedShuffle, FetchStormFailsJobsLoudlyInsteadOfLivelocking) {
   auto cfg = degraded_config(9);
-  // A pathological regime: at a 35% per-fetch failure rate with a 2-strike
-  // source threshold, shuffles essentially never complete.  The run must
+  // A pathological regime: at a 35% per-fetch failure rate shuffles
+  // essentially never complete.  The run must
   // TERMINATE with loud job failures (reducers burn attempt budget via the
   // fetch-abort limit) — the regression here was a livelock where reduce
   // attempts were killed and relaunched for free forever.
   cfg.faults.fetch_failure_prob = 0.35;
-  cfg.job_tracker.fetch_failure_threshold = 2;
-  cfg.job_tracker.fetch_retry_backoff = 5.0;
   cfg.time_limit = 20000.0;
   exp::Run run(exp::paper_fleet(), exp::SchedulerKind::kFair, cfg);
   run.submit(exp::job_batch(workload::AppKind::kTerasort, 2000.0, 6, 1));

@@ -249,15 +249,13 @@ TEST(Noise, DemandJitterHasMeanOne) {
 TEST(Noise, StragglerFrequencyAndRange) {
   NoiseConfig c;
   c.straggler_prob = 0.1;
-  c.straggler_factor_min = 2.0;
-  c.straggler_factor_max = 3.0;
   NoiseModel n(c, Rng(3));
   int stragglers = 0;
   for (int i = 0; i < 20000; ++i) {
     const double f = n.straggler_multiplier();
-    if (f > 1.5) {  // non-stragglers return exactly 1; factors are in [2, 3]
+    if (f > 1.0) {  // non-stragglers return exactly 1; factors are in [1.5, 3]
       ++stragglers;
-      EXPECT_GE(f, 2.0);
+      EXPECT_GE(f, 1.5);
       EXPECT_LE(f, 3.0);
     }
   }
@@ -277,9 +275,6 @@ TEST(Noise, MeasurementErrorIsUnbiased) {
 TEST(Noise, RejectsBadConfig) {
   NoiseConfig c;
   c.straggler_prob = 1.5;
-  EXPECT_THROW(NoiseModel(c, Rng(5)), PreconditionError);
-  c = NoiseConfig{};
-  c.straggler_factor_min = 0.5;
   EXPECT_THROW(NoiseModel(c, Rng(5)), PreconditionError);
 }
 
@@ -322,15 +317,6 @@ TEST(JobTracker, ReducesWaitForAllMapsByDefault) {
   });
   h.run_to_completion();
   EXPECT_FALSE(saw_reduce_before_maps_done);
-}
-
-TEST(JobTracker, SlowstartReleasesReducesEarly) {
-  JobTrackerConfig cfg;
-  cfg.reduce_slowstart = 0.25;
-  Harness h(2, NoiseConfig::none(), cfg);
-  const JobId id = h.jt->submit_now(wordcount_job(64.0 * 16, 2));
-  h.run_to_completion();
-  EXPECT_TRUE(h.jt->job(id).complete());
 }
 
 TEST(JobTracker, RemoteMapsPayReadPenalty) {
@@ -408,35 +394,24 @@ TEST(JobTracker, CapabilitySharesSumToOne) {
 }
 
 TEST(JobTracker, ShuffleSkewPenaltyLengthensReduces) {
-  // skew_penalty_weight > 0 must never shorten the shuffle.
-  JobTrackerConfig no_skew;
-  no_skew.skew_penalty_weight = 0.0;
-  JobTrackerConfig with_skew;
-  with_skew.skew_penalty_weight = 5.0;
-  double t_no = 0.0, t_with = 0.0;
-  {
-    Harness h(2, NoiseConfig::none(), no_skew,
-              cluster::catalog::t420());
-    const JobId id = h.jt->submit_now([&] {
-      auto s = wordcount_job(64.0 * 8, 1);
-      s.app = workload::AppKind::kTerasort;
-      return s;
-    }());
-    h.run_to_completion();
-    t_no = h.jt->job(id).shuffle_seconds();
-  }
-  {
-    Harness h(2, NoiseConfig::none(), with_skew,
-              cluster::catalog::t420());
-    const JobId id = h.jt->submit_now([&] {
-      auto s = wordcount_job(64.0 * 8, 1);
-      s.app = workload::AppKind::kTerasort;
-      return s;
-    }());
-    h.run_to_completion();
-    t_with = h.jt->job(id).shuffle_seconds();
-  }
-  EXPECT_GE(t_with, t_no);
+  // A one-map job leaves all of its map output on one of two equally
+  // capable machines, half a total-variation distance from the balanced
+  // placement, so the skew penalty must stretch the reduce's shuffle past
+  // the unpenalised per_reduce / kShuffleMbps.
+  Harness h(2, NoiseConfig::none(), {}, cluster::catalog::t420());
+  auto spec = wordcount_job(64.0, 1);
+  spec.app = workload::AppKind::kTerasort;
+  const JobId id = h.jt->submit_now(spec);
+  Seconds reduce_shuffle = 0.0;
+  h.jt->set_report_listener([&](const TaskReport& r) {
+    if (r.spec.kind == TaskKind::kReduce) {
+      reduce_shuffle = r.spec.shuffle_seconds;
+    }
+  });
+  h.run_to_completion();
+  const Megabytes per_reduce = h.jt->job(id).expected_map_output_mb();
+  ASSERT_GT(per_reduce, 0.0);
+  EXPECT_GT(reduce_shuffle, per_reduce / kShuffleMbps);
 }
 
 TEST(JobTracker, SpeculativeAttemptWinnerKillsLoser) {

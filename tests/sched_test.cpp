@@ -148,10 +148,6 @@ TEST(Fair, FairBeatsFifoOnShortJobLatency) {
   EXPECT_LT(fair_short, 0.5 * fifo_short);
 }
 
-TEST(Tarazu, RejectsInvalidSlack) {
-  EXPECT_THROW(TarazuScheduler(0.5), PreconditionError);
-}
-
 TEST(Tarazu, BalancesMapsTowardCapableMachines) {
   Harness h(std::make_unique<TarazuScheduler>(),
             {{cluster::catalog::t420(), 1}, {cluster::catalog::atom(), 1}});
@@ -198,17 +194,10 @@ TEST(Tarazu, ComparableMakespanOnHeterogeneousFleet) {
   EXPECT_LT(tarazu, fair * 1.05);
 }
 
-TEST(Late, RejectsInvalidParameters) {
-  EXPECT_THROW(LateScheduler(0.5), PreconditionError);
-  EXPECT_THROW(LateScheduler(1.5, 2.0), PreconditionError);
-}
-
 TEST(Late, SpeculatesOnStragglers) {
   mr::NoiseConfig noise;
-  noise.straggler_prob = 0.3;
-  noise.straggler_factor_min = 4.0;
-  noise.straggler_factor_max = 6.0;
-  auto late = std::make_unique<LateScheduler>(1.5);
+  noise.straggler_prob = 0.5;
+  auto late = std::make_unique<LateScheduler>();
   auto* late_ptr = late.get();
   Harness h(std::move(late),
             {{cluster::catalog::desktop(), 1}, {cluster::catalog::t420(), 1}},
@@ -219,10 +208,10 @@ TEST(Late, SpeculatesOnStragglers) {
 }
 
 TEST(Late, NoSpeculationWithoutStragglers) {
-  auto late = std::make_unique<LateScheduler>(/*straggler_beta=*/3.0);
+  auto late = std::make_unique<LateScheduler>();
   auto* late_ptr = late.get();
   // Homogeneous machines, no noise: every task has identical duration, so
-  // nothing exceeds 3x the mean.
+  // nothing exceeds mr::kStragglerBeta x the mean.
   Harness h(std::move(late), {{cluster::catalog::desktop(), 2}});
   h.jt->submit_now(job(workload::AppKind::kWordcount, 64.0 * 20, 1));
   h.run();
@@ -243,24 +232,17 @@ TEST(Late, CompletesWorkloadDespiteSpeculation) {
   EXPECT_EQ(h.jt->jobs_completed(), 3u);
 }
 
-TEST(Capacity, RejectsBadQueueConfig) {
-  EXPECT_THROW(CapacityScheduler(std::vector<double>{}), PreconditionError);
-  EXPECT_THROW(CapacityScheduler({0.5, 0.6}), PreconditionError);
-  EXPECT_THROW(CapacityScheduler({1.2, -0.2}), PreconditionError);
-  EXPECT_NO_THROW(CapacityScheduler({0.7, 0.3}));
-}
-
 TEST(Capacity, AssignsJobsToQueuesRoundRobin) {
-  auto sched = std::make_unique<CapacityScheduler>(
-      std::vector<double>{0.5, 0.5});
+  auto sched = std::make_unique<CapacityScheduler>();
   auto* ptr = sched.get();
   Harness h(std::move(sched), {{cluster::catalog::desktop(), 2}});
   const auto j0 = h.jt->submit_now(job(workload::AppKind::kGrep, 64.0 * 4));
   const auto j1 = h.jt->submit_now(job(workload::AppKind::kGrep, 64.0 * 4));
   const auto j2 = h.jt->submit_now(job(workload::AppKind::kGrep, 64.0 * 4));
+  EXPECT_EQ(ptr->num_queues(), 3u);
   EXPECT_EQ(ptr->queue_of(j0), 0u);
   EXPECT_EQ(ptr->queue_of(j1), 1u);
-  EXPECT_EQ(ptr->queue_of(j2), 0u);
+  EXPECT_EQ(ptr->queue_of(j2), 2u);
   EXPECT_THROW(ptr->queue_of(j2 + 1), PreconditionError);
   h.run();
   EXPECT_EQ(h.jt->jobs_completed(), 3u);
@@ -272,30 +254,32 @@ TEST(Capacity, AssignsJobsToQueuesRoundRobin) {
 }
 
 TEST(Capacity, StarvedQueueGetsSlotsFirst) {
-  // Two queues 50/50; the first queue's job is large, the second's small
-  // jobs arrive later — the second queue must still get its share promptly.
-  auto sched = std::make_unique<CapacityScheduler>(
-      std::vector<double>{0.5, 0.5});
+  // Queues 50/30/20; the first queue's job is large, the second's small job
+  // arrives later — the second queue must still get its share promptly.
+  auto sched = std::make_unique<CapacityScheduler>();
   Harness h(std::move(sched), {{cluster::catalog::desktop(), 2}});
-  h.jt->submit_now(job(workload::AppKind::kWordcount, 64.0 * 60));  // q0
+  const auto big =
+      h.jt->submit_now(job(workload::AppKind::kWordcount, 64.0 * 60));  // q0
   const auto small =
       h.jt->submit_now(job(workload::AppKind::kWordcount, 64.0 * 4));  // q1
+  // Early: while the big job still has maps waiting for a slot.
   bool small_held_slots_early = false;
   h.jt->set_report_listener([&](const mr::TaskReport& r) {
-    if (r.spec.job == small) small_held_slots_early = true;
+    if (r.spec.job == small && h.jt->job(big).pending(mr::TaskKind::kMap) > 0) {
+      small_held_slots_early = true;
+    }
   });
   h.run();
   EXPECT_TRUE(small_held_slots_early);
   // The small job must not wait for the big one to drain (non-FIFO).
   EXPECT_LT(h.jt->job(small).completion_time(),
-            h.jt->job(0).completion_time());
+            h.jt->job(big).completion_time());
 }
 
 TEST(Capacity, SpilloverUsesIdleCapacity) {
   // Only one job (queue 0): it may use the whole cluster despite its
-  // queue's 30% guarantee — capacity spills over.
-  auto sched = std::make_unique<CapacityScheduler>(
-      std::vector<double>{0.3, 0.7});
+  // queue's 50% guarantee — capacity spills over.
+  auto sched = std::make_unique<CapacityScheduler>();
   Harness h(std::move(sched), {{cluster::catalog::desktop(), 2}});
   const auto j = h.jt->submit_now(job(workload::AppKind::kWordcount, 64.0 * 24));
   int max_occupied = 0;
@@ -303,7 +287,7 @@ TEST(Capacity, SpilloverUsesIdleCapacity) {
     max_occupied = std::max(max_occupied, h.jt->job(j).occupied_slots());
   });
   h.run();
-  EXPECT_GT(max_occupied, 4);  // beyond 30% of the 12 slots
+  EXPECT_GT(max_occupied, 6);  // beyond 50% of the 12 slots
 }
 
 TEST(DelayScheduling, ImprovesLocalityOverPlainFair) {

@@ -133,20 +133,6 @@ TEST(Sweep, ResultOrderFollowsSeedOrderNotCompletionOrder) {
   }
 }
 
-TEST(Sweep, VerifyDeterminismReportsReproducedDigests) {
-  const auto fleet = exp::homogeneous(cluster::catalog::xeon_e5(), 8);
-  exp::SweepConfig sc;
-  sc.threads = 2;
-  sc.verify_determinism = true;
-  const auto out =
-      exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, exp::RunConfig{},
-                       small_batch(), {1, 2, 3}, sc);
-  for (const auto& o : out) {
-    EXPECT_TRUE(o.deterministic) << "seed " << o.seed;
-    EXPECT_NE(o.metrics.determinism_digest, 0u);  // audit forced on
-  }
-}
-
 TEST(Sweep, CellExceptionPropagatesToCaller) {
   exp::RunConfig cfg;
   cfg.time_limit = 1.0;  // no workload can finish: execute() must throw
