@@ -61,10 +61,19 @@ in tools/lint2/allowlist.py and each carries a written justification):
                    records.  (Job-level
                    mirrors — mark_started/mark_done/unclaim — are excluded:
                    their attempt-level taps fire in the TaskTracker paths.)
+  test-only-option a field of a `struct *Config` in src/ that no program
+                   code (src/, bench/, examples/, perfbench/) assigns or
+                   fills: only tests give it another value, so no bench or
+                   golden row covers that configuration.  Make it a named
+                   constant, or allowlist it with the reason it stays.
+                   Fields are matched by name, so a name two structs share
+                   counts as set when either is.
 
 Scope: src/, tests/, bench/ and examples/ by default; each rule filters
 paths further as stated above (global-state: src/; rng-discipline: src/ and
-bench/).  The AST backend parses src/ and bench/ only.
+bench/; test-only-option: config structs in src/, with setters searched in
+every program source, perfbench/ included).  The AST backend parses src/ and
+bench/ only.
 
 Modes: `--ast` forces libclang (error if unavailable), `--no-ast` forces the
 textual backend alone, default auto-detects.  The AST mode is driven by
@@ -82,4 +91,5 @@ RULES = (
     "rng-discipline",
     "unordered-iter",
     "observer-completeness",
+    "test-only-option",
 )

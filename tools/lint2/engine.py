@@ -20,7 +20,8 @@ from tools.lint2 import RULES
 from tools.lint2.allowlist import allowed
 from tools.lint2.findings import Finding
 from tools.lint2.source import SourceFile, load
-from tools.lint2.text_checks import run_text_checks
+from tools.lint2.text_checks import (OPTION_SETTER_DIRS,
+                                     check_test_only_option, run_text_checks)
 
 REPO = Path(__file__).resolve().parent.parent.parent
 SCAN_DIRS = ["src", "tests", "bench", "examples"]
@@ -70,6 +71,11 @@ def run(paths: list[str], mode: str,
     by_rel = {sf.rel: sf for sf in sources}
 
     findings = run_text_checks(sources)
+    # test-only-option reads every program source for setters, scanned or
+    # not, so naming one header still checks it against the whole tree.
+    setters = [by_rel.get(p.relative_to(REPO).as_posix()) or load(p, REPO)
+               for p in discover(list(OPTION_SETTER_DIRS))]
+    findings.extend(check_test_only_option(sources, setters))
 
     if mode != "text":
         from tools.lint2.ast_checks import ast_available, run_ast_checks

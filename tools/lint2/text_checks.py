@@ -566,6 +566,109 @@ def _near(sf: SourceFile, lineno: int, pat: re.Pattern[str],
     return any(pat.search(sf.code[ln - 1]) for ln in range(lo, hi + 1))
 
 
+# ---------------------------------------------------------------------------
+# test-only-option
+# ---------------------------------------------------------------------------
+
+# Program code: a config field counts as set only when one of these assigns
+# or fills it.  perfbench is outside the default scan but still a caller.
+OPTION_SETTER_DIRS = ("src", "bench", "examples", "perfbench")
+
+_CONFIG_STRUCT = re.compile(r"\bstruct\s+(\w*Config)\s*\{")
+_TEMPLATE_ARGS = re.compile(r"<[^<>]*>")
+_NOT_A_FIELD = re.compile(r"^(?:static|using|friend|struct|class|enum|"
+                          r"typedef)\b")
+# `.name =` (designated initialisers included, `==` excluded) or
+# `.name.push_back(` / `.name.emplace_back(`, at the end of a member chain:
+# every name in `.faults.link_mtbf =` counts as set.
+_OPTION_SET = re.compile(
+    r"((?:\.\s*\w+\s*)+)(?:=(?!=)|\.\s*(?:push_back|emplace_back)\s*\()")
+_CHAIN_NAME = re.compile(r"\w+")
+
+
+def _field_of(stmt: str) -> tuple[str, str] | None:
+    """(type, name) of a data-member declaration, None for anything else."""
+    if _NOT_A_FIELD.match(stmt):
+        return None
+    head = re.split(r"=|\{|;", stmt, maxsplit=1)[0].strip()
+    bare = head
+    while True:
+        shorter = _TEMPLATE_ARGS.sub("", bare)
+        if shorter == bare:
+            break
+        bare = shorter
+    name = re.search(r"(\w+)$", head)
+    if "(" in bare or name is None or not head[:name.start()].strip():
+        return None
+    return head[:name.start()].strip(), name.group(1)
+
+
+def config_fields(sf: SourceFile) -> list[tuple[str, str, int]]:
+    """(struct, field, line) for each data member of each `struct *Config`
+    in the file, one declaration per statement at the struct's top level.
+    Members whose type is itself a config struct are skipped: their own
+    fields are the options."""
+    out: list[tuple[str, str, int]] = []
+    i, n = 0, len(sf.code)
+    while i < n:
+        m = _CONFIG_STRUCT.search(sf.code[i])
+        i += 1
+        if m is None:
+            continue
+        depth = 1
+        stmt, start = "", 0
+        while i < n and depth > 0:
+            code = sf.code[i].strip()
+            i += 1
+            if depth == 1 and code:
+                if not stmt:
+                    start = i
+                stmt = f"{stmt} {code}".strip()
+            depth += code.count("{") - code.count("}")
+            if depth == 1 and stmt.endswith((";", "}")):
+                field = _field_of(stmt)
+                if field is not None and "Config" not in field[0]:
+                    out.append((m.group(1), field[1], start))
+                stmt = ""
+    return out
+
+
+def check_test_only_option(files: list[SourceFile],
+                           setters: list[SourceFile]) -> list[Finding]:
+    """test-only-option: every field of a `struct *Config` defined in src/
+    must be assigned or filled somewhere in program code — `setters` under
+    OPTION_SETTER_DIRS, never tests/.  An option only tests set has a
+    single value in every configuration the benches and goldens cover, so
+    it should be a named constant; a field kept for tests goes in
+    allowlist.py with its reason.
+
+    Setting means `.name =` (designated initialisers included) or
+    `.name.push_back(` / `.name.emplace_back(`; assigning a member of the
+    field (`cfg.faults.link_mtbf =`) sets it too.  Matching is by field
+    name alone, so a name two structs share counts as set when either is
+    set (ChaosConfig::verify_determinism once covered SweepConfig's).
+    Members whose type is a config struct are skipped.
+    """
+    set_names = {name
+                 for sf in setters
+                 if sf.rel.split("/", 1)[0] in OPTION_SETTER_DIRS
+                 for code in sf.code
+                 for m in _OPTION_SET.finditer(code)
+                 for name in _CHAIN_NAME.findall(m.group(1))}
+    out: list[Finding] = []
+    for sf in files:
+        if not sf.rel.startswith("src/"):
+            continue
+        for struct, field, line in config_fields(sf):
+            if field not in set_names:
+                out.append(Finding(
+                    "test-only-option", sf.rel, line, field,
+                    f"{struct}::{field} is set by no program code, only "
+                    "(if at all) by tests; make it a named constant or "
+                    "allowlist it with the reason it stays"))
+    return out
+
+
 ALL_CHECKS = (
     check_line_rules,
     check_global_state,

@@ -539,13 +539,53 @@ class ObserverCompleteness(LintV2Base):
             """, "observer-completeness"), [])
 
 
+class TestOnlyOption(unittest.TestCase):
+    HEADER = """\
+        struct WidgetConfig {
+          double speed = 1.0;
+          int retries = 3;
+          OtherConfig nested;
+          static WidgetConfig fast() { return WidgetConfig{}; }
+        };
+        """
+
+    def setUp(self) -> None:
+        self.repo = FixtureRepo()
+
+    def tearDown(self) -> None:
+        self.repo.cleanup()
+
+    def findings(self, files: dict[str, str]) -> list:
+        sfs = [source.load(self.repo.write(rel, body), self.repo.root)
+               for rel, body in files.items()]
+        found = text_checks.check_test_only_option(sfs, sfs)
+        return engine.filter_findings(found, {sf.rel: sf for sf in sfs})
+
+    def test_field_set_only_under_tests_fires(self) -> None:
+        found = self.findings({
+            "src/widget.h": self.HEADER,
+            "bench/run.cpp": "cfg.speed = 2.0;\n",
+            "tests/widget_test.cpp": "cfg.retries = 0;\n"})
+        self.assertEqual([(f.symbol, f.line) for f in found],
+                         [("retries", 3)])
+
+    def test_fields_program_code_sets_are_clean(self) -> None:
+        # A designated initialiser and an assignment through a member
+        # chain both count; the config-typed member and the static
+        # function are not options of their own.
+        self.assertEqual(self.findings({
+            "src/widget.h": self.HEADER,
+            "perfbench/src/w.cpp": "WidgetConfig c{.speed = 2.0};\n",
+            "examples/e.cpp": "cfg.widget.retries = 1;\n"}), [])
+
+
 class EngineAndFallback(unittest.TestCase):
     def test_rule_registry_matches_docs(self) -> None:
         self.assertEqual(set(RULES),
                          {"wall-clock", "raw-random", "float-eq",
                           "ns-in-header", "machine-speed", "global-state",
                           "rng-discipline", "unordered-iter",
-                          "observer-completeness"})
+                          "observer-completeness", "test-only-option"})
 
     def test_committed_tree_is_clean_text_mode(self) -> None:
         findings, notes = engine.run([], "text", None)
