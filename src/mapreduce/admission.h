@@ -31,9 +31,10 @@
 //
 // The brownout reactions themselves live with their owners: the JobTracker
 // suspends speculation and throttles re-replication, and each scheduler
-// reacts to Scheduler::on_overload_state (Fair drops its locality wait,
-// Capacity pauses preemption churn, E-Ant skips decline rounds).  All of it
-// is restored in reverse order as the detector decays back to Normal.
+// reacts to Scheduler::on_overload_state (Fair built with a locality delay
+// drops its wait, Capacity pauses preemption churn, E-Ant skips decline
+// rounds).  All of it is restored in reverse order as the detector decays
+// back to Normal.
 //
 // Everything here is inert by default (enabled = false): a run with the
 // subsystem compiled in but disabled schedules no events, consumes no RNG,

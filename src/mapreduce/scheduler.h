@@ -62,10 +62,11 @@ class Scheduler {
 
   /// The overload detector changed state (admission.h).  Schedulers react
   /// by shedding their own optional work under Saturated/Critical — Fair
-  /// drops delay-scheduling waits, Capacity pauses preemption churn, E-Ant
-  /// skips decline rounds — and restore it as the state decays back.  Only
-  /// fired when the admission subsystem is enabled, so schedulers that
-  /// consume RNG on this path stay digest-neutral by default.
+  /// built with a locality delay drops its waits, Capacity pauses
+  /// preemption churn, E-Ant skips decline rounds — and restore it as the
+  /// state decays back.  Only fired when the admission subsystem is
+  /// enabled, so schedulers that consume RNG on this path stay
+  /// digest-neutral by default.
   virtual void on_overload_state(OverloadState state) { (void)state; }
 
   /// A reduce-side shuffle fetch of `source`'s map output failed (link

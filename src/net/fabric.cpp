@@ -56,7 +56,7 @@ FlowId Fabric::start_flow(NodeId src, NodeId dst, Megabytes mb, double cap_mbps,
 
   // Keep the full path: a link that is unlimited today can be degraded or
   // killed by a fault tomorrow, so in-flight flows must remember every link
-  // they cross.  Links that cannot bind are skipped inside reallocate().
+  // they cross.  Links that cannot bind are skipped inside settle().
   topo_.append_path(src, dst, flow.path);
   flow.solo_mbps = cap_mbps;
   for (LinkId link : flow.path) {

@@ -2,8 +2,9 @@
 //
 // Every in-flight transfer is a fluid flow with a fixed path, a per-flow rate
 // cap (the application-level bandwidth it could use on an idle network — for
-// shuffle/remote-read flows this is the legacy JobTrackerConfig scalar, which
-// makes the flat infinite-capacity topology reproduce the old model exactly)
+// shuffle/remote-read flows these are the JobTracker's kShuffleMbps and
+// kRemoteReadMbps constants, the scalar model's bandwidths, which makes the
+// flat infinite-capacity topology reproduce the old model exactly)
 // and a progressive-filling max-min fair share of every link it crosses.
 //
 // The model is purely event-driven: rates only change when a flow starts,
