@@ -151,10 +151,10 @@ TEST(DegradedShuffle, PersistentFetchFailureReExecutesSourceMaps) {
 TEST(DegradedShuffle, FetchStormFailsJobsLoudlyInsteadOfLivelocking) {
   auto cfg = degraded_config(9);
   // A pathological regime: at a 35% per-fetch failure rate shuffles
-  // essentially never complete.  The run must
-  // TERMINATE with loud job failures (reducers burn attempt budget via the
-  // fetch-abort limit) — the regression here was a livelock where reduce
-  // attempts were killed and relaunched for free forever.
+  // essentially never complete.  The run must TERMINATE with loud job
+  // failures (reducers burn attempt budget via the fetch-abort limit) — the
+  // regression here was a livelock where reduce attempts were killed and
+  // relaunched for free forever.
   cfg.faults.fetch_failure_prob = 0.35;
   cfg.time_limit = 20000.0;
   exp::Run run(exp::paper_fleet(), exp::SchedulerKind::kFair, cfg);
