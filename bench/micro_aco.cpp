@@ -82,10 +82,11 @@ void BM_SampleJob(benchmark::State& state) {
     candidates.push_back(j);
   }
   Rng rng(2);
-  const auto eta = [](mr::JobId) { return 1.0; };
+  const std::vector<double> boosts(jobs, core::eta_boost(1.0, 0.1));
+  std::vector<double> weights;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::sample_job(
-        table, rng, candidates, mr::TaskKind::kMap, 3, eta, 0.1));
+        table, rng, candidates, boosts, mr::TaskKind::kMap, 3, weights));
   }
 }
 BENCHMARK(BM_SampleJob)->Arg(4)->Arg(16)->Arg(87);

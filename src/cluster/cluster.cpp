@@ -28,11 +28,6 @@ const Machine& Cluster::machine(MachineId id) const {
   return *machines_[id];
 }
 
-const std::vector<MachineId>& Cluster::homogeneous_group(MachineId id) const {
-  EANT_CHECK(id < machines_.size(), "machine id out of range");
-  return groups_.at(machines_[id]->type().name);
-}
-
 std::vector<MachineId> Cluster::machines_of_type(
     const std::string& type_name) const {
   auto it = groups_.find(type_name);

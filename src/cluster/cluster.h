@@ -28,15 +28,11 @@ class Cluster {
   Machine& machine(MachineId id);
   const Machine& machine(MachineId id) const;
 
-  /// Ids of all machines whose type name matches the given machine's type —
-  /// the homogeneous sub-cluster used for machine-level exchange.  Always
-  /// contains `id` itself.
-  const std::vector<MachineId>& homogeneous_group(MachineId id) const;
-
   /// Distinct type names present in the cluster, in first-added order.
   const std::vector<std::string>& type_names() const { return type_order_; }
 
-  /// Machines of a given type name (empty vector if none).
+  /// Machines of a given type name, in id order (empty vector if none): the
+  /// homogeneous sub-cluster used for machine-level exchange.
   std::vector<MachineId> machines_of_type(const std::string& type_name) const;
 
   /// Total map (resp. reduce) slots across the fleet (summed as machines

@@ -44,24 +44,28 @@ DeltaMap compute_deposits(const std::vector<EstimatedReport>& interval,
   return deposits;
 }
 
-std::optional<mr::JobId> sample_job(
-    const PheromoneTable& table, Rng& rng,
-    const std::vector<mr::JobId>& candidates, mr::TaskKind kind,
-    cluster::MachineId machine,
-    const std::function<double(mr::JobId)>& eta, double beta) {
-  if (candidates.empty()) return std::nullopt;
-  EANT_CHECK(static_cast<bool>(eta), "eta function must be callable");
+double eta_boost(double eta, double beta) {
   EANT_CHECK(beta >= 0.0, "beta must be non-negative");
+  return beta <= 0.0 ? 1.0 : std::pow(eta, beta);
+}
+
+std::optional<mr::JobId> sample_job(const PheromoneTable& table, Rng& rng,
+                                    const std::vector<mr::JobId>& candidates,
+                                    const std::vector<double>& boosts,
+                                    mr::TaskKind kind,
+                                    cluster::MachineId machine,
+                                    std::vector<double>& weights) {
+  if (candidates.empty()) return std::nullopt;
+  EANT_CHECK(boosts.size() == candidates.size(),
+             "one boost per candidate required");
   EANT_CHECK(machine < table.num_machines(), "machine id out of range");
 
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
-  for (mr::JobId j : candidates) {
-    const PheromoneTable::Trail& row = table.row(j, kind);
+  weights.clear();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const PheromoneTable::Trail& row = table.row(candidates[i], kind);
     EANT_ASSERT(row.sum > 0.0, "pheromone row sum must stay positive");
     const double normalized_tau = row.tau[machine] / row.sum;
-    const double boost = beta <= 0.0 ? 1.0 : std::pow(eta(j), beta);
-    weights.push_back(normalized_tau * boost);
+    weights.push_back(normalized_tau * boosts[i]);
   }
   return candidates[rng.weighted_index(weights)];
 }

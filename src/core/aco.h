@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -32,13 +31,20 @@ struct EstimatedReport {
 DeltaMap compute_deposits(const std::vector<EstimatedReport>& interval,
                           std::size_t num_machines);
 
+/// Eq. 8's heuristic factor eta^beta (1 when beta is 0).  Throws
+/// PreconditionError when beta is negative.
+double eta_boost(double eta, double beta);
+
 /// Samples one candidate job for a slot on `machine` with probability
-/// proportional to  tau(j,kind,machine)/row_sum(j,kind) * eta(j)^beta.
-/// Returns nothing when candidates is empty.
-std::optional<mr::JobId> sample_job(
-    const PheromoneTable& table, Rng& rng,
-    const std::vector<mr::JobId>& candidates, mr::TaskKind kind,
-    cluster::MachineId machine,
-    const std::function<double(mr::JobId)>& eta, double beta);
+/// proportional to  tau(j,kind,machine)/row_sum(j,kind) * boosts[i], where
+/// boosts[i] is candidate i's eta_boost.  `weights` is scratch space the
+/// caller keeps, so a call allocates nothing once it has grown.  Returns
+/// nothing when candidates is empty.
+std::optional<mr::JobId> sample_job(const PheromoneTable& table, Rng& rng,
+                                    const std::vector<mr::JobId>& candidates,
+                                    const std::vector<double>& boosts,
+                                    mr::TaskKind kind,
+                                    cluster::MachineId machine,
+                                    std::vector<double>& weights);
 
 }  // namespace eant::core

@@ -49,10 +49,13 @@ constexpr double kPheromoneCeiling = 1e12;
 }  // namespace
 
 EAntScheduler::EAntScheduler(EnergyModel model, Rng rng, EAntConfig config)
-    : model_(std::move(model)), rng_(rng), config_(config) {
+    : model_(std::move(model)),
+      rng_(rng),
+      config_(config),
+      local_boost_(eta_boost(kLocalityEta, config.beta)),
+      rack_boost_(eta_boost(kRackLocalityEta, config.beta)) {
   EANT_CHECK(config.control_interval > 0.0,
              "control interval must be positive");
-  EANT_CHECK(config.beta >= 0.0, "beta must be non-negative");
 }
 
 void EAntScheduler::attach(mr::JobTracker& job_tracker) {
@@ -240,13 +243,46 @@ void EAntScheduler::audit_pheromone_bounds() {
   }
 }
 
-double EAntScheduler::eta_for(mr::JobId job) const {
+void EAntScheduler::compute_boosts(cluster::MachineId machine,
+                                   mr::TaskKind kind) {
+  // Eq. 7: a job with a node-local pending split on this machine takes the
+  // "infinite" eta branch — realised as the eta cap, so after the beta
+  // exponent of Eq. 8 it becomes a strong but finite boost (the same cap a
+  // real implementation needs to keep the weights representable).  All
+  // other jobs carry the fairness eta, which within one call depends only
+  // on the job's occupied slots.
   const double s_pool = static_cast<double>(jt_->total_slots());
   const double s_min = fair_share(jt_->total_slots(),
                                   jt_->active_jobs().size());
-  const double s_occ =
-      static_cast<double>(jt_->job(job).occupied_slots());
-  return fairness_eta(s_min, s_occ, s_pool);
+  ++boost_call_;  // retires the memo's entries from earlier calls
+  boosts_.clear();
+  for (mr::JobId j : candidates_) {
+    const mr::JobState& js = jt_->job(j);
+    if (kind == mr::TaskKind::kMap) {
+      if (js.has_local_pending_map(machine)) {
+        boosts_.push_back(local_boost_);
+        continue;
+      }
+      // Middle tier on multi-rack topologies: a rack-local split avoids the
+      // oversubscribed core but still crosses a wire (false on a flat rack).
+      if (js.has_rack_local_pending_map(machine)) {
+        boosts_.push_back(rack_boost_);
+        continue;
+      }
+    }
+    const auto occupied = static_cast<std::size_t>(js.occupied_slots());
+    if (occupied >= fairness_boosts_.size()) {
+      fairness_boosts_.resize(occupied + 1);
+    }
+    FairnessBoost& memo = fairness_boosts_[occupied];
+    if (memo.call != boost_call_) {
+      memo.call = boost_call_;
+      memo.boost = eta_boost(
+          fairness_eta(s_min, static_cast<double>(occupied), s_pool),
+          config_.beta);
+    }
+    boosts_.push_back(memo.boost);
+  }
 }
 
 std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
@@ -254,23 +290,9 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
   EANT_CHECK(jt_ != nullptr, "scheduler not attached");
   jt_->runnable_jobs(kind, candidates_);
   if (candidates_.empty()) return std::nullopt;
-
-  // Eq. 7: a job with a node-local pending split on this machine takes the
-  // "infinite" eta branch — realised as the eta cap, so after the beta
-  // exponent of Eq. 8 it becomes a strong but finite boost (the same cap a
-  // real implementation needs to keep the weights representable).  All
-  // other jobs carry the fairness eta.
-  auto eta = [this, machine, kind](mr::JobId j) {
-    if (kind == mr::TaskKind::kMap) {
-      if (jt_->job(j).has_local_pending_map(machine)) return kLocalityEta;
-      // Middle tier on multi-rack topologies: a rack-local split avoids the
-      // oversubscribed core but still crosses a wire (false on a flat rack).
-      if (jt_->job(j).has_rack_local_pending_map(machine)) {
-        return kRackLocalityEta;
-      }
-    }
-    return eta_for(j);
-  };
+  // No job's locality or occupied slots change while this call samples, so
+  // each candidate's eta^beta holds for every draw below.
+  compute_boosts(machine, kind);
   // Pull-model realisation of Eq. 3/8's machine dimension: the policy says
   // what fraction of job j's tasks machine m should host, namely
   // tau(j,m)/row_sum.  A greedy pull would ignore that and saturate every
@@ -302,8 +324,8 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
       1.0 - static_cast<double>(jt_->total_free_slots(kind)) /
                 std::max(total_kind_slots, 1.0);
   while (!candidates_.empty()) {
-    const auto choice = sample_job(*table_, rng_, candidates_, kind, machine,
-                                   eta, config_.beta);
+    const auto choice = sample_job(*table_, rng_, candidates_, boosts_, kind,
+                                   machine, weights_);
     EANT_ASSERT(choice.has_value(), "sampler returned nothing for candidates");
     // Brownout: declining slots to steer energy is shed load we cannot
     // afford while saturated — take the sampled job and keep the slot busy.
@@ -342,8 +364,10 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
     const double steered = std::clamp(
         std::pow(normalized, kAcceptanceSharpness), floor, 1.0);
     if (rng_.uniform() <= steered) return choice;
-    candidates_.erase(
-        std::find(candidates_.begin(), candidates_.end(), *choice));
+    const auto declined =
+        std::find(candidates_.begin(), candidates_.end(), *choice);
+    boosts_.erase(boosts_.begin() + (declined - candidates_.begin()));
+    candidates_.erase(declined);
   }
   return std::nullopt;
 }

@@ -113,7 +113,8 @@ class EAntScheduler final : public mr::Scheduler {
  private:
   void control_tick();
   void audit_pheromone_bounds();
-  double eta_for(mr::JobId job) const;
+  /// Fills boosts_ with Eq. 8's eta^beta for each of candidates_.
+  void compute_boosts(cluster::MachineId machine, mr::TaskKind kind);
   bool better_machine_free(mr::JobId job, mr::TaskKind kind,
                            cluster::MachineId machine) const;
 
@@ -123,9 +124,24 @@ class EAntScheduler final : public mr::Scheduler {
 
   mr::JobTracker* jt_ = nullptr;
   audit::InvariantAuditor* auditor_ = nullptr;
-  /// select_job's runnable jobs, sampled from and erased in place; kept so
-  /// a slot offer allocates no vector.
+  /// select_job's runnable jobs, sampled from and erased in place, their
+  /// eta^beta factors at the same positions, and sample_job's weights;
+  /// kept so a slot offer allocates no vector.
   std::vector<mr::JobId> candidates_;
+  std::vector<double> boosts_;
+  std::vector<double> weights_;
+  /// eta^beta of Eq. 7's two locality branches (constants).
+  double local_boost_ = 1.0;
+  double rack_boost_ = 1.0;
+  /// Eq. 7's fairness factor per occupied-slot count, memoised within one
+  /// select_job call (S_min moves with the active jobs between calls): an
+  /// entry is valid while its `call` equals boost_call_.
+  struct FairnessBoost {
+    std::uint64_t call = 0;
+    double boost = 0.0;
+  };
+  std::vector<FairnessBoost> fairness_boosts_;
+  std::uint64_t boost_call_ = 0;
   std::unique_ptr<PheromoneTable> table_;  // sized at attach time
   ConvergenceTracker convergence_;
 

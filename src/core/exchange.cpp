@@ -8,16 +8,22 @@ namespace eant::core {
 
 DeltaMap machine_level_exchange(const DeltaMap& deltas,
                                 const cluster::Cluster& cluster) {
+  // Every machine belongs to exactly one group, so one sum per group fills
+  // each row, in the same order of additions as a sum per machine.
+  std::vector<std::vector<cluster::MachineId>> groups;
+  for (const std::string& type : cluster.type_names()) {
+    groups.push_back(cluster.machines_of_type(type));
+  }
   DeltaMap out;
   for (const auto& [key, per_machine] : deltas) {
     EANT_CHECK(per_machine.size() == cluster.size(),
                "delta vector does not match cluster size");
     std::vector<double> smoothed(per_machine.size(), 0.0);
-    for (cluster::MachineId m = 0; m < per_machine.size(); ++m) {
-      const auto& group = cluster.homogeneous_group(m);
+    for (const auto& group : groups) {
       double sum = 0.0;
       for (cluster::MachineId peer : group) sum += per_machine[peer];
-      smoothed[m] = sum / static_cast<double>(group.size());
+      const double mean = sum / static_cast<double>(group.size());
+      for (cluster::MachineId peer : group) smoothed[peer] = mean;
     }
     out[key] = std::move(smoothed);
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <sstream>
 
 #include "audit/auditor.h"
 #include "common/error.h"
@@ -72,6 +73,18 @@ constexpr std::uint64_t audit_key(std::uint64_t hi, std::uint64_t lo) {
 template <typename Map>
 void erase_job(Map& map, JobId job) {
   map.erase(map.lower_bound({job, 0}), map.lower_bound({job + 1, 0}));
+}
+
+/// When the job's oldest indexed task of the kind reaches the straggler
+/// threshold: its start + kStragglerBeta x the job's mean completed
+/// duration (+inf with no completion or no indexed task).
+Seconds straggler_due(const JobState& js, TaskKind kind) {
+  const Seconds mean = js.mean_completed_duration(kind);
+  const std::vector<RunningTask>& running = js.running_by_start(kind);
+  if (mean <= 0.0 || running.empty()) {
+    return std::numeric_limits<Seconds>::infinity();
+  }
+  return running.front().start + kStragglerBeta * mean;
 }
 
 /// Flags, once per process, that network costs come from the scalar model.
@@ -652,7 +665,7 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
   // limping node's near-stalled attempt ranks far above a merely unlucky
   // one, and the beat test compares against remaining work, not elapsed.
   const auto pick = find_straggler(
-      kind, kStragglerBeta,
+      kind,
       [this, m](const JobState& js, TaskKind k, TaskIndex i, Seconds elapsed,
                 Seconds mean) -> std::optional<Seconds> {
         // Only worthwhile if a fresh attempt here is expected to beat the
@@ -676,19 +689,32 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
 }
 
 std::optional<JobTracker::Straggler> JobTracker::find_straggler(
-    TaskKind kind, double beta, const StragglerScore& score) const {
+    TaskKind kind, const StragglerScore& score) const {
   const Seconds now = sim_.now();
+  Seconds& horizon = straggler_horizon_[kind_index(kind)];
+  // now < horizon <= pred(fl(start + threshold)) < start + threshold in real
+  // arithmetic, so fl(now - start) <= threshold by monotone rounding: the
+  // walk would stop at every job's oldest task.
+  if (now < horizon) {
+    if (auditor_) audit_straggler_horizon(kind);
+    return std::nullopt;
+  }
   std::optional<Straggler> best;
   Seconds best_score = 0.0;
+  Seconds earliest = std::numeric_limits<Seconds>::infinity();
   for (JobId id : active_) {
     const JobState& js = *jobs_[id];
     const Seconds mean = js.mean_completed_duration(kind);
     if (mean <= 0.0) continue;
-    for (const RunningTask& t : js.running_by_start(kind)) {
+    const std::vector<RunningTask>& running = js.running_by_start(kind);
+    if (running.empty()) continue;
+    const Seconds threshold = kStragglerBeta * mean;
+    earliest = std::min(earliest, running.front().start + threshold);
+    for (const RunningTask& t : running) {
       // now - start only shrinks as start grows, so the first task within
       // the threshold ends the walk.
       const Seconds elapsed = now - t.start;
-      if (elapsed <= beta * mean) break;
+      if (elapsed <= threshold) break;
       const std::optional<Seconds> s = score(js, kind, t.index, elapsed, mean);
       if (!s) continue;
       // Equal scores keep the earliest job, then the lowest index: jobs are
@@ -702,7 +728,33 @@ std::optional<JobTracker::Straggler> JobTracker::find_straggler(
       }
     }
   }
+  // One nextafter on the minimum: it is monotone, so this is the minimum of
+  // the jobs' floors (DBL_MAX when no job has one).
+  horizon = std::nextafter(earliest, kNoHorizon);
   return best;
+}
+
+void JobTracker::lower_straggler_horizon(const JobState& js, TaskKind kind) {
+  Seconds& horizon = straggler_horizon_[kind_index(kind)];
+  horizon = std::min(horizon,
+                     std::nextafter(straggler_due(js, kind), kNoHorizon));
+}
+
+void JobTracker::audit_straggler_horizon(TaskKind kind) const {
+  // The skip holds if the horizon is below every job's due time (h < x iff
+  // h <= nextafter(x, -inf)).  A job whose oldest task is past the
+  // threshold now breaks that too, since fl(s + m) <= now < h.
+  const Seconds horizon = straggler_horizon_[kind_index(kind)];
+  for (JobId id : active_) {
+    const Seconds due = straggler_due(*jobs_[id], kind);
+    if (horizon < due) continue;
+    std::ostringstream context;
+    context.precision(17);
+    context << "job " << id << "'s oldest " << kind_name(kind)
+            << " is due at " << due << ", not after the horizon " << horizon;
+    auditor_->report_violation("straggler-horizon", audit::Severity::kError,
+                               context.str());
+  }
 }
 
 std::optional<JobId> JobTracker::timed_select_job(cluster::MachineId machine,
@@ -755,6 +807,8 @@ void JobTracker::try_assign(TaskTracker& tracker, TaskKind kind) {
     }
 
     launch(js, kind, *index, tracker, locality);
+    // The claim's start was re-keyed to now.
+    lower_straggler_horizon(js, kind);
   }
 }
 
@@ -1533,6 +1587,9 @@ void JobTracker::recover_master() {
     auditor_->on_master_epoch(master_epoch_);
   }
   if (checkpoint_coverage_ >= 0.0) ++counters_.checkpoint_replays;
+  // The restarted master trusts no kept straggler horizon: its next query
+  // walks.
+  straggler_horizon_.fill(kNoHorizon);
   const Seconds now = sim_.now();
   const double fleet = std::max<double>(1.0, cluster_.size());
   for (cluster::MachineId m = 0; m < cluster_.size(); ++m) {
@@ -1832,6 +1889,7 @@ void JobTracker::handle_completion(TaskReport report) {
     return;
   }
   js.mark_done(report);
+  lower_straggler_horizon(js, report.spec.kind);  // the mean may drop
   // Kill the losing twin of a speculated task, wherever it still runs.
   if (js.is_speculative(report.spec.kind, report.spec.index)) {
     // The winner is already off its tracker's running set, so matching by
@@ -2019,6 +2077,8 @@ bool JobTracker::requeue_task(JobId job, TaskKind kind, TaskIndex index) {
   if (js.failed() || js.complete()) return false;
   if (js.status(kind, index) != TaskStatus::kRunning) return false;
   js.clear_speculative(kind, index);
+  // A surviving twin re-entered the index under the original's start.
+  lower_straggler_horizon(js, kind);
   if (running_elsewhere(job, kind, index)) return false;
   js.unclaim(kind, index);
   ++pending_tasks_[kind_index(kind)];
@@ -2033,6 +2093,7 @@ bool JobTracker::revert_map_output(const TaskReport& report,
   if (js.status(TaskKind::kMap, spec.index) != TaskStatus::kDone) return false;
   js.revert_done_map(spec.index, report.duration(),
                      namenode_.locations(spec.block), report.machine);
+  lower_straggler_horizon(js, TaskKind::kMap);  // the mean may drop
   ++pending_tasks_[kind_index(TaskKind::kMap)];
   if (auditor_) {
     auditor_->on_task_transition(spec.job, true, spec.index,

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -381,12 +382,14 @@ class JobTracker {
       Seconds mean)>;
 
   /// The highest-scoring straggler of the kind across active jobs: a
-  /// Running task without a speculative twin, elapsed past `beta` x its
-  /// job's mean completed duration, with a positive score.  Ties go to the
-  /// earliest active job, then the lowest task index.  Each job's straggler
-  /// index is walked oldest-first and the walk stops at the first task
-  /// within the threshold: every younger task is within it too.
-  std::optional<Straggler> find_straggler(TaskKind kind, double beta,
+  /// Running task without a speculative twin, elapsed past kStragglerBeta x
+  /// its job's mean completed duration, with a positive score.  Ties go to
+  /// the earliest active job, then the lowest task index.  Each job's
+  /// straggler index is walked oldest-first and the walk stops at the first
+  /// task within the threshold: every younger task is within it too.  Before
+  /// the kind's straggler horizon no task is past it, and the call returns
+  /// at once.
+  std::optional<Straggler> find_straggler(TaskKind kind,
                                           const StragglerScore& score) const;
 
   /// Scheduler-requested preemption of a Running task: every live attempt
@@ -734,6 +737,17 @@ class JobTracker {
   std::optional<JobId> timed_select_job(cluster::MachineId machine,
                                         TaskKind kind);
   void try_speculate(TaskTracker& tracker, TaskKind kind);
+  /// Lowers the kind's straggler horizon to the job's floor: after a change
+  /// that can move its oldest running start or its mean completed duration
+  /// down.
+  void lower_straggler_horizon(const JobState& js, TaskKind kind);
+  /// A straggler horizon no time is below: the next call walks.
+  static constexpr Seconds kNoHorizon =
+      -std::numeric_limits<Seconds>::infinity();
+  /// The auditor's cross-check of a call the horizon skipped: the horizon
+  /// must be below every active job's oldest start + threshold, so no
+  /// job's oldest running task is past the threshold.
+  void audit_straggler_horizon(TaskKind kind) const;
   Seconds base_duration(const TaskSpec& spec, const cluster::Machine& machine,
                         Locality locality) const;
   /// Builds a job's reduces once every one of its maps is done; the
@@ -908,6 +922,14 @@ class JobTracker {
     std::vector<cluster::MachineId> machines;
   };
   std::array<FreeSlotIndex, 2> free_slots_;  ///< map first
+  /// Per kind (map first): a time below which no active job holds a Running,
+  /// non-speculative task past kStragglerBeta x its mean completed duration.
+  /// At most the minimum over active jobs of the largest double below
+  /// oldest start + kStragglerBeta * mean (+inf for a job with no completion
+  /// or no such task).  find_straggler's full walk sets it to that minimum;
+  /// lower_straggler_horizon follows the changes that can lower it, and
+  /// master recovery resets it to -inf, where it also starts.
+  mutable std::array<Seconds, 2> straggler_horizon_{kNoHorizon, kNoHorizon};
   std::vector<double> capability_share_;
   std::size_t jobs_expected_ = 0;
   std::size_t jobs_completed_ = 0;

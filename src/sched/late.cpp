@@ -11,19 +11,22 @@ constexpr double kFastMachineQuantile = 0.5;
 
 }  // namespace
 
-bool LateScheduler::machine_is_fast(cluster::MachineId machine) const {
+bool LateScheduler::machine_is_fast(cluster::MachineId machine) {
   // "Fast" = capability share at or above the chosen quantile of the fleet.
-  std::vector<double> shares;
-  const std::size_t n = jt_->cluster().size();
-  shares.reserve(n);
-  for (cluster::MachineId m = 0; m < n; ++m) {
-    shares.push_back(jt_->capability_share(m));
+  // The shares are fixed once the trackers started (the first query comes
+  // from a heartbeat), so the quantile is computed once.
+  if (!fast_share_) {
+    std::vector<double> sorted;
+    const std::size_t n = jt_->cluster().size();
+    sorted.reserve(n);
+    for (cluster::MachineId m = 0; m < n; ++m) {
+      sorted.push_back(jt_->capability_share(m));
+    }
+    std::sort(sorted.begin(), sorted.end());
+    fast_share_ = sorted[static_cast<std::size_t>(
+        kFastMachineQuantile * static_cast<double>(n - 1))];
   }
-  std::vector<double> sorted = shares;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      kFastMachineQuantile * static_cast<double>(n - 1));
-  return shares[machine] >= sorted[idx];
+  return jt_->capability_share(machine) >= *fast_share_;
 }
 
 bool LateScheduler::try_speculate(cluster::MachineId machine,
@@ -37,7 +40,7 @@ bool LateScheduler::try_speculate(cluster::MachineId machine,
   // merely old ones.
   const bool by_progress = jt_->config().speculative_progress_ranking;
   const auto pick = jt_->find_straggler(
-      kind, mr::kStragglerBeta,
+      kind,
       [this, by_progress](const mr::JobState& js, mr::TaskKind k,
                           mr::TaskIndex i, Seconds elapsed,
                           Seconds /*mean*/) -> std::optional<Seconds> {

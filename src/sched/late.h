@@ -26,10 +26,12 @@ class LateScheduler final : public FairScheduler {
   std::size_t speculations() const { return speculations_; }
 
  private:
-  bool machine_is_fast(cluster::MachineId machine) const;
+  bool machine_is_fast(cluster::MachineId machine);
   bool try_speculate(cluster::MachineId machine, mr::TaskKind kind);
 
   std::size_t speculations_ = 0;
+  /// The fleet's fast-machine capability share, from the first query on.
+  std::optional<double> fast_share_;
 };
 
 }  // namespace eant::sched

@@ -15,21 +15,25 @@ constexpr std::size_t kMinSamples = 8;
 }  // namespace
 
 bool TarazuScheduler::over_quota(const mr::JobState& job,
-                                 cluster::MachineId machine) const {
+                                 cluster::MachineId machine) {
   // Tarazu's balancing targets wimpy nodes.  "Wimpy" for a tail task means
   // slow per slot (a straggling last map is bound by one core's speed, not
   // by the machine's aggregate throughput), so machines at or above the
-  // fleet's median per-core speed are never throttled.
+  // fleet's median per-core speed are never throttled.  The fleet is fixed,
+  // so the median is computed once.
   auto speed = [this](cluster::MachineId m) {
     return jt_->cluster().machine(m).type().cpu_factor;
   };
-  std::vector<double> speeds;
-  const std::size_t n = jt_->cluster().size();
-  speeds.reserve(n);
-  for (cluster::MachineId m = 0; m < n; ++m) speeds.push_back(speed(m));
-  std::nth_element(speeds.begin(), speeds.begin() + speeds.size() / 2,
-                   speeds.end());
-  if (speed(machine) >= speeds[speeds.size() / 2]) return false;
+  if (!median_speed_) {
+    std::vector<double> speeds;
+    const std::size_t n = jt_->cluster().size();
+    speeds.reserve(n);
+    for (cluster::MachineId m = 0; m < n; ++m) speeds.push_back(speed(m));
+    std::nth_element(speeds.begin(), speeds.begin() + speeds.size() / 2,
+                     speeds.end());
+    median_speed_ = speeds[speeds.size() / 2];
+  }
+  if (speed(machine) >= *median_speed_) return false;
 
   const auto& per_machine = job.started_per_machine(mr::TaskKind::kMap);
   std::size_t total = 0;

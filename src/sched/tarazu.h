@@ -28,7 +28,10 @@ class TarazuScheduler final : public FairScheduler {
   std::string name() const override { return "Tarazu"; }
 
  private:
-  bool over_quota(const mr::JobState& job, cluster::MachineId machine) const;
+  bool over_quota(const mr::JobState& job, cluster::MachineId machine);
+
+  /// The fleet's median per-core speed, from the first query on.
+  std::optional<double> median_speed_;
 };
 
 }  // namespace eant::sched

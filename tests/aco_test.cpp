@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "common/error.h"
 #include "core/aco.h"
@@ -56,12 +58,23 @@ TEST(FairShare, DividesSlotsEvenly) {
 
 // --- sampling (Eq. 3/8) ---------------------------------------------------------
 
+/// Samples among `candidates` with each one's eta_boost(eta(j), beta).
+template <typename Eta>
+std::optional<mr::JobId> sample(const PheromoneTable& t, Rng& rng,
+                                const std::vector<mr::JobId>& candidates,
+                                Eta eta, double beta) {
+  std::vector<double> boosts;
+  for (mr::JobId j : candidates) boosts.push_back(eta_boost(eta(j), beta));
+  std::vector<double> weights;
+  return sample_job(t, rng, candidates, boosts, mr::TaskKind::kMap, 0,
+                    weights);
+}
+
 TEST(SampleJob, EmptyCandidatesGiveNothing) {
   PheromoneTable t(2, 0.5);
   Rng rng(1);
-  EXPECT_FALSE(sample_job(t, rng, {}, mr::TaskKind::kMap, 0,
-                          [](mr::JobId) { return 1.0; }, 0.1)
-                   .has_value());
+  EXPECT_FALSE(
+      sample(t, rng, {}, [](mr::JobId) { return 1.0; }, 0.1).has_value());
 }
 
 TEST(SampleJob, UniformTauGivesUniformChoice) {
@@ -71,8 +84,7 @@ TEST(SampleJob, UniformTauGivesUniformChoice) {
   Rng rng(2);
   std::map<mr::JobId, int> counts;
   for (int i = 0; i < 20000; ++i) {
-    const auto j = sample_job(t, rng, {0, 1}, mr::TaskKind::kMap, 0,
-                              [](mr::JobId) { return 1.0; }, 0.1);
+    const auto j = sample(t, rng, {0, 1}, [](mr::JobId) { return 1.0; }, 0.1);
     ++counts[*j];
   }
   EXPECT_NEAR(counts[0] / 20000.0, 0.5, 0.02);
@@ -95,8 +107,7 @@ TEST(SampleJob, FollowsPheromoneRatio) {
   int picks0 = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    const auto j = sample_job(t, rng, {0, 1}, mr::TaskKind::kMap, 0,
-                              [](mr::JobId) { return 1.0; }, 0.0);
+    const auto j = sample(t, rng, {0, 1}, [](mr::JobId) { return 1.0; }, 0.0);
     if (*j == 0) ++picks0;
   }
   const double w0 = 1.5 / 2.5, w1 = 0.83 / 1.83;
@@ -110,8 +121,8 @@ TEST(SampleJob, BetaZeroIgnoresEta) {
   Rng rng(4);
   std::map<mr::JobId, int> counts;
   for (int i = 0; i < 20000; ++i) {
-    const auto j = sample_job(
-        t, rng, {0, 1}, mr::TaskKind::kMap, 0,
+    const auto j = sample(
+        t, rng, {0, 1},
         [](mr::JobId j2) { return j2 == 0 ? 1000.0 : 0.001; }, 0.0);
     ++counts[*j];
   }
@@ -127,9 +138,7 @@ TEST(SampleJob, LargerBetaAmplifiesEta) {
     Rng rng(5);
     int c0 = 0;
     for (int i = 0; i < 20000; ++i) {
-      if (*sample_job(t, rng, {0, 1}, mr::TaskKind::kMap, 0, eta, beta) == 0) {
-        ++c0;
-      }
+      if (*sample(t, rng, {0, 1}, eta, beta) == 0) ++c0;
     }
     return c0 / 20000.0;
   };
@@ -145,8 +154,7 @@ TEST(SampleJob, RejectsNegativeBeta) {
   PheromoneTable t(1, 0.5);
   t.add_job(0);
   Rng rng(6);
-  EXPECT_THROW(sample_job(t, rng, {0}, mr::TaskKind::kMap, 0,
-                          [](mr::JobId) { return 1.0; }, -0.1),
+  EXPECT_THROW(sample(t, rng, {0}, [](mr::JobId) { return 1.0; }, -0.1),
                PreconditionError);
 }
 

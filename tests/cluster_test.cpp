@@ -173,11 +173,9 @@ TEST(Cluster, HomogeneousGroups) {
   c.add_machines(catalog::desktop(), 2);
   c.add_machines(catalog::atom(), 1);
   c.add_machines(catalog::desktop(), 1);  // same type added twice
-  const auto& group0 = c.homogeneous_group(0);
-  EXPECT_EQ(group0, (std::vector<MachineId>{0, 1, 3}));
-  const auto& group2 = c.homogeneous_group(2);
-  EXPECT_EQ(group2, (std::vector<MachineId>{2}));
+  EXPECT_EQ(c.machines_of_type("Desktop"), (std::vector<MachineId>{0, 1, 3}));
   EXPECT_EQ(c.machines_of_type("Atom"), (std::vector<MachineId>{2}));
+  EXPECT_EQ(c.type_names(), (std::vector<std::string>{"Desktop", "Atom"}));
   EXPECT_TRUE(c.machines_of_type("NoSuch").empty());
 }
 

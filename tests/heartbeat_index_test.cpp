@@ -477,13 +477,47 @@ TEST(LocalityCounts, RetireJobReleasesLocalityState) {
   }
 }
 
+// --- the straggler walk shared by the JobTracker and LATE ----------------------
+
+/// The scan find_straggler replaced: every task of every active job, in
+/// index order, replacing the best only on a strictly higher score.
+std::optional<mr::JobTracker::Straggler> linear_scan(
+    exp::Run& run, TaskKind kind,
+    const mr::JobTracker::StragglerScore& score) {
+  const mr::JobTracker& jt = run.job_tracker();
+  const Seconds now = run.simulator().now();
+  std::optional<mr::JobTracker::Straggler> best;
+  Seconds best_score = 0.0;
+  for (JobId id : jt.active_jobs()) {
+    const mr::JobState& js = jt.job(id);
+    const Seconds mean = js.mean_completed_duration(kind);
+    if (mean <= 0.0) continue;
+    const std::size_t total =
+        kind == TaskKind::kMap ? js.num_maps() : js.num_reduces();
+    for (TaskIndex i = 0; i < total; ++i) {
+      if (js.status(kind, i) != TaskStatus::kRunning) continue;
+      if (js.is_speculative(kind, i)) continue;
+      const Seconds elapsed = now - js.task_start_time(kind, i);
+      if (elapsed <= mr::kStragglerBeta * mean) continue;
+      const auto s = score(js, kind, i, elapsed, mean);
+      if (!s) continue;
+      if (*s > best_score) {
+        best_score = *s;
+        best = mr::JobTracker::Straggler{id, i};
+      }
+    }
+  }
+  return best;
+}
+
 // --- JobTracker: kept totals, runnable lists and the free-slot index ---------------
 
-/// Checks the JobTracker's kept counts against fresh scans of its state at
-/// every executed event (the simulator calls it between events, so it sees
-/// the state each event left), and records which tracker states the run
-/// reached.  Forwards every callback to the observer it displaced (the
-/// auditor), so audited runs keep their audit.
+/// Checks the JobTracker's kept counts, and find_straggler (with its
+/// straggler horizon) against the linear scan, at every executed event (the
+/// simulator calls it between events, so it sees the state each event
+/// left), and records which tracker states the run reached.  Forwards every
+/// callback to the observer it displaced (the auditor), so audited runs
+/// keep their audit.
 class CountOracle final : public sim::SimObserver {
  public:
   explicit CountOracle(exp::Run& run)
@@ -533,6 +567,22 @@ class CountOracle final : public sim::SimObserver {
                       << ", free machines " << kept.size() << " vs "
                       << machines.size();
       }
+      // Every straggler scores, so a horizon that skips one shows here.
+      const mr::JobTracker::StragglerScore by_elapsed =
+          [](const mr::JobState&, TaskKind, TaskIndex, Seconds elapsed,
+             Seconds) -> std::optional<Seconds> { return elapsed; };
+      const auto fast = jt.find_straggler(kind, by_elapsed);
+      const auto slow = linear_scan(run_, kind, by_elapsed);
+      if (slow) ++stragglers_;
+      const bool same = fast.has_value() == slow.has_value() &&
+                        (!fast || (fast->job == slow->job &&
+                                   fast->index == slow->index));
+      if (!same && failures_++ < 3) {
+        ADD_FAILURE() << "find_straggler diverged at t="
+                      << run_.simulator().now() << " ("
+                      << mr::kind_name(kind) << "): found "
+                      << fast.has_value() << ", scan " << slow.has_value();
+      }
     }
     for (cluster::MachineId m = 0; m < n; ++m) {
       down_ |= !jt.tracker(m).alive();
@@ -545,6 +595,7 @@ class CountOracle final : public sim::SimObserver {
   }
 
   std::size_t checks() const { return checks_; }
+  std::size_t stragglers() const { return stragglers_; }
   bool saw_down() const { return down_; }
   bool saw_lost() const { return lost_; }
   bool saw_blacklisted() const { return blacklisted_; }
@@ -556,6 +607,7 @@ class CountOracle final : public sim::SimObserver {
   sim::SimObserver* next_;
   std::vector<JobId> buffer_;
   std::size_t checks_ = 0;
+  std::size_t stragglers_ = 0;
   std::size_t failures_ = 0;
   bool down_ = false;
   bool lost_ = false;
@@ -571,7 +623,8 @@ TEST(KeptCounts, MatchFreshScansThroughFaultedRuns) {
   // corruption, and a gray failure beside a crash; the amnesiac failover
   // with attempt failures and two node losses; LATE under fail-slow;
   // overloaded tenant Capacity with admission and preemption; and,
-  // beyond the golden cells, frequent attempt failures that blacklist
+  // beyond the golden cells, a crash that reverts map outputs while their
+  // job's maps still run, frequent attempt failures that blacklist
   // trackers, and a run whose jobs all fail with tasks still pending.
   exp::RunConfig base;
   base.seed = 42;
@@ -586,6 +639,7 @@ TEST(KeptCounts, MatchFreshScansThroughFaultedRuns) {
   bool down = false, lost = false, blacklisted = false, quarantined = false,
        master_down = false;
   std::size_t checks = 0;
+  std::size_t stragglers = 0;
   std::size_t machines = 0;
   const auto drive = [&](const std::string& name, const exp::ClusterBuilder& fleet,
                          exp::SchedulerKind kind, const exp::RunConfig& cfg,
@@ -600,6 +654,7 @@ TEST(KeptCounts, MatchFreshScansThroughFaultedRuns) {
     const exp::RunMetrics m = run.metrics();
     EXPECT_TRUE(m.audit.clean()) << name << ": " << m.audit.summary();
     checks += oracle.checks();
+    stragglers += oracle.stragglers();
     down |= oracle.saw_down();
     lost |= oracle.saw_lost();
     blacklisted |= oracle.saw_blacklisted();
@@ -674,6 +729,22 @@ TEST(KeptCounts, MatchFreshScansThroughFaultedRuns) {
           exp::SchedulerKind::kCapacity, cfg, gen.generate(rng));
   }
   {
+    // Three crashes while maps still run, one a fast restart: map outputs
+    // are reverted while their job has maps running and no straggler
+    // anywhere, so a job's mean completed duration drops below the kept
+    // straggler horizon.
+    exp::RunConfig cfg;
+    cfg.seed = 56;
+    cfg.noise = mr::NoiseConfig::typical();
+    cfg.audit.enabled = true;
+    cfg.job_tracker.tracker_expiry_window = 30.0;
+    cfg.faults.crash_for(15, 90.3, 100.0);
+    cfg.faults.crash_for(9, 186.4, 400.0);
+    cfg.faults.crash_for(11, 192.3, 20.0);
+    drive("map-phase-crashes", exp::paper_fleet(), exp::SchedulerKind::kEAnt,
+          cfg, exp::job_batch(workload::AppKind::kTerasort, 13343.0, 4, 2));
+  }
+  {
     // Frequent attempt failures: trackers reach the blacklist threshold.
     exp::RunConfig cfg = base;
     cfg.faults.task_failure_prob = 0.15;
@@ -691,7 +762,8 @@ TEST(KeptCounts, MatchFreshScansThroughFaultedRuns) {
     drive("all-jobs-fail", exp::paper_fleet(), exp::SchedulerKind::kFifo, cfg,
           exp::job_batch(workload::AppKind::kWordcount, 64.0 * 200, 1, 2));
   }
-  std::printf("kept counts: %zu event checks\n", checks);
+  std::printf("kept counts: %zu event checks, %zu with a straggler\n", checks,
+              stragglers);
   // The runs reached every state the index must follow.
   EXPECT_TRUE(down);
   EXPECT_TRUE(lost);
@@ -701,37 +773,6 @@ TEST(KeptCounts, MatchFreshScansThroughFaultedRuns) {
 }
 
 // --- the straggler walk shared by the JobTracker and LATE ----------------------
-
-/// The scan find_straggler replaced: every task of every active job, in
-/// index order, replacing the best only on a strictly higher score.
-std::optional<mr::JobTracker::Straggler> linear_scan(
-    exp::Run& run, TaskKind kind, double beta,
-    const mr::JobTracker::StragglerScore& score) {
-  const mr::JobTracker& jt = run.job_tracker();
-  const Seconds now = run.simulator().now();
-  std::optional<mr::JobTracker::Straggler> best;
-  Seconds best_score = 0.0;
-  for (JobId id : jt.active_jobs()) {
-    const mr::JobState& js = jt.job(id);
-    const Seconds mean = js.mean_completed_duration(kind);
-    if (mean <= 0.0) continue;
-    const std::size_t total =
-        kind == TaskKind::kMap ? js.num_maps() : js.num_reduces();
-    for (TaskIndex i = 0; i < total; ++i) {
-      if (js.status(kind, i) != TaskStatus::kRunning) continue;
-      if (js.is_speculative(kind, i)) continue;
-      const Seconds elapsed = now - js.task_start_time(kind, i);
-      if (elapsed <= beta * mean) continue;
-      const auto s = score(js, kind, i, elapsed, mean);
-      if (!s) continue;
-      if (*s > best_score) {
-        best_score = *s;
-        best = mr::JobTracker::Straggler{id, i};
-      }
-    }
-  }
-  return best;
-}
 
 TEST(StragglerWalk, MatchesLinearScanOnRandomRuns) {
   const auto batch = exp::job_batch(workload::AppKind::kTerasort, 1500.0, 4, 4);
@@ -781,24 +822,24 @@ TEST(StragglerWalk, MatchesLinearScanOnRandomRuns) {
       while (!jt.all_done()) {
         ASSERT_TRUE(run.simulator().step());
         for (TaskKind kind : kKinds) {
-          for (double beta : {1.0, 1.5}) {
-            for (const auto& rule : rules) {
-              const auto fast = jt.find_straggler(kind, beta, rule);
-              const auto slow = linear_scan(run, kind, beta, rule);
-              ASSERT_EQ(fast.has_value(), slow.has_value())
-                  << "t=" << run.simulator().now();
-              ++compared;
-              if (!fast) continue;
-              ++found;
-              ASSERT_EQ(fast->job, slow->job) << "t=" << run.simulator().now();
-              ASSERT_EQ(fast->index, slow->index)
-                  << "t=" << run.simulator().now();
-            }
+          for (const auto& rule : rules) {
+            const auto fast = jt.find_straggler(kind, rule);
+            const auto slow = linear_scan(run, kind, rule);
+            ASSERT_EQ(fast.has_value(), slow.has_value())
+                << "t=" << run.simulator().now();
+            ++compared;
+            if (!fast) continue;
+            ++found;
+            ASSERT_EQ(fast->job, slow->job) << "t=" << run.simulator().now();
+            ASSERT_EQ(fast->index, slow->index)
+                << "t=" << run.simulator().now();
           }
         }
       }
     }
   }
+  std::printf("straggler walk: %zu comparisons, %zu found a straggler\n",
+              compared, found);
   // The runs must actually produce stragglers to compare.
   EXPECT_GT(found, compared / 50);
 }

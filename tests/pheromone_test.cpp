@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <vector>
+
 #include "cluster/catalog.h"
 #include "cluster/cluster.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/aco.h"
 #include "core/exchange.h"
 #include "core/pheromone.h"
@@ -163,6 +168,87 @@ TEST(MachineExchange, PreservesTotalWithinGroup) {
   const auto& row = out.at({0, mr::TaskKind::kReduce});
   EXPECT_DOUBLE_EQ(row[0] + row[1] + row[2], 9.0);
   EXPECT_DOUBLE_EQ(row[0], 3.0);
+}
+
+/// The loop machine_level_exchange replaced: every machine sums its whole
+/// homogeneous group.
+DeltaMap per_machine_exchange(const DeltaMap& deltas,
+                              const cluster::Cluster& cluster) {
+  DeltaMap out;
+  for (const auto& [key, per_machine] : deltas) {
+    std::vector<double> smoothed(per_machine.size(), 0.0);
+    for (cluster::MachineId m = 0; m < per_machine.size(); ++m) {
+      const auto group =
+          cluster.machines_of_type(cluster.machine(m).type().name);
+      double sum = 0.0;
+      for (cluster::MachineId peer : group) sum += per_machine[peer];
+      smoothed[m] = sum / static_cast<double>(group.size());
+    }
+    out[key] = std::move(smoothed);
+  }
+  return out;
+}
+
+TEST(MachineExchange, PerGroupMeansMatchThePerMachineLoop) {
+  const cluster::MachineType types[] = {
+      cluster::catalog::desktop(), cluster::catalog::t420(),
+      cluster::catalog::xeon_e5(), cluster::catalog::t110(),
+      cluster::catalog::t320(),    cluster::catalog::t620(),
+      cluster::catalog::atom()};
+  std::size_t compared = 0;
+  std::size_t singletons = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    sim::Simulator sim;
+    cluster::Cluster c(sim);
+    if (seed == 1) {
+      // eant-wide-batch's fleet: the paper fleet copied 24 times, so every
+      // group's members are spread across the id range.
+      for (int copy = 0; copy < 24; ++copy) cluster::add_paper_fleet(c);
+    } else {
+      // Runs of random types and lengths: types recur after others, and a
+      // type added once forms a single-machine group.
+      const auto runs = rng.uniform_int(1, 12);
+      for (std::int64_t r = 0; r < runs; ++r) {
+        const auto type = static_cast<std::size_t>(rng.uniform_int(0, 6));
+        c.add_machines(types[type],
+                       static_cast<std::size_t>(rng.uniform_int(1, 4)));
+      }
+    }
+    for (const std::string& type : c.type_names()) {
+      singletons += c.machines_of_type(type).size() == 1;
+    }
+    // Zeros, negatives and magnitudes six decades apart, so a different
+    // order of additions would round differently.
+    DeltaMap deltas;
+    const auto colonies = rng.uniform_int(1, 6);
+    for (mr::JobId j = 0; j < static_cast<mr::JobId>(colonies); ++j) {
+      for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
+        std::vector<double> row(c.size());
+        for (double& d : row) {
+          d = rng.bernoulli(0.25) ? 0.0
+                                  : rng.uniform(-1.0, 1.0) *
+                                        std::pow(10.0, rng.uniform(-3.0, 3.0));
+        }
+        deltas[{j, kind}] = std::move(row);
+      }
+    }
+    const DeltaMap fast = machine_level_exchange(deltas, c);
+    const DeltaMap slow = per_machine_exchange(deltas, c);
+    ASSERT_EQ(fast.size(), slow.size());
+    for (const auto& [key, row] : slow) {
+      const std::vector<double>& got = fast.at(key);
+      ASSERT_EQ(got.size(), row.size());
+      for (cluster::MachineId m = 0; m < row.size(); ++m) {
+        EXPECT_EQ(got[m], row[m]) << "seed " << seed << ", machine " << m;
+      }
+      compared += row.size();
+    }
+  }
+  std::printf("machine exchange: %zu deposits compared, %zu single-machine "
+              "groups\n",
+              compared, singletons);
+  EXPECT_GT(singletons, 0u);
 }
 
 TEST(JobExchange, AveragesAcrossHomogeneousJobs) {
